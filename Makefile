@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 20s
 
-.PHONY: build vet test race bench churn-bench parallel-bench bitset-bench bitset-scale-bench bench-check overhead-bench overhead-gate latency-overhead converge-demo serve-demo serve-bench route-bench route-gate fuzz check
+.PHONY: build vet test race bench churn-bench bitset-bench bitset-scale-bench bench-check overhead-bench overhead-gate latency-overhead converge-demo serve-demo serve-bench route-bench route-gate fuzz check
 
 # serve-demo smoke-tests the live telemetry side-car: it starts a real
 # sweep with -serve, scrapes /healthz, /runz and /metrics while the
@@ -51,19 +51,10 @@ churn-bench:
 	$(GO) test -run '^$$' -bench BenchmarkChurn -benchmem . | $(GO) run ./scripts/benchjson > BENCH_churn.json
 	@cat BENCH_churn.json
 
-# parallel-bench compares the sequential and tiled parallel engines on
-# large meshes across worker counts and records the result in
-# BENCH_parallel.json. Speedups need real cores: run it on a
-# multi-core machine (CI uses ubuntu-latest).
-parallel-bench:
-	$(GO) test -run '^$$' -bench BenchmarkParallel -benchmem -timeout 30m . | $(GO) run ./scripts/benchjson > BENCH_parallel.json
-	@cat BENCH_parallel.json
-
-# bitset-bench measures the word-parallel (SWAR) bitset engine on the
-# BenchmarkParallel workload and records the result in
-# BENCH_bitset.json. Unlike parallel-bench its headline speedup is
-# per-core (64 labels per word op), so single-CPU numbers are
-# meaningful.
+# bitset-bench measures the word-parallel (SWAR) bitset engine on large
+# meshes with clustered faults across worker counts and records the
+# result in BENCH_bitset.json. Its headline speedup is per-core (64
+# labels per word op), so single-CPU numbers are meaningful.
 bitset-bench:
 	$(GO) test -run '^$$' -bench BenchmarkBitset -benchmem -timeout 30m . | $(GO) run ./scripts/benchjson > BENCH_bitset.json
 	@cat BENCH_bitset.json
@@ -129,9 +120,7 @@ route-gate:
 # neighbours) lands entirely on one leg and fakes an overhead of ±15%.
 # Running the whole binary several times alternates the legs at a fine
 # grain; benchjson then min-merges the repeated samples per name, and
-# the minimum is the drift-robust statistic. The parallel-engine pair
-# stays in BenchmarkOverhead for manual runs (`go test -bench
-# BenchmarkOverhead`) but is too slow and noisy for a 5% gate.
+# the minimum is the drift-robust statistic.
 OVERHEAD_BENCH_CMD = $(GO) test -run '^$$' -bench 'BenchmarkOverhead/bitset' -benchmem -benchtime 20x -timeout 30m .
 OVERHEAD_ROUNDS = 1 2 3 4 5 6 7 8
 
@@ -189,14 +178,14 @@ latency-overhead:
 # workflow artifact.
 converge-demo: build
 	@rm -rf .converge-demo && mkdir -p .converge-demo
-	@for engine in sequential channels parallel bitset; do \
+	@for engine in sequential channels bitset; do \
 		$(GO) run ./cmd/ocpsim -n 20 -maxf 4 -step 2 -reps 5 -seed 7 \
 			-engine $$engine -strict -trace .converge-demo/$$engine.ndjson -format csv > /dev/null || exit 1; \
 	done
 	$(GO) run ./cmd/octrace converge .converge-demo/*.ndjson
 
 # fuzz runs each native fuzz target for FUZZTIME (default 20s). The
-# targets check the paper's theorems plus sequential/parallel engine
+# targets check the paper's theorems plus sequential/bitset engine
 # agreement, so any reported input is a real counterexample.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFormation$$' -fuzztime $(FUZZTIME) ./internal/core

@@ -418,8 +418,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 // criterion: the full formation with the counter fabric attached
 // (per-phase cost collectors, per-node last-changed trackers, and the
 // paper-invariant monitors over the finished run) must stay within 5%
-// of the fabric-off run on the bitset engine at n=512. The same on/off
-// pair runs on the tiled parallel engine for cross-checking. `make
+// of the fabric-off run on the bitset engine at n=512. `make
 // overhead-bench` converts the output to BENCH_overhead.json and
 // `octrace bench check` gates regressions against it in CI.
 func BenchmarkOverhead(b *testing.B) {
@@ -428,68 +427,31 @@ func BenchmarkOverhead(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	faults := fault.Clustered{Count: n / 2, Clusters: 4, Spread: n / 32}.Generate(topo, rng)
 
-	for _, engine := range []core.EngineKind{core.EngineBitset, core.EngineParallel} {
-		for _, fabricOn := range []bool{false, true} {
-			state := "off"
-			if fabricOn {
-				state = "on"
-			}
-			b.Run(fmt.Sprintf("%s/n=%d/fabric=%s", engine, n, state), func(b *testing.B) {
-				cfg := core.Config{Width: n, Height: n, Engine: engine, Workers: 4}
-				if fabricOn {
-					cfg.Costs = costs.NewFabric(0)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					form(b, cfg, topo, faults)
-				}
-			})
+	for _, fabricOn := range []bool{false, true} {
+		state := "off"
+		if fabricOn {
+			state = "on"
 		}
-	}
-}
-
-// BenchmarkParallel is the tiled-parallel-engine scaling benchmark: the
-// full two-phase formation on large meshes with clustered faults (the
-// workload with the deepest fixpoints, hence the most rounds to
-// amortize tile spawning over), sequential baseline vs EngineParallel
-// at 1, 2, 4 and 8 workers. `make parallel-bench` converts the output
-// to BENCH_parallel.json; speedups require real cores, so the recorded
-// numbers come from multi-core CI, not a 1-CPU container.
-func BenchmarkParallel(b *testing.B) {
-	for _, n := range []int{512, 2048} {
-		topo := mesh.MustNew(n, n, mesh.Mesh2D)
-		rng := rand.New(rand.NewSource(42))
-		faults := fault.Clustered{Count: n / 2, Clusters: 4, Spread: n / 32}.Generate(topo, rng)
-
-		b.Run(fmt.Sprintf("sequential/n=%d", n), func(b *testing.B) {
-			cfg := core.Config{Width: n, Height: n}
+		b.Run(fmt.Sprintf("bitset/n=%d/fabric=%s", n, state), func(b *testing.B) {
+			cfg := core.Config{Width: n, Height: n, Engine: core.EngineBitset, Workers: 4}
+			if fabricOn {
+				cfg.Costs = costs.NewFabric(0)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				form(b, cfg, topo, faults)
 			}
 		})
-		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("parallel/n=%d/w=%d", n, w), func(b *testing.B) {
-				cfg := core.Config{Width: n, Height: n, Engine: core.EngineParallel, Workers: w}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					form(b, cfg, topo, faults)
-				}
-			})
-		}
 	}
 }
 
-// BenchmarkBitset is the word-parallel-engine benchmark on the same
-// workload as BenchmarkParallel, so the two JSON baselines are directly
-// comparable: full two-phase formation, large meshes, clustered faults.
-// Unlike the tiled engine, the bitset engine's 64-way SWAR parallelism
-// and changed-word frontier pay off on a single core, so w=1 against
-// BenchmarkParallel's sequential baseline is the headline number.
-// `make bitset-bench` converts the output to BENCH_bitset.json.
+// BenchmarkBitset is the word-parallel-engine benchmark: full two-phase
+// formation on large meshes with clustered faults (the workload with the
+// deepest fixpoints), at 1, 2, 4 and 8 row bands. The engine's 64-way
+// SWAR parallelism and changed-word frontier pay off on a single core,
+// so w=1 is the headline number. `make bitset-bench` converts the
+// output to BENCH_bitset.json.
 func BenchmarkBitset(b *testing.B) {
 	for _, n := range []int{512, 2048} {
 		topo := mesh.MustNew(n, n, mesh.Mesh2D)
@@ -514,10 +476,9 @@ func BenchmarkBitset(b *testing.B) {
 // restabilization, one add + one remove per iteration to stay in steady
 // state) versus a full from-scratch recompute of both fixpoints and the
 // region lists. The ratio is the point of the incremental engine — the
-// delta cost tracks the perturbation, not the mesh. The engine=node leg
-// restabilizes through the per-node RunFrontierGeneric; engine=bitset
-// routes the same deltas through the word-granularity RunBitsetFrontier
-// over the session's persistent packed planes.
+// delta cost tracks the perturbation, not the mesh. The incremental leg
+// (named engine=bitset) routes the deltas through the word-granularity
+// RunBitsetFrontier over the session's persistent packed planes.
 func BenchmarkChurn(b *testing.B) {
 	for _, f := range []int{10, 50, 100} {
 		topo, faults := paperMachine(b, f, 11)
@@ -532,33 +493,22 @@ func BenchmarkChurn(b *testing.B) {
 			}
 		}
 
-		for _, eng := range []struct {
-			name string
-			kind core.EngineKind
-		}{
-			{"node", core.EngineSequential},
-			{"bitset", core.EngineBitset},
-		} {
-			b.Run(fmt.Sprintf("incremental/f=%d/engine=%s", f, eng.name), func(b *testing.B) {
-				engCfg := cfg
-				engCfg.Engine = eng.kind
-				s, err := core.NewSessionOn(engCfg, topo, faults)
-				if err != nil {
+		b.Run(fmt.Sprintf("incremental/f=%d/engine=bitset", f), func(b *testing.B) {
+			s, err := core.NewSessionOn(cfg, topo, faults)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := sites[i%len(sites)]
+				if _, err := s.AddFaults(p); err != nil {
 					b.Fatal(err)
 				}
-				defer s.Close()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					p := sites[i%len(sites)]
-					if _, err := s.AddFaults(p); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := s.RemoveFaults(p); err != nil {
-						b.Fatal(err)
-					}
+				if _, err := s.RemoveFaults(p); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 
 		b.Run(fmt.Sprintf("full/f=%d", f), func(b *testing.B) {
 			b.ResetTimer()

@@ -74,7 +74,7 @@ func run(args []string, out io.Writer) error {
 		addr      = fs.String("addr", "", "ocpserve address to drive (empty = start an in-process server)")
 		tenants   = fs.Int("tenants", 2, "tenant meshes to spread load over")
 		size      = fs.Int("size", 64, "tenant mesh side length")
-		engine    = fs.String("engine", "bitset", "tenant engine: sequential, channels, parallel, or bitset")
+		engine    = fs.String("engine", "bitset", "tenant engine: sequential, channels, or bitset (sessions always run on bitset)")
 		nfaults   = fs.Int("faults", 32, "initial random faults per tenant")
 		rate      = fs.Float64("rate", 2000, "offered load in operations/second (open loop)")
 		duration  = fs.Duration("duration", 3*time.Second, "measured load duration")

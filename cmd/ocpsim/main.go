@@ -64,9 +64,9 @@ func run(args []string, out io.Writer) (retErr error) {
 		reps    = fs.Int("reps", 20, "replications per sweep point")
 		seed    = fs.Int64("seed", 1, "base random seed")
 		torus   = fs.Bool("torus", false, "use a 2-D torus instead of a mesh")
-		engine  = fs.String("engine", "sequential", "fixpoint engine: sequential, channels, parallel, or bitset (all result-identical)")
+		engine  = fs.String("engine", "sequential", "fixpoint engine: sequential, channels, or bitset (all result-identical)")
 		chans   = fs.Bool("channels", false, "deprecated alias for -engine channels")
-		workers = fs.Int("workers", 0, "parallel sweep workers, and the tile count of -engine parallel/bitset (0 = GOMAXPROCS)")
+		workers = fs.Int("workers", 0, "parallel sweep workers, and the row-band count of -engine bitset (0 = GOMAXPROCS)")
 		format  = fs.String("format", "ascii", "output format: ascii or csv")
 		width   = fs.Int("width", 60, "ascii plot width")
 
@@ -136,7 +136,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		Replications: *reps, Seed: *seed, Workers: *workers, Recorder: rec,
 		Engine: eng, Costs: fabric, StrictInvariants: *strict,
 	}
-	if eng == core.EngineParallel || eng == core.EngineBitset {
+	if eng == core.EngineBitset {
 		cfg.EngineWorkers = *workers
 	}
 	if *torus {
@@ -204,12 +204,10 @@ func parseEngine(name string, channelsAlias bool) (core.EngineKind, error) {
 		return core.EngineSequential, nil
 	case "channels":
 		return core.EngineChannels, nil
-	case "parallel":
-		return core.EngineParallel, nil
 	case "bitset":
 		return core.EngineBitset, nil
 	default:
-		return 0, fmt.Errorf("unknown engine %q (want sequential, channels, parallel, or bitset)", name)
+		return 0, fmt.Errorf("unknown engine %q (want sequential, channels, or bitset)", name)
 	}
 }
 

@@ -52,7 +52,7 @@ func TestRunTorusAndChannels(t *testing.T) {
 }
 
 func TestRunEngineFlag(t *testing.T) {
-	for _, eng := range []string{"sequential", "channels", "parallel", "bitset"} {
+	for _, eng := range []string{"sequential", "channels", "bitset"} {
 		var b strings.Builder
 		err := run([]string{"-figure", "5a", "-n", "10", "-maxf", "5", "-step", "5", "-reps", "1",
 			"-engine", eng, "-workers", "2"}, &b)
@@ -77,10 +77,9 @@ func TestParseEngine(t *testing.T) {
 		{"", true, "channels", false},
 		{"sequential", true, "channels", false},
 		{"channels", false, "channels", false},
-		{"parallel", false, "parallel", false},
-		{"parallel", true, "parallel", false},
 		{"bitset", false, "bitset", false},
 		{"bitset", true, "bitset", false},
+		{"parallel", false, "", true},
 		{"warp", false, "", true},
 	}
 	for _, c := range cases {

@@ -1,7 +1,7 @@
 // Command octrace analyzes the artifacts the observability layer
 // writes offline: NDJSON event traces (-trace on the other commands)
 // and BENCH_*.json benchmark documents (make bench / churn-bench /
-// parallel-bench).
+// bitset-bench).
 //
 // Usage:
 //
@@ -12,7 +12,7 @@
 //
 //	octrace diff a.ndjson b.ndjson
 //	    Compare the engine-invariant skeletons of two traces — e.g. a
-//	    sequential and a parallel run of the same configuration, which
+//	    sequential and a bitset run of the same configuration, which
 //	    must match event for event. Exits 1 on divergence. -unordered
 //	    compares multisets (needed for sweeps recorded with -workers >1,
 //	    where cell scheduling interleaves events).
@@ -307,9 +307,9 @@ func runBenchCheck(args []string, out io.Writer) error {
 }
 
 // runBenchScaling enforces the worker-scaling contract on a benchmark
-// document with /w=N sub-benchmark legs (BENCH_bitset.json,
-// BENCH_parallel.json): at problem sizes n >= -min-n, the highest
-// worker count must not be slower than the lowest beyond -tol. The CI
+// document with /w=N sub-benchmark legs (BENCH_bitset.json): at problem
+// sizes n >= -min-n, the highest worker count must not be slower than
+// the lowest beyond -tol. The CI
 // scaling gate runs this against the committed bitset baseline so a
 // reintroduced per-run spawn cost (workers made the engine *slower*)
 // fails loudly.

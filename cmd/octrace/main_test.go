@@ -65,24 +65,20 @@ func TestReportOnRealTrace(t *testing.T) {
 }
 
 // TestDiffEngineInvariance asserts the PR 3 invariance property from
-// real traces: a sequential and a parallel run of the same
-// configuration produce equivalent trace skeletons, and a different
-// configuration does not.
+// real traces: a sequential and a bitset run of the same configuration
+// produce equivalent trace skeletons, and a different configuration does
+// not.
 func TestDiffEngineInvariance(t *testing.T) {
 	dir := t.TempDir()
 	seq := writeTrace(t, dir, "seq.ndjson", core.EngineSequential)
-	par := writeTrace(t, dir, "par.ndjson", core.EngineParallel)
 	bit := writeTrace(t, dir, "bit.ndjson", core.EngineBitset)
-	for _, other := range []string{par, bit} {
-		var out strings.Builder
-		if err := run([]string{"diff", seq, other}, &out); err != nil {
-			t.Fatalf("sequential vs %s traces diverge: %v\n%s", filepath.Base(other), err, out.String())
-		}
-		if !strings.Contains(out.String(), "traces equivalent") {
-			t.Fatalf("diff output: %s", out.String())
-		}
-	}
 	var out strings.Builder
+	if err := run([]string{"diff", seq, bit}, &out); err != nil {
+		t.Fatalf("sequential vs bitset traces diverge: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "traces equivalent") {
+		t.Fatalf("diff output: %s", out.String())
+	}
 
 	// Perturb the configuration: the skeletons must diverge.
 	other := filepath.Join(dir, "other.ndjson")
@@ -173,7 +169,7 @@ func TestBenchCheckOnCommittedBaselines(t *testing.T) {
 func TestConvergeAcrossEngines(t *testing.T) {
 	dir := t.TempDir()
 	for _, engine := range []core.EngineKind{
-		core.EngineSequential, core.EngineChannels, core.EngineParallel, core.EngineBitset,
+		core.EngineSequential, core.EngineChannels, core.EngineBitset,
 	} {
 		path := filepath.Join(dir, engine.String()+".ndjson")
 		rec, finish, err := obs.Setup(obs.NewRun("converge-test", 1, nil), path, "")

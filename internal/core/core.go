@@ -10,8 +10,9 @@
 // to their synchronous fixpoints and extracts the faulty blocks
 // (rectangles of unsafe nodes) and the disabled regions (orthogonal
 // convex polygons of disabled nodes). Both phases can run on the
-// deterministic sequential engine or on the faithful goroutine-per-node
-// channel engine; the two produce identical results.
+// deterministic sequential engine, the faithful goroutine-per-node
+// channel engine, or the word-parallel bitset engine; all produce
+// identical results.
 //
 // A minimal use:
 //
@@ -42,12 +43,6 @@ const (
 	// EngineChannels is the distributed simulation: one goroutine per
 	// nonfaulty node, channels for links, lock-step rounds.
 	EngineChannels
-	// EngineParallel is the tiled parallel engine: the mesh is split into
-	// row bands, one worker goroutine per band, with double-buffered
-	// labels and a per-round barrier. Results are identical to
-	// EngineSequential at any worker count; Config.Workers sets the
-	// band count (0 = GOMAXPROCS).
-	EngineParallel
 	// EngineBitset is the bit-packed word-parallel (SWAR) engine: labels
 	// live 64 per uint64 word and each round advances whole words with
 	// shift/mask operations, with a changed-word frontier so late rounds
@@ -62,8 +57,6 @@ func (e EngineKind) String() string {
 	switch e {
 	case EngineChannels:
 		return "channels"
-	case EngineParallel:
-		return "parallel"
 	case EngineBitset:
 		return "bitset"
 	default:
@@ -75,8 +68,6 @@ func (e EngineKind) engine(workers int) simnet.Engine {
 	switch e {
 	case EngineChannels:
 		return simnet.Channels()
-	case EngineParallel:
-		return simnet.Parallel(workers)
 	case EngineBitset:
 		return simnet.Bitset(workers)
 	default:
@@ -97,14 +88,13 @@ type Config struct {
 	// Connectivity selects region grouping; the paper's convention is
 	// Conn8 (corner-touching disabled nodes share a region).
 	Connectivity region.Connectivity
-	// Engine selects the fixpoint engine.
+	// Engine selects Form's fixpoint engine. A Session ignores it: its
+	// formation and deltas always run on the bitset engine.
 	Engine EngineKind
-	// Workers is the worker (tile) count of EngineParallel and
-	// EngineBitset and of a Session's parallel frontier recomputation;
-	// 0 means GOMAXPROCS. Form ignores it under the sequential and
-	// channel engines; NewSession rejects Workers > 1 with those engines
-	// as a config error, since a Session would otherwise silently run
-	// every delta sequentially.
+	// Workers is the row-band count of the bitset engine (0 =
+	// GOMAXPROCS): Form's under EngineBitset, and a Session's initial
+	// formation under any engine. Form ignores it under the sequential
+	// and channel engines.
 	Workers int
 	// MaxRounds bounds each phase (0 = automatic safe bound).
 	MaxRounds int
@@ -174,7 +164,7 @@ func FormOn(cfg Config, topo *mesh.Topology, faults *grid.PointSet) (*Result, er
 		return nil, err
 	}
 	eng := cfg.Engine.engine(cfg.Workers)
-	// Both phases share one worker pool: the tiled engines spawn their
+	// Both phases share one worker pool: the bitset engine spawns its
 	// goroutines once here instead of once per phase, and every exit
 	// path (including phase errors) tears them down.
 	var pool *simnet.WorkerPool
@@ -262,12 +252,12 @@ func runPhase(rec *obs.Recorder, cfg Config, eng simnet.Engine, env *simnet.Env,
 	return res, nil
 }
 
-// formWorkers returns the tile count FormOn's engine will actually use
+// formWorkers returns the band count FormOn's engine will actually use
 // — cfg.Workers defaulting to GOMAXPROCS, capped at the mesh height
-// since the tiled engines never split a row — so the shared worker pool
-// can be sized to match. Engines without tiles get 0 (no pool).
+// since the bitset engine never splits a row — so the shared worker
+// pool can be sized to match. Engines without bands get 0 (no pool).
 func formWorkers(cfg Config, height int) int {
-	if cfg.Engine != EngineParallel && cfg.Engine != EngineBitset {
+	if cfg.Engine != EngineBitset {
 		return 0
 	}
 	w := cfg.Workers

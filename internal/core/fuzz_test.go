@@ -11,7 +11,7 @@ package core_test
 //     every region lies inside a block.
 //   - Coverage: the disabled regions together contain every fault, so
 //     routing can treat enabled nodes as obstacle-free.
-//   - Engine equivalence: the tiled parallel engine reproduces the
+//   - Engine equivalence: the word-parallel bitset engine reproduces the
 //     sequential fixpoint bit for bit on every input the fuzzer finds.
 //
 // Seed corpus: the paper's worked fixtures (Section 3, Figures 1/2a/2b)
@@ -93,7 +93,7 @@ func seedCorpus(f *testing.F) {
 }
 
 // FuzzFormation checks the paper's structural theorems and cross-checks
-// the parallel engine on every generated configuration.
+// the bitset engine on every generated configuration.
 func FuzzFormation(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -122,27 +122,8 @@ func FuzzFormation(f *testing.F) {
 			t.Fatalf("regions cover %d of %d faults", covered.Len(), res.Faults.Len())
 		}
 
-		// Differential: the tiled parallel engine at a worker count that
-		// does not divide the height must agree bit for bit.
-		pcfg := cfg
-		pcfg.Engine = core.EngineParallel
-		pcfg.Workers = 3
-		pres, err := core.FormSet(pcfg, faults)
-		if err != nil {
-			t.Fatalf("parallel formation failed: %v", err)
-		}
-		if pres.RoundsPhase1 != res.RoundsPhase1 || pres.RoundsPhase2 != res.RoundsPhase2 {
-			t.Fatalf("parallel rounds (%d,%d) != sequential (%d,%d)",
-				pres.RoundsPhase1, pres.RoundsPhase2, res.RoundsPhase1, res.RoundsPhase2)
-		}
-		for i := range res.Unsafe {
-			if pres.Unsafe[i] != res.Unsafe[i] || pres.Enabled[i] != res.Enabled[i] {
-				t.Fatalf("parallel label diverges at %v", res.Topo.PointAt(i))
-			}
-		}
-
 		// Differential: the word-parallel bitset engine must agree bit
-		// for bit as well, at a band count exercising the row tiling.
+		// for bit, at a band count that does not divide the height.
 		bcfg := cfg
 		bcfg.Engine = core.EngineBitset
 		bcfg.Workers = 3
@@ -176,7 +157,7 @@ func FuzzRegionOCP(f *testing.F) {
 		cfg.Kind = mesh.Mesh2D // geometric checks need a planar embedding
 		// The geometric invariants are engine-independent; running this
 		// target on the bitset engine keeps the SWAR kernels under fuzz
-		// while FuzzFormation covers sequential/parallel.
+		// while FuzzFormation covers sequential/bitset agreement.
 		cfg.Engine = core.EngineBitset
 		res, err := core.FormSet(cfg, faults)
 		if err != nil {

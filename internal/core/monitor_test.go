@@ -19,7 +19,7 @@ import (
 // block_converge events, and accumulate matching fabric totals.
 func TestObservatoryAcrossEngines(t *testing.T) {
 	fix := fault.SectionThreeExample()
-	for _, engine := range []EngineKind{EngineSequential, EngineChannels, EngineParallel, EngineBitset} {
+	for _, engine := range []EngineKind{EngineSequential, EngineChannels, EngineBitset} {
 		fabric := costs.NewFabric(2)
 		sink := &obs.CollectSink{}
 		rec := obs.NewRecorder(obs.NewTracer(sink), obs.NewRegistry())
@@ -121,7 +121,7 @@ func TestObservatoryResultsUnchanged(t *testing.T) {
 func TestObservatorySharedFabric(t *testing.T) {
 	fix := fault.SectionThreeExample()
 	fabric := costs.NewFabric(1)
-	engines := []EngineKind{EngineSequential, EngineBitset, EngineParallel, EngineSequential, EngineBitset}
+	engines := []EngineKind{EngineSequential, EngineBitset, EngineBitset, EngineSequential, EngineBitset}
 	for i, engine := range engines {
 		res, err := FormSet(Config{
 			Width: 5, Height: 5, Safety: status.Def2b, Engine: engine, Workers: 2,

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"ocpmesh/internal/grid"
@@ -33,12 +32,11 @@ type Session struct {
 }
 
 // NewSession computes a full formation for the initial fault list and
-// returns the session tracking it. Incremental maintenance always uses
-// the frontier engine, so of the Engine choices only EngineParallel and
-// EngineBitset change anything: they run the initial formation on the
-// tiled parallel / word-parallel bitset engine and fan each delta's
-// frontier waves out over cfg.Workers goroutines (0 = GOMAXPROCS), with
-// bit-for-bit identical results.
+// returns the session tracking it. A session always runs on the
+// word-parallel bitset engine and ignores cfg.Engine: the initial
+// formation fans out over cfg.Workers row bands (0 = GOMAXPROCS), and
+// every delta runs the single-threaded word frontier. Results are
+// bit-for-bit identical to Form on any engine.
 func NewSession(cfg Config, faults []grid.Point) (*Session, error) {
 	topo, err := mesh.New(cfg.Width, cfg.Height, cfg.Kind)
 	if err != nil {
@@ -50,20 +48,7 @@ func NewSession(cfg Config, faults []grid.Point) (*Session, error) {
 // NewSessionOn is NewSession on an existing topology and fault set. The
 // set is cloned, not retained.
 func NewSessionOn(cfg Config, topo *mesh.Topology, faults *grid.PointSet) (*Session, error) {
-	if cfg.Workers > 1 && cfg.Engine != EngineParallel && cfg.Engine != EngineBitset {
-		return nil, fmt.Errorf("core: session: Workers=%d has no effect with the %s engine; select EngineParallel or EngineBitset, or leave Workers unset",
-			cfg.Workers, cfg.Engine)
-	}
-	field, err := incremental.New(topo, faults, incremental.Config{
-		Safety:       cfg.Safety,
-		Connectivity: cfg.Connectivity,
-		MaxRounds:    cfg.MaxRounds,
-		Workers:      sessionWorkers(cfg),
-		Bitset:       cfg.Engine == EngineBitset,
-		Recorder:     cfg.Recorder,
-		Costs:        cfg.Costs,
-		Strict:       cfg.StrictInvariants,
-	})
+	field, err := incremental.New(topo, faults, fieldConfig(cfg))
 	if err != nil {
 		return nil, fmt.Errorf("core: session: %w", err)
 	}
@@ -79,20 +64,7 @@ func NewSessionOn(cfg Config, topo *mesh.Topology, faults *grid.PointSet) (*Sess
 // indistinguishable from one that computed the labels itself, which the
 // serving differential tests pin against a fresh formation.
 func RestoreSession(cfg Config, topo *mesh.Topology, faults *grid.PointSet, unsafe, enabled []bool) (*Session, error) {
-	if cfg.Workers > 1 && cfg.Engine != EngineParallel && cfg.Engine != EngineBitset {
-		return nil, fmt.Errorf("core: session: Workers=%d has no effect with the %s engine; select EngineParallel or EngineBitset, or leave Workers unset",
-			cfg.Workers, cfg.Engine)
-	}
-	field, err := incremental.Load(topo, faults, incremental.Config{
-		Safety:       cfg.Safety,
-		Connectivity: cfg.Connectivity,
-		MaxRounds:    cfg.MaxRounds,
-		Workers:      sessionWorkers(cfg),
-		Bitset:       cfg.Engine == EngineBitset,
-		Recorder:     cfg.Recorder,
-		Costs:        cfg.Costs,
-		Strict:       cfg.StrictInvariants,
-	}, unsafe, enabled)
+	field, err := incremental.Load(topo, faults, fieldConfig(cfg), unsafe, enabled)
 	if err != nil {
 		return nil, fmt.Errorf("core: session: %w", err)
 	}
@@ -172,29 +144,27 @@ func (s *Session) Result() *Result {
 	}
 }
 
-// sessionWorkers maps a formation Config onto the incremental worker
-// count: parallelism is opted into via EngineParallel or EngineBitset,
-// whose Workers field defaults to GOMAXPROCS; every other engine stays
-// sequential. A Workers value that another engine would discard is a
-// config error, rejected by NewSessionOn before this runs.
-func sessionWorkers(cfg Config) int {
-	if cfg.Engine != EngineParallel && cfg.Engine != EngineBitset {
-		return 1
+// fieldConfig maps a formation Config onto the incremental field's.
+func fieldConfig(cfg Config) incremental.Config {
+	return incremental.Config{
+		Safety:       cfg.Safety,
+		Connectivity: cfg.Connectivity,
+		MaxRounds:    cfg.MaxRounds,
+		Workers:      cfg.Workers,
+		Recorder:     cfg.Recorder,
+		Costs:        cfg.Costs,
+		Strict:       cfg.StrictInvariants,
 	}
-	if cfg.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return cfg.Workers
 }
 
 func initialRounds1(f *incremental.Field) int { r, _ := f.InitialRounds(); return r }
 func initialRounds2(f *incremental.Field) int { _, r := f.InitialRounds(); return r }
 
-// Close releases the session's long-lived resources — the shared worker
-// pool behind a parallel or bitset session's engine and frontier runs.
-// It is safe to call more than once, and a no-op for sessions that never
-// created a pool. The session must not be used after Close.
-func (s *Session) Close() { s.field.Close() }
+// Close is a no-op kept for API compatibility: a session holds no
+// goroutines or other resources beyond its memory (the initial
+// formation's worker pool is released before NewSession returns). It is
+// safe to call any number of times.
+func (s *Session) Close() {}
 
 // Topo returns the machine.
 func (s *Session) Topo() *mesh.Topology { return s.field.Topo() }

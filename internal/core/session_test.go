@@ -2,7 +2,9 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"ocpmesh/internal/grid"
 )
@@ -92,42 +94,64 @@ func TestSessionResultIsolated(t *testing.T) {
 	}
 }
 
-// TestSessionRejectsIgnoredWorkers pins the config validation: Workers
-// set with an engine whose sessions would silently run every delta
-// sequentially must be a construction error, never a silent discard.
-// Engines that do use workers, and the unset/1 values, must pass.
-func TestSessionRejectsIgnoredWorkers(t *testing.T) {
-	base := Config{Width: 8, Height: 8}
-	for _, engine := range []EngineKind{EngineSequential, EngineChannels} {
-		cfg := base
-		cfg.Engine = engine
-		cfg.Workers = 2
-		if _, err := NewSession(cfg, nil); err == nil {
-			t.Fatalf("%s session accepted Workers=2", engine)
-		}
-		for _, ok := range []int{0, 1} {
-			cfg.Workers = ok
-			s, err := NewSession(cfg, nil)
-			if err != nil {
-				t.Fatalf("%s session rejected Workers=%d: %v", engine, ok, err)
-			}
-			s.Close()
-		}
+// TestSessionIgnoresEngine pins that a session runs the same bitset
+// engine whatever cfg.Engine says: every engine and worker count must
+// construct and produce the same formation as Form.
+func TestSessionIgnoresEngine(t *testing.T) {
+	faults := []grid.Point{grid.Pt(2, 2), grid.Pt(3, 2), grid.Pt(6, 5)}
+	want, err := Form(Config{Width: 8, Height: 8}, faults)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, engine := range []EngineKind{EngineParallel, EngineBitset} {
-		cfg := base
-		cfg.Engine = engine
-		cfg.Workers = 2
-		s, err := NewSession(cfg, nil)
-		if err != nil {
-			t.Fatalf("%s session rejected Workers=2: %v", engine, err)
+	for _, engine := range []EngineKind{EngineSequential, EngineChannels, EngineBitset} {
+		for _, workers := range []int{0, 1, 2} {
+			s, err := NewSession(Config{Width: 8, Height: 8, Engine: engine, Workers: workers}, faults)
+			if err != nil {
+				t.Fatalf("%s session rejected Workers=%d: %v", engine, workers, err)
+			}
+			got := s.Result()
+			for i := range want.Unsafe {
+				if got.Unsafe[i] != want.Unsafe[i] || got.Enabled[i] != want.Enabled[i] {
+					t.Fatalf("%s session Workers=%d: labels differ at %d", engine, workers, i)
+				}
+			}
 		}
-		s.Close()
 	}
 }
 
-// TestSessionClose: Close is idempotent, and a closed-then-reopened
-// workflow (the sweep runner's per-replication pattern) keeps working.
+// TestSessionsHoldNoGoroutines pins that a session parks no goroutines
+// for its lifetime: the initial formation's worker pool is released
+// before NewSession returns, and a restored session never creates one.
+func TestSessionsHoldNoGoroutines(t *testing.T) {
+	cfg := Config{Width: 16, Height: 16, Engine: EngineBitset, Workers: 4}
+	baseline := runtime.NumGoroutine()
+	var live []*Session
+	for i := 0; i < 32; i++ {
+		s, err := NewSession(cfg, []grid.Point{grid.Pt(i%16, i/16+4)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := s.Result()
+		r, err := RestoreSession(cfg, res.Topo, res.Faults, res.Unsafe, res.Enabled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, s, r)
+	}
+	// Released workers exit asynchronously; give them a moment.
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > baseline && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n > baseline {
+		t.Fatalf("%d goroutines with %d live sessions, baseline %d", n, len(live), baseline)
+	}
+	runtime.KeepAlive(live)
+}
+
+// TestSessionClose: Close is an idempotent no-op, and a
+// closed-then-reopened workflow (the sweep runner's per-replication
+// pattern) keeps working.
 func TestSessionClose(t *testing.T) {
 	cfg := Config{Width: 10, Height: 10, Engine: EngineBitset, Workers: 2}
 	for rep := 0; rep < 3; rep++ {
@@ -152,7 +176,6 @@ func TestSessionGenerationAndOnDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	if s.Generation() != 0 {
 		t.Fatalf("fresh generation %d", s.Generation())
 	}
@@ -187,7 +210,6 @@ func TestSessionRegionPointerStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	before := s.Result()
 	if len(before.Regions) != 1 {
 		t.Fatalf("fixture expectation broken: %d regions", len(before.Regions))

@@ -1,13 +1,12 @@
 package incremental_test
 
-// Differential churn tests for the word-granularity delta path: a
-// bitset-configured Field and a node-frontier Field driven through the
-// same randomized Add/Remove script must report byte-identical deltas
-// (frontier size, per-phase rounds and changed counts) and identical
-// label state after every step — the incremental analogue of the
-// simnet-level TestBitsetFrontierMatchesNode. Shapes pin the word
-// boundary (widths 63/64/65), degenerate 1-wide/1-tall machines, and
-// torus seams.
+// Engine-independent churn tests for the word-granularity delta path: a
+// Field driven through a randomized Add/Remove script must, after every
+// step, hold exactly the labels, blocks and regions of a fresh
+// sequential formation on the current fault set, and report per-phase
+// change counts equal to the label differences between consecutive
+// from-scratch formations. Shapes pin the word boundary (widths
+// 63/64/65), degenerate 1-wide/1-tall machines, and torus seams.
 
 import (
 	"math/rand"
@@ -43,18 +42,11 @@ func TestBitsetChurnMatchesFromScratch(t *testing.T) {
 		}
 		faults := simnettest.RandomFaultCount(rng, topo, 3+rng.Intn(5))
 
-		nodeCfg := cfg
-		bitCfg := cfg
-		bitCfg.Bitset = true
-		node, err := incremental.New(topo, faults, nodeCfg)
+		f, err := incremental.New(topo, faults, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bit, err := incremental.New(topo, faults, bitCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertFieldsAgree(t, topo.String()+"/initial", bit, node)
+		prev := assertMatchesFromScratch(t, f, topo.String()+"/initial")
 
 		randPt := func() grid.Point {
 			return grid.Pt(rng.Intn(topo.Width()), rng.Intn(topo.Height()))
@@ -69,8 +61,8 @@ func TestBitsetChurnMatchesFromScratch(t *testing.T) {
 				for i := range batch {
 					batch[i] = randPt()
 				}
-			case op == 1 && node.Faults().Len() > 0: // remove existing faults
-				pts := node.Faults().Points()
+			case op == 1 && f.Faults().Len() > 0: // remove existing faults
+				pts := f.Faults().Points()
 				batch = []grid.Point{pts[rng.Intn(len(pts))]}
 				if len(pts) > 1 && rng.Intn(2) == 0 {
 					batch = append(batch, pts[rng.Intn(len(pts))])
@@ -83,66 +75,49 @@ func TestBitsetChurnMatchesFromScratch(t *testing.T) {
 				batch = []grid.Point{randPt()}
 			}
 
-			var (
-				dn, db incremental.Delta
-				en, eb error
-			)
+			var d incremental.Delta
 			if remove {
-				dn, en = node.Remove(batch...)
-				db, eb = bit.Remove(batch...)
+				d, err = f.Remove(batch...)
 			} else {
-				dn, en = node.Add(batch...)
-				db, eb = bit.Add(batch...)
+				d, err = f.Add(batch...)
 			}
-			if en != nil || eb != nil {
-				t.Fatalf("%v step %d: node err %v, bitset err %v", topo, step, en, eb)
+			if err != nil {
+				t.Fatalf("%v step %d: %v", topo, step, err)
 			}
 			ctx := topo.String()
-			if db != dn {
-				t.Fatalf("%s step %d: deltas diverge:\nnode:   %+v\nbitset: %+v", ctx, step, dn, db)
+			cur := assertMatchesFromScratch(t, f, ctx)
+			if want := countDiffs(prev.Unsafe, cur.Unsafe); d.ChangedPhase1 != want {
+				t.Fatalf("%s step %d: ChangedPhase1 = %d, want %d (%+v)", ctx, step, d.ChangedPhase1, want, d)
 			}
-			assertFieldsAgree(t, ctx, bit, node)
+			if want := countDiffs(prev.Enabled, cur.Enabled); d.ChangedPhase2 != want {
+				t.Fatalf("%s step %d: ChangedPhase2 = %d, want %d (%+v)", ctx, step, d.ChangedPhase2, want, d)
+			}
+			prev = cur
 		}
-		// The shared reference: both fields must also match a from-scratch
-		// formation on the final fault set, so an agreed-upon wrong answer
-		// cannot pass.
-		assertMatchesFromScratch(t, bit, topo.String()+"/bitset-final")
-		assertMatchesFromScratch(t, node, topo.String()+"/node-final")
 	}
 }
 
-// assertFieldsAgree pins two fields' externally visible state to each
-// other: fault sets, both label planes, and region structure counts.
-func assertFieldsAgree(t *testing.T, ctx string, got, want *incremental.Field) {
-	t.Helper()
-	if !got.Faults().Equal(want.Faults()) {
-		t.Fatalf("%s: fault sets diverge", ctx)
-	}
-	for i := range want.Unsafe() {
-		if got.Unsafe()[i] != want.Unsafe()[i] {
-			t.Fatalf("%s: unsafe[%d] = %t, want %t", ctx, i, got.Unsafe()[i], want.Unsafe()[i])
-		}
-		if got.Enabled()[i] != want.Enabled()[i] {
-			t.Fatalf("%s: enabled[%d] = %t, want %t", ctx, i, got.Enabled()[i], want.Enabled()[i])
+// countDiffs counts the positions where two label fields differ.
+func countDiffs(a, b []bool) int {
+	n := 0
+	for i := range a {
+		if a[i] != b[i] {
+			n++
 		}
 	}
-	if len(got.Blocks()) != len(want.Blocks()) || len(got.Regions()) != len(want.Regions()) {
-		t.Fatalf("%s: region structure diverges: %d/%d blocks, %d/%d regions",
-			ctx, len(got.Blocks()), len(want.Blocks()), len(got.Regions()), len(want.Regions()))
-	}
+	return n
 }
 
-// TestBitsetChurnWorkers runs a short bitset churn script at a worker
-// count exercising the pooled full-formation path plus the worker cap,
+// TestBitsetChurnWorkers runs a short churn script at a worker count
+// exercising the pooled full-formation path plus the worker cap,
 // pinned against from-scratch formations.
 func TestBitsetChurnWorkers(t *testing.T) {
 	topo := mesh.MustNew(65, 6, mesh.Mesh2D)
 	f, err := incremental.New(topo, grid.PointSetOf(grid.Pt(10, 2), grid.Pt(40, 3)),
-		incremental.Config{Bitset: true, Workers: 3})
+		incremental.Config{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	assertMatchesFromScratch(t, f, "initial")
 	for _, p := range []grid.Point{grid.Pt(11, 2), grid.Pt(64, 0), grid.Pt(0, 5)} {
 		if _, err := f.Add(p); err != nil {

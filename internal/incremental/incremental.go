@@ -2,8 +2,9 @@
 // under fault churn: instead of recomputing both fixpoints over the
 // whole mesh on every change, a Field applies fault deltas by seeding a
 // dirty frontier from the changed nodes and re-iterating only over the
-// frontier's closure (simnet.RunFrontierGeneric), then relabels only the
-// touched faulty blocks and disabled regions (region.UpdateRegions).
+// frontier's closure (simnet.RunBitsetFrontier over persistent packed
+// label planes), then relabels only the touched faulty blocks and
+// disabled regions (region.UpdateRegions).
 //
 // Correctness rests on two properties the repository's tests pin:
 //
@@ -47,19 +48,11 @@ type Config struct {
 	Connectivity region.Connectivity
 	// MaxRounds bounds each fixpoint (0 = automatic safe bound).
 	MaxRounds int
-	// Workers, when above one, runs the initial full formation on the
-	// tiled parallel engine and fans each frontier wave of a delta out
-	// over that many goroutines (simnet.RunParallelFrontierGeneric).
-	// Results are bit-for-bit identical at any worker count; 0 or 1 keeps
-	// everything sequential.
+	// Workers is the row-band count of the initial full formation on the
+	// bit-packed word-parallel engine (simnet.RunBitsetGeneric); 0 means
+	// GOMAXPROCS. Deltas run the single-threaded word frontier, so it has
+	// no effect on them. Results are bit-for-bit identical at any count.
 	Workers int
-	// Bitset runs the initial full formation on the bit-packed
-	// word-parallel engine (simnet.RunBitsetGeneric) with Workers row
-	// bands, and routes every delta through the word-granularity frontier
-	// (simnet.RunBitsetFrontier) over persistent packed label planes kept
-	// in sync with the []bool fields — the whole churn path advances 64
-	// lanes per kernel call. Results are bit-for-bit identical.
-	Bitset bool
 	// Recorder, when non-nil, traces the field: per-round events during
 	// (re)computation and one obs.EDelta event per applied delta, plus
 	// incremental_* metrics. Nil disables observability at no cost.
@@ -111,13 +104,9 @@ type Field struct {
 	regions []*region.Region
 
 	// Packed mirrors of unsafe/enabled plus per-lane liveness, kept in
-	// O(delta) sync with the []bool fields when cfg.Bitset is set; deltas
-	// then run the word-granularity frontier over them. Nil otherwise.
+	// O(delta) sync with the []bool fields; deltas run the
+	// word-granularity frontier over them.
 	ubits, ebits *simnet.BitField
-
-	// pool is the worker pool the full formation runs fan out over; nil
-	// when the configuration runs single-tile. Released by Close.
-	pool *simnet.WorkerPool
 
 	// rounds of the initial full formation (reported by Session.Result
 	// until the first delta).
@@ -142,37 +131,32 @@ func New(topo *mesh.Topology, faults *grid.PointSet, cfg Config) (*Field, error)
 		return nil, err
 	}
 	f := &Field{cfg: cfg, topo: topo, faults: env.Faulty}
-	if workers := poolWorkers(cfg, topo.Height()); workers > 1 {
-		f.pool = simnet.NewWorkerPool(workers)
+	// Both full runs share one worker pool. Deltas never fan out, so the
+	// pool is released before New returns.
+	bands := cfg.Workers
+	if bands <= 0 {
+		bands = runtime.GOMAXPROCS(0)
 	}
-	p1, err := f.runFull(env, status.UnsafeRule(cfg.Safety), "phase1")
+	var pool *simnet.WorkerPool
+	if bands = min(bands, topo.Height()); bands > 1 {
+		pool = simnet.NewWorkerPool(bands)
+		defer pool.Close()
+	}
+	p1, err := f.runFull(env, status.UnsafeRule(cfg.Safety), "phase1", pool)
 	if err != nil {
-		f.Close()
 		return nil, fmt.Errorf("incremental: phase 1: %w", err)
 	}
 	env2, err := simnet.NewEnv(topo, f.faults, p1.Labels)
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	p2, err := f.runFull(env2, status.EnabledRule(), "phase2")
+	p2, err := f.runFull(env2, status.EnabledRule(), "phase2", pool)
 	if err != nil {
-		f.Close()
 		return nil, fmt.Errorf("incremental: phase 2: %w", err)
 	}
-	f.unsafe, f.enabled = p1.Labels, p2.Labels
 	f.rounds1, f.rounds2 = p1.Rounds, p2.Rounds
-	f.blocks = region.FaultyBlocks(topo, f.faults, f.unsafe)
-	f.regions = region.DisabledRegions(topo, f.faults, f.enabled, cfg.Connectivity)
-	if cfg.Bitset {
-		if f.ubits, err = simnet.NewBitField(env, f.unsafe); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if f.ebits, err = simnet.NewBitField(env2, f.enabled); err != nil {
-			f.Close()
-			return nil, err
-		}
+	if err := f.adopt(env, p1.Labels, p2.Labels); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
@@ -209,60 +193,31 @@ func Load(topo *mesh.Topology, faults *grid.PointSet, cfg Config, unsafe, enable
 		}
 	}
 	f := &Field{cfg: cfg, topo: topo, faults: env.Faulty}
-	if workers := poolWorkers(cfg, topo.Height()); workers > 1 {
-		f.pool = simnet.NewWorkerPool(workers)
-	}
-	f.unsafe = append([]bool(nil), unsafe...)
-	f.enabled = append([]bool(nil), enabled...)
-	f.blocks = region.FaultyBlocks(topo, f.faults, f.unsafe)
-	f.regions = region.DisabledRegions(topo, f.faults, f.enabled, cfg.Connectivity)
-	if cfg.Bitset {
-		if f.ubits, err = simnet.NewBitField(env, f.unsafe); err != nil {
-			f.Close()
-			return nil, err
-		}
-		env2, err := simnet.NewEnv(topo, f.faults, f.unsafe)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		if f.ebits, err = simnet.NewBitField(env2, f.enabled); err != nil {
-			f.Close()
-			return nil, err
-		}
+	if err := f.adopt(env, append([]bool(nil), unsafe...), append([]bool(nil), enabled...)); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
 
-// poolWorkers sizes the field's shared worker pool: the configured
-// count (0 = GOMAXPROCS) capped at the tile limit (one row band per
-// tile). Single-tile configurations and the sequential engine need no
-// pool.
-func poolWorkers(cfg Config, height int) int {
-	if !cfg.Bitset && cfg.Workers <= 1 {
-		return 1
+// adopt installs a finished fixpoint as the field's state: both label
+// fields (retained), their packed mirrors, and the extracted blocks and
+// regions. env carries the field's fault set.
+func (f *Field) adopt(env *simnet.Env, unsafe, enabled []bool) error {
+	var err error
+	if f.ubits, err = simnet.NewBitField(env, unsafe); err != nil {
+		return err
 	}
-	w := cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+	if f.ebits, err = simnet.NewBitField(env, enabled); err != nil {
+		return err
 	}
-	if w > height {
-		w = height
-	}
-	return w
-}
-
-// Close releases the field's worker pool. Safe on a nil pool and after
-// an error from New.
-func (f *Field) Close() {
-	if f.pool != nil {
-		f.pool.Close()
-		f.pool = nil
-	}
+	f.unsafe, f.enabled = unsafe, enabled
+	f.blocks = region.FaultyBlocks(f.topo, f.faults, unsafe)
+	f.regions = region.DisabledRegions(f.topo, f.faults, enabled, f.cfg.Connectivity)
+	return nil
 }
 
 func (f *Field) genericOpts(phase string, pc *costs.Phase) simnet.GenericOptions[bool] {
-	return simnet.GenericOptions[bool]{MaxRounds: f.cfg.MaxRounds, Recorder: f.cfg.Recorder, Phase: phase, Costs: pc, Pool: f.pool}
+	return simnet.GenericOptions[bool]{MaxRounds: f.cfg.MaxRounds, Recorder: f.cfg.Recorder, Phase: phase, Costs: pc}
 }
 
 // newPhase returns the per-phase cost collector (nil without a fabric).
@@ -273,24 +228,14 @@ func (f *Field) newPhase(phase string) *costs.Phase {
 	return costs.NewPhase(f.cfg.Costs, phase, 0)
 }
 
-// runFull computes one full synchronous fixpoint: on the bitset engine
-// when configured, else on the tiled parallel engine when the field has
-// more than one worker, else sequentially.
-func (f *Field) runFull(env *simnet.Env, rule simnet.Rule, phase string) (*simnet.GenericResult[bool], error) {
+// runFull computes one full synchronous fixpoint on the bitset engine,
+// fanning its row bands out over pool (nil runs a single band inline or
+// on a private pool).
+func (f *Field) runFull(env *simnet.Env, rule simnet.Rule, phase string, pool *simnet.WorkerPool) (*simnet.GenericResult[bool], error) {
 	pc := f.newPhase(phase)
 	opt := f.genericOpts(phase, pc)
-	var (
-		res *simnet.GenericResult[bool]
-		err error
-	)
-	switch {
-	case f.cfg.Bitset:
-		res, err = simnet.RunBitsetGeneric(env, rule, opt, f.cfg.Workers)
-	case f.cfg.Workers > 1:
-		res, err = simnet.RunParallelGeneric[bool](env, rule, opt, f.cfg.Workers)
-	default:
-		res, err = simnet.RunSequentialGeneric[bool](env, rule, opt)
-	}
+	opt.Pool = pool
+	res, err := simnet.RunBitsetGeneric(env, rule, opt, f.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -298,33 +243,18 @@ func (f *Field) runFull(env *simnet.Env, rule simnet.Rule, phase string) (*simne
 	return res, nil
 }
 
-// runFrontier restabilizes labels from the given seed: over the packed
-// word-granularity engine when bits is non-nil (the []bool mirror is
-// re-synced from the changed set afterwards, keeping both views
-// identical in O(changed)), else over the node-granularity engine,
-// fanning waves out over the configured worker count.
+// runFrontier restabilizes the packed labels bits from the given seed
+// over the word-granularity frontier, then re-syncs the []bool mirror
+// labels from the changed set, keeping both views identical in
+// O(changed).
 func (f *Field) runFrontier(env *simnet.Env, rule simnet.Rule, labels []bool, bits *simnet.BitField, seed []int, phase string) (*simnet.FrontierResult, error) {
 	pc := f.newPhase(phase)
-	opt := f.genericOpts(phase, pc)
-	var (
-		res *simnet.FrontierResult
-		err error
-	)
-	switch {
-	case bits != nil:
-		res, err = simnet.RunBitsetFrontier(env, rule, bits, seed, opt)
-	case f.cfg.Workers > 1:
-		res, err = simnet.RunParallelFrontierGeneric[bool](env, rule, labels, seed, opt, f.cfg.Workers)
-	default:
-		res, err = simnet.RunFrontierGeneric[bool](env, rule, labels, seed, opt)
-	}
+	res, err := simnet.RunBitsetFrontier(env, rule, bits, seed, f.genericOpts(phase, pc))
 	if err != nil {
 		return nil, err
 	}
-	if bits != nil {
-		for _, i := range res.Changed {
-			labels[i] = bits.Label(i)
-		}
+	for _, i := range res.Changed {
+		labels[i] = bits.Label(i)
 	}
 	pc.Finish()
 	if f.cfg.Strict && pc.Violations() > 0 {
@@ -333,30 +263,24 @@ func (f *Field) runFrontier(env *simnet.Env, rule simnet.Rule, labels []bool, bi
 	return res, nil
 }
 
-// setUnsafe / setEnabled write one label to the []bool field and, when
-// the bitset churn path is active, its packed mirror (which also lands
-// the word in the mirror's dirty set for the next run's worklist).
+// setUnsafe / setEnabled write one label to the []bool field and its
+// packed mirror (which also lands the word in the mirror's dirty set for
+// the next run's worklist).
 func (f *Field) setUnsafe(i int, v bool) {
 	f.unsafe[i] = v
-	if f.ubits != nil {
-		f.ubits.SetLabel(i, v)
-	}
+	f.ubits.SetLabel(i, v)
 }
 
 func (f *Field) setEnabled(i int, v bool) {
 	f.enabled[i] = v
-	if f.ebits != nil {
-		f.ebits.SetLabel(i, v)
-	}
+	f.ebits.SetLabel(i, v)
 }
 
 // setFault flips node i's liveness in both packed mirrors (faulty lanes
-// are pinned at their current label). No-op on the node path.
+// are pinned at their current label).
 func (f *Field) setFault(i int, faulty bool) {
-	if f.ubits != nil {
-		f.ubits.SetLive(i, !faulty)
-		f.ebits.SetLive(i, !faulty)
-	}
+	f.ubits.SetLive(i, !faulty)
+	f.ebits.SetLive(i, !faulty)
 }
 
 // Topo returns the machine.

@@ -16,8 +16,9 @@ import (
 
 // assertMatchesFromScratch checks every externally visible piece of the
 // field against a from-scratch formation on the same fault set — bit for
-// bit, the equivalence guarantee the package documents.
-func assertMatchesFromScratch(t *testing.T, f *incremental.Field, ctx string) {
+// bit, the equivalence guarantee the package documents — and returns
+// that formation.
+func assertMatchesFromScratch(t *testing.T, f *incremental.Field, ctx string) *core.Result {
 	t.Helper()
 	cfg := core.Config{
 		Width: f.Topo().Width(), Height: f.Topo().Height(),
@@ -42,6 +43,7 @@ func assertMatchesFromScratch(t *testing.T, f *incremental.Field, ctx string) {
 	}
 	assertRegionsEqual(t, ctx, "blocks", f.Blocks(), want.Blocks)
 	assertRegionsEqual(t, ctx, "regions", f.Regions(), want.Regions)
+	return want
 }
 
 func assertRegionsEqual(t *testing.T, ctx, kind string, got, want []*region.Region) {

@@ -224,7 +224,7 @@ var (
 
 // WorkerScalings extracts the worker-scaling families of a bench
 // document: results whose names carry a /w=N sub-benchmark leg
-// (BenchmarkParallel / BenchmarkBitset naming), grouped by the rest of
+// (BenchmarkBitset naming), grouped by the rest of
 // the name. Families are returned in first-appearance order, their
 // points ascending by worker count.
 func WorkerScalings(rep *BenchReport) []WorkerScaling {

@@ -46,7 +46,7 @@ type DiffOptions struct {
 // Diff compares the engine-invariant skeletons of two traces and
 // returns human-readable divergences, empty when the traces are
 // equivalent. It is the offline check of the engine-invariance
-// property: a sequential and a parallel run of the same configuration
+// property: a sequential and a bitset run of the same configuration
 // must produce identical skeletons.
 func Diff(a, b []obs.Event, opt DiffOptions) []string {
 	max := opt.MaxDiffs

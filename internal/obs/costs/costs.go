@@ -4,8 +4,8 @@
 // words touched (bitset engine), frontier sizes, incremental deltas, and
 // invariant-monitor violations.
 //
-// The fabric is cheap enough to stay enabled in the bitset and parallel
-// engines (see BENCH_overhead.json and BenchmarkOverhead): writers pick a
+// The fabric is cheap enough to stay enabled in the multi-worker bitset
+// engine (see BENCH_overhead.json and BenchmarkOverhead): writers pick a
 // shard, shards are cache-line padded so concurrent workers never false-
 // share, and every add is a single atomic.Int64.Add with no allocation.
 // Readers aggregate across shards on demand (Total, Snapshot), so reads

@@ -8,7 +8,7 @@ import "sync/atomic"
 // the engine coordinator (one call per round, no atomics); quantities
 // produced concurrently by workers (words touched, and the per-node
 // last-changed tracker) use an atomic or disjoint writes respectively,
-// so collectors are safe under the parallel and bitset engines.
+// so collectors are safe under the multi-worker bitset engine.
 //
 // A nil *Phase is a valid no-op collector: every method returns
 // immediately, which is how the uninstrumented hot path stays free.

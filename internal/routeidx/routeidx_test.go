@@ -354,7 +354,6 @@ func TestRouteIndexIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 
 	ix := Compile(s.Result(), routing.ModelRegions, Options{})
 	if ix.Stats().Compiled != len(s.Result().Regions) || ix.Stats().Reused != 0 {
@@ -427,7 +426,6 @@ func TestRouteIndexPublished(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	pub := Publish(s, routing.ModelRegions, Options{})
 	if g := s.Generation(); g != 0 {
 		t.Fatalf("fresh session generation %d", g)

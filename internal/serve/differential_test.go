@@ -8,9 +8,11 @@
 package serve_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"ocpmesh/internal/core"
@@ -301,4 +303,70 @@ func TestServeSnapshotRejectsCorruption(t *testing.T) {
 	if _, err := svc.Restore("dst-ok", base); err != nil {
 		t.Fatalf("pristine snapshot refused: %v", err)
 	}
+}
+
+// TestServeSnapshotLegacyParallelEngine pins snapshot compatibility for
+// the retired "parallel" engine name: a snapshot whose config says
+// "engine":"parallel" restores, serves the formation a sequential
+// core.FormOn computes, and keeps serving it across deltas.
+func TestServeSnapshotLegacyParallelEngine(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	svc := serve.New(serve.Options{Shards: 1})
+	defer svc.Close()
+
+	topo := mesh.MustNew(20, 12, mesh.Mesh2D)
+	faults := simnettest.RandomFaultCount(rng, topo, 14)
+	if _, _, err := svc.Create("old", serve.TenantConfig{Width: 20, Height: 12, Engine: "parallel", Workers: 3}, faults.Points()); err != nil {
+		t.Fatal(err)
+	}
+	tn, err := svc.Tenant("old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(tn.TakeSnapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"engine":"parallel"`) {
+		t.Fatalf("snapshot config lost the legacy engine name: %s", raw)
+	}
+	var ts serve.TenantSnapshot
+	if err := json.Unmarshal(raw, &ts); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Delete("old"); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := svc.Restore("old", &ts)
+	if err != nil {
+		t.Fatalf("legacy snapshot refused: %v", err)
+	}
+
+	cfg, err := ts.Config.CoreConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Engine, cfg.Workers = core.EngineSequential, 0
+	check := func(tag string) {
+		t.Helper()
+		snap := restored.Snapshot()
+		want, err := core.FormOn(cfg, topo, snap.Res.Faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(snap.Res.Unsafe, want.Unsafe) || !slices.Equal(snap.Res.Enabled, want.Enabled) {
+			t.Fatalf("%s: served labels differ from the sequential formation", tag)
+		}
+		if err := sameRegions(snap.Res.Blocks, want.Blocks); err != nil {
+			t.Fatalf("%s: blocks: %v", tag, err)
+		}
+		if err := sameRegions(snap.Res.Regions, want.Regions); err != nil {
+			t.Fatalf("%s: regions: %v", tag, err)
+		}
+	}
+	check("restored")
+	if _, err := svc.Apply("old", "add", randomPoints(rng, topo, 3)); err != nil {
+		t.Fatal(err)
+	}
+	check("restored+delta")
 }

@@ -396,7 +396,7 @@ func New(opts Options) *Service {
 }
 
 // Close drains and stops the service: new work is refused, every
-// queued request is applied and answered, every session is closed.
+// queued request is applied and answered, every tenant is shut down.
 // Safe to call once.
 func (s *Service) Close() error {
 	s.mu.Lock()
@@ -483,12 +483,10 @@ func (s *Service) Create(id string, tcfg TenantConfig, faults []grid.Point) (t *
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		session.Close()
 		return nil, false, ErrClosed
 	}
 	if old := s.tenants[id]; old != nil {
 		s.mu.Unlock()
-		session.Close()
 		return sameAs(old)
 	}
 	t = s.adopt(id, tcfg, cfg, session)
@@ -513,11 +511,9 @@ func (s *Service) Restore(id string, snap *TenantSnapshot) (*Tenant, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		session.Close()
 		return nil, ErrClosed
 	}
 	if _, ok := s.tenants[id]; ok {
-		session.Close()
 		return nil, fmt.Errorf("%w: %q", ErrTenantExists, id)
 	}
 	t := s.adopt(id, snap.Config, cfg, session)
@@ -892,7 +888,6 @@ func (s *Service) applyTenant(sh *shard, t *Tenant, reqs []request) {
 		r := reqs[i]
 		if r.op == opClose {
 			t.deleted.Store(true)
-			t.session.Close()
 			t.closeSubs()
 			r.reply <- Response{Seq: t.seq}
 			for _, late := range reqs[i+1:] {

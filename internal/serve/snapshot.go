@@ -15,9 +15,9 @@ import (
 )
 
 // TenantConfig is the JSON form of one tenant's mesh and engine
-// configuration. The zero value of every field but Width/Height is the
-// core.Config default: bounded mesh, Definition 2b, 8-connected
-// grouping, sequential engine.
+// configuration. The zero value of every field but Width/Height selects
+// the defaults: bounded mesh, Definition 2b, 8-connected grouping,
+// bitset engine.
 type TenantConfig struct {
 	Width  int  `json:"width"`
 	Height int  `json:"height"`
@@ -27,11 +27,12 @@ type TenantConfig struct {
 	// Connectivity is 4 or 8 (default 8).
 	Connectivity int `json:"connectivity,omitempty"`
 	// Engine is "sequential", "channels", "parallel" or "bitset"
-	// (default "bitset": the serving layer exists for batched word-
-	// parallel deltas).
+	// (default "bitset"). Sessions run every formation and delta on the
+	// bitset engine, so the name only selects core.Config.Engine;
+	// "parallel" is accepted for older snapshots and maps to "bitset".
 	Engine string `json:"engine,omitempty"`
-	// Workers is the tile/worker count of the parallel and bitset
-	// engines (0 = GOMAXPROCS).
+	// Workers is the row-band count of the initial formation (0 =
+	// GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -62,19 +63,14 @@ func (c TenantConfig) CoreConfig() (core.Config, error) {
 		return cfg, fmt.Errorf("%w: connectivity %d (want 4 or 8)", ErrBadDelta, c.Connectivity)
 	}
 	switch c.Engine {
-	case "", "bitset":
+	case "", "bitset", "parallel":
 		cfg.Engine = core.EngineBitset
 	case "sequential":
 		cfg.Engine = core.EngineSequential
 	case "channels":
 		cfg.Engine = core.EngineChannels
-	case "parallel":
-		cfg.Engine = core.EngineParallel
 	default:
 		return cfg, fmt.Errorf("%w: engine %q (want sequential, channels, parallel, or bitset)", ErrBadDelta, c.Engine)
-	}
-	if cfg.Workers > 1 && cfg.Engine != core.EngineParallel && cfg.Engine != core.EngineBitset {
-		return cfg, fmt.Errorf("%w: workers=%d needs the parallel or bitset engine", ErrBadDelta, cfg.Workers)
 	}
 	return cfg, nil
 }

@@ -32,11 +32,12 @@ type WordRule interface {
 // word-parallel (SWAR) sweeps: labels live in row-major []uint64 planes
 // (grid.BitGrid), 64 nodes per word, and each round advances a whole
 // word with a handful of shift/AND/OR operations — 64-way data
-// parallelism per core, on top of the same row-band worker tiling the
-// parallel engine uses. A changed-word bitmap restricts late rounds to
-// the moving frontier. Labels, round counts and per-round trace events
-// are byte-identical to SeqEngine's at every worker count (the
-// differential matrix and both fuzz targets pin this).
+// parallelism per core, on top of a row-band worker tiling (one band
+// per worker goroutine, a barrier between rounds). A changed-word
+// bitmap restricts late rounds to the moving frontier. Labels, round
+// counts and per-round trace events are byte-identical to SeqEngine's
+// at every worker count (the differential matrix and both fuzz targets
+// pin this).
 //
 // Multi-worker runs fuse rounds: each tile keeps a private extended
 // copy of its rows plus a k-deep halo and advances k rounds per
@@ -268,6 +269,22 @@ func (p *bitPlanes) stepRows(wr WordRule, lo, hi int) (nchanged, words int) {
 func (p *bitPlanes) swap() {
 	p.cur, p.next = p.next, p.cur
 	p.changed, p.nextChanged = p.nextChanged, p.changed
+}
+
+// tileRows splits h rows into at most p contiguous bands of near-equal
+// height, returned as [start, end) row ranges. p is clamped to [1, h].
+func tileRows(h, p int) [][2]int {
+	if p < 1 {
+		p = 1
+	}
+	if p > h {
+		p = h
+	}
+	out := make([][2]int, p)
+	for t := 0; t < p; t++ {
+		out[t] = [2]int{t * h / p, (t + 1) * h / p}
+	}
+	return out
 }
 
 // RunBitsetGeneric computes the synchronous fixpoint of a boolean rule

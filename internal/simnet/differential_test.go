@@ -1,14 +1,14 @@
 package simnet_test
 
-// Cross-engine differential tests: the sequential, channels, and tiled
-// parallel engines must produce byte-identical labels, round counts, and
+// Cross-engine differential tests: the sequential, channels, and bitset
+// engines must produce byte-identical labels, round counts, and
 // per-round trace event streams on the paper's actual phase rules —
 // phase 1 under both safety definitions and phase 2 on top of phase 1's
 // labels — over random meshes and tori, at every worker count. The
-// frontier engine computes the same fixpoint by worklist iteration, so
-// it is pinned on labels and rounds (its Msgs accounting deliberately
-// counts only recomputed nodes' links and is excluded from the
-// comparison).
+// frontier engines compute the same fixpoint by worklist iteration, so
+// they are pinned on labels and rounds (their Msgs accounting
+// deliberately counts only recomputed nodes' links and is excluded from
+// the comparison).
 
 import (
 	"math/rand"
@@ -23,7 +23,7 @@ import (
 	"ocpmesh/internal/status"
 )
 
-// workerCounts is the worker-count matrix the parallel engine is pinned
+// workerCounts is the worker-count matrix the bitset engine is pinned
 // at: degenerate (1), non-dividing (3), more workers than rows on small
 // meshes (8), and whatever this machine actually has.
 func workerCounts() []int {
@@ -93,7 +93,7 @@ func checkPhase(t *testing.T, ctx string, env *simnet.Env, rule simnet.Rule, pha
 
 	engines := []simnet.Engine{simnet.Channels()}
 	for _, w := range workerCounts() {
-		engines = append(engines, simnet.Parallel(w), simnet.Bitset(w))
+		engines = append(engines, simnet.Bitset(w))
 	}
 	for _, eng := range engines {
 		got, gotEvents := runTraced(t, eng, env, rule, phase)
@@ -108,9 +108,9 @@ func checkPhase(t *testing.T, ctx string, env *simnet.Env, rule simnet.Rule, pha
 		}
 	}
 
-	// Frontier engines, sequential and parallel: a full seed from the
+	// Frontier engines, node and word granularity: a full seed from the
 	// init labels must reach the same fixpoint in the same number of
-	// changing waves, with identical Changed lists across worker counts.
+	// changing waves, with identical Changed lists.
 	seed := nonfaultyIndexes(env)
 	frLabels := initLabels(env, rule)
 	fr, err := simnet.RunFrontierGeneric[bool](env, rule, frLabels, seed, simnet.GenericOptions[bool]{})
@@ -123,19 +123,20 @@ func checkPhase(t *testing.T, ctx string, env *simnet.Env, rule simnet.Rule, pha
 	if !reflect.DeepEqual(frLabels, want.Labels) {
 		t.Fatalf("%s: frontier labels diverge from sequential", ctx)
 	}
-	for _, w := range workerCounts() {
-		pLabels := initLabels(env, rule)
-		pfr, err := simnet.RunParallelFrontierGeneric[bool](env, rule, pLabels, seed, simnet.GenericOptions[bool]{}, w)
-		if err != nil {
-			t.Fatalf("%s: parallel frontier w=%d: %v", ctx, w, err)
-		}
-		if pfr.Rounds != fr.Rounds || !reflect.DeepEqual(pfr.Changed, fr.Changed) {
-			t.Fatalf("%s: parallel frontier w=%d diverges: rounds %d/%d changed %v/%v",
-				ctx, w, pfr.Rounds, fr.Rounds, pfr.Changed, fr.Changed)
-		}
-		if !reflect.DeepEqual(pLabels, want.Labels) {
-			t.Fatalf("%s: parallel frontier w=%d labels diverge", ctx, w)
-		}
+	bits, err := simnet.NewBitField(env, initLabels(env, rule))
+	if err != nil {
+		t.Fatalf("%s: bit field: %v", ctx, err)
+	}
+	bfr, err := simnet.RunBitsetFrontier(env, rule, bits, seed, simnet.GenericOptions[bool]{})
+	if err != nil {
+		t.Fatalf("%s: bitset frontier: %v", ctx, err)
+	}
+	if bfr.Rounds != fr.Rounds || !reflect.DeepEqual(bfr.Changed, fr.Changed) {
+		t.Fatalf("%s: bitset frontier diverges: rounds %d/%d changed %v/%v",
+			ctx, bfr.Rounds, fr.Rounds, bfr.Changed, fr.Changed)
+	}
+	if !reflect.DeepEqual(bits.Bools(nil), want.Labels) {
+		t.Fatalf("%s: bitset frontier labels diverge", ctx)
 	}
 	return want.Labels
 }
@@ -170,8 +171,8 @@ func TestDifferentialEngines(t *testing.T) {
 	}
 }
 
-// TestDifferentialParallelDegenerate pins the parallel engine on shapes
-// where the tiling degenerates: a single row (every extra worker idle),
+// TestDifferentialParallelDegenerate pins the multi-worker bitset engine
+// on shapes where the row-band tiling degenerates: a single row (every extra worker idle),
 // a single column, and worker counts far beyond the row count.
 func TestDifferentialParallelDegenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -185,11 +186,9 @@ func TestDifferentialParallelDegenerate(t *testing.T) {
 			}
 			want, _ := runTraced(t, simnet.Sequential(), env, status.UnsafeRule(status.Def2b), "p1")
 			for _, w := range []int{env.Topo.Height(), env.Topo.Height() + 7, 64} {
-				for _, eng := range []simnet.Engine{simnet.Parallel(w), simnet.Bitset(w)} {
-					got, _ := runTraced(t, eng, env, status.UnsafeRule(status.Def2b), "p1")
-					if got.Rounds != want.Rounds || !reflect.DeepEqual(got.Labels, want.Labels) {
-						t.Fatalf("trial %d %v %s w=%d: diverges from sequential", trial, env.Topo, eng.Name(), w)
-					}
+				got, _ := runTraced(t, simnet.Bitset(w), env, status.UnsafeRule(status.Def2b), "p1")
+				if got.Rounds != want.Rounds || !reflect.DeepEqual(got.Labels, want.Labels) {
+					t.Fatalf("trial %d %v bitset w=%d: diverges from sequential", trial, env.Topo, w)
 				}
 			}
 		}

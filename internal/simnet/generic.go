@@ -42,7 +42,7 @@ type GenericOptions[T comparable] struct {
 	// per-phase cost collector, nil-safe and independent of Recorder.
 	Costs *costs.Phase
 	// Pool mirrors Options.Pool: a caller-owned worker pool for the
-	// tiled engines. Nil makes each run use a private pool.
+	// bitset engine's row bands. Nil makes each run use a private pool.
 	Pool *WorkerPool
 }
 

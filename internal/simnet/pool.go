@@ -3,12 +3,13 @@ package simnet
 import "fmt"
 
 // WorkerPool is a fixed-size pool of worker goroutines shared across
-// engine invocations. The tiled engines historically spawned a fresh
-// goroutine set per run and tore it down with an explicit stop fan-out
-// that error paths skipped, leaking workers; a WorkerPool is created
-// once (per formation, or per incremental Field for its lifetime of
-// deltas), passed in via Options.Pool / GenericOptions.Pool, and closed
-// exactly once by its owner — engines that receive one never spawn.
+// engine invocations. The bitset engine's row bands historically spawned
+// a fresh goroutine set per run and tore it down with an explicit stop
+// fan-out that error paths skipped, leaking workers; a WorkerPool is
+// created once per formation (both phases of a core.Form call, or the
+// initial formation of an incremental Field), passed in via
+// Options.Pool / GenericOptions.Pool, and closed exactly once by its
+// owner — engines that receive one never spawn.
 //
 // The pool is a plain jobs/done channel pair: Run dispatches a batch and
 // blocks until every job returned, which doubles as the engines' round

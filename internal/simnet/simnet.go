@@ -4,7 +4,7 @@
 // updates its own status with a purely local rule, until no status changes
 // anywhere (a distributed fixpoint).
 //
-// Two engines compute the fixpoint:
+// Three engines compute the fixpoint:
 //
 //   - ChannelEngine is the faithful distributed simulation: one goroutine
 //     per nonfaulty node, one buffered channel per link direction, and a
@@ -19,7 +19,12 @@
 //     double-buffered sweep. It is deterministic and fast, suitable for
 //     large parameter sweeps; TestEnginesAgree pins it to ChannelEngine.
 //
-// Both engines report the number of rounds in which at least one status
+//   - BitsetEngine packs 64 labels per word and advances whole words per
+//     kernel call over row bands; it is the production engine behind
+//     incremental formation, pinned to SeqEngine by the differential
+//     matrix.
+//
+// Every engine reports the number of rounds in which at least one status
 // changed — the quantity plotted in the paper's Figure 5(a)/(b).
 package simnet
 
@@ -109,10 +114,10 @@ type Options struct {
 	// carries a tracker — records the last round each node's label
 	// changed. Independent of Recorder; a nil collector costs nothing.
 	Costs *costs.Phase
-	// Pool, when non-nil, is the worker pool the tiled engines fan out
-	// over instead of spawning goroutines per run; the caller owns it
-	// (and its Close). A pool too small for the run's tile count is
-	// ignored. Nil makes each run use a private pool.
+	// Pool, when non-nil, is the worker pool the bitset engine's row
+	// bands fan out over instead of spawning goroutines per run; the
+	// caller owns it (and its Close). A pool too small for the run's tile
+	// count is ignored. Nil makes each run use a private pool.
 	Pool *WorkerPool
 }
 

@@ -33,6 +33,11 @@ func (spreadRule) Step(_ *Env, _ grid.Point, cur bool, nbr [4]bool) bool {
 	return false
 }
 
+// StepWord is Step over 64 lanes, so the bitset engine can run the rule.
+func (spreadRule) StepWord(cur, west, east, south, north uint64) uint64 {
+	return cur | west | east | south | north
+}
+
 // flipRule violates monotonicity: every node toggles each round.
 type flipRule struct{}
 
@@ -41,8 +46,9 @@ func (flipRule) Init(*Env, grid.Point) bool                          { return fa
 func (flipRule) GhostLabel() bool                                    { return false }
 func (flipRule) FaultyLabel() bool                                   { return false }
 func (flipRule) Step(_ *Env, _ grid.Point, cur bool, _ [4]bool) bool { return !cur }
+func (flipRule) StepWord(cur, _, _, _, _ uint64) uint64              { return ^cur }
 
-func engines() []Engine { return []Engine{Sequential(), Channels(), Parallel(3)} }
+func engines() []Engine { return []Engine{Sequential(), Channels(), Bitset(3)} }
 
 func mustEnv(t *testing.T, topo *mesh.Topology, faults *grid.PointSet) *Env {
 	t.Helper()
@@ -223,7 +229,7 @@ func TestEnginesAgree(t *testing.T) {
 		env := mustEnv(t, topo, faults)
 
 		seq, seqEvents := traceRun(t, Sequential(), env, "p")
-		for _, eng := range []Engine{Channels(), Parallel(1), Parallel(2), Parallel(5)} {
+		for _, eng := range []Engine{Channels(), Bitset(1), Bitset(2), Bitset(5)} {
 			got, gotEvents := traceRun(t, eng, env, "p")
 			if seq.Rounds != got.Rounds {
 				t.Fatalf("trial %d (%v): rounds differ: seq=%d %s=%d",

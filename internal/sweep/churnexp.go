@@ -73,12 +73,10 @@ func (r *Runner) ChurnCost(arrivalsPerRun int) ([]*stats.Series, error) {
 				}
 				add, err := s.AddFaults(p)
 				if err != nil {
-					s.Close()
 					return nil, err
 				}
 				rem, err := s.RemoveFaults(p)
 				if err != nil {
-					s.Close()
 					return nil, err
 				}
 				for _, d := range []core.Delta{add, rem} {
@@ -87,7 +85,6 @@ func (r *Runner) ChurnCost(arrivalsPerRun int) ([]*stats.Series, error) {
 					changedSample.Add(float64(d.ChangedPhase1 + d.ChangedPhase2))
 				}
 			}
-			s.Close()
 			if rec != nil {
 				rec.Emit(obs.Event{
 					Type: obs.ESweepCell, X: float64(f), Rep: rep, OK: true,

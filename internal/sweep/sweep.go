@@ -48,9 +48,9 @@ type Config struct {
 	// Engine selects the fixpoint engine (sequential by default; the
 	// engines are result-equivalent, see simnet).
 	Engine core.EngineKind
-	// EngineWorkers is the per-formation tile count when Engine is
-	// core.EngineParallel or core.EngineBitset (0 = GOMAXPROCS). Other
-	// engines ignore it.
+	// EngineWorkers is the per-formation row-band count of the bitset
+	// engine (0 = GOMAXPROCS): used when Engine is core.EngineBitset, and
+	// by the churn experiment's sessions, which always run on it.
 	EngineWorkers int
 	// Workers is the number of goroutines evaluating sweep cells
 	// concurrently; 0 means runtime.GOMAXPROCS(0). Each (f, replication)
