@@ -17,8 +17,8 @@
 // Observability: the tenant API and the telemetry side-car share one
 // listener — /metrics (Prometheus text), /runz, /eventz (SSE trace
 // tail), /convergz, /debugz and /debug/pprof/ answer next to /api/.
-// -trace FILE writes the NDJSON event trace (serve_delta / serve_batch
-// / serve_request events, see TRACE.md), -metrics FILE a JSON metrics
+// -trace FILE writes the NDJSON event trace (serve_request /
+// serve_batch events, see TRACE.md), -metrics FILE a JSON metrics
 // snapshot at exit.
 //
 // A flight recorder is always on: a bounded ring of recent events

@@ -20,7 +20,7 @@ func req(tenant string, shard int, id int64, q, b, c, p int64) obs.Event {
 
 func TestLatencyReport(t *testing.T) {
 	events := []obs.Event{
-		{Type: obs.EServeDelta, Tenant: "a"}, // ignored: not a serve_request
+		{Type: obs.EServeBatch, Tenant: "a"}, // ignored: not a serve_request
 		req("a", 1, 1, 100, 10, 1000, 50),
 		req("a", 1, 2, 200, 20, 2000, 60),
 		req("b", 2, 3, 300, 30, 9000, 70),
@@ -88,7 +88,7 @@ func TestLatencyInconsistentFlagged(t *testing.T) {
 }
 
 func TestLatencyEmpty(t *testing.T) {
-	rep := Latency([]obs.Event{{Type: obs.EServeDelta}}, 5)
+	rep := Latency([]obs.Event{{Type: obs.EServeBatch}}, 5)
 	if rep.Requests != 0 || rep.Stages != nil || rep.Total != nil {
 		t.Fatalf("empty report = %+v", rep)
 	}

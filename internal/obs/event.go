@@ -85,14 +85,6 @@ const (
 	// any of the block's nodes changed, Diameter the block's d(B), N its
 	// node count.
 	EBlockConverge = "block_converge"
-	// EServeDelta is one fault delta applied by the formation service
-	// (internal/serve): Tenant is the tenant id, Name the operation
-	// ("add" or "remove"), N the number of points, Frontier the dirty-
-	// frontier seed size, Rounds the total frontier rounds, Changed the
-	// labels that settled differently, DurNS the wall-clock time of the
-	// whole batch the delta rode in. Err is set when the engine pass
-	// failed.
-	EServeDelta = "serve_delta"
 	// EServeBatch summarizes one applied tenant batch (internal/serve):
 	// Tenant is the tenant id, N the number of coalesced delta requests
 	// (1 = no coalescing), Rounds the tenant's delta sequence after the
@@ -102,8 +94,12 @@ const (
 	// EServeRequest is one delta request's end-to-end latency attribution
 	// (internal/serve): Req is the request id, Tenant the tenant id,
 	// Shard the 1-based shard index, Name the operation, N the number of
-	// points, and the four stage fields decompose DurNS exactly —
-	// QueueNS (enqueue to shard-loop dequeue), BatchNS (dequeue to the
+	// points. Frontier, Rounds and Changed describe the engine pass the
+	// request coalesced into (dirty-frontier seed size, total frontier
+	// rounds, labels that settled differently); like ComputeNS they are
+	// shared by every request of the pass. The four stage fields
+	// decompose DurNS exactly — QueueNS (enqueue to shard-loop dequeue),
+	// BatchNS (dequeue to the
 	// request's engine pass starting, including any batch window),
 	// ComputeNS (the AddFaults/RemoveFaults frontier pass the request
 	// coalesced into), PublishNS (pass end to snapshot publish + event

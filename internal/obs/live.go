@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
+	"sort"
 	"sync"
 	"time"
 )
@@ -48,46 +50,14 @@ type LiveStatus struct {
 	Done bool `json:"done,omitempty"`
 	// Counts is the number of events seen per event type.
 	Counts map[string]int64 `json:"counts"`
-	// Dropped counts events a slow /eventz subscriber missed.
+	// Dropped counts events slow /eventz subscribers missed (the
+	// per-subscriber breakdown is the ocpmesh_live_subscriber_dropped
+	// Prometheus family).
 	Dropped int64 `json:"dropped,omitempty"`
-	// SubscriberDropped breaks Dropped down per live subscriber id, so a
-	// single slow tail is identifiable from /runz (the same counts back
-	// the ocpmesh_live_subscriber_dropped Prometheus family).
-	SubscriberDropped map[string]int64 `json:"subscriber_dropped,omitempty"`
-	// Serve is the serving layer's attribution view, folded from
-	// serve_batch and serve_request events (nil when none were seen).
-	Serve *ServeLive `json:"serve,omitempty"`
-}
-
-// ServeLive is the /runz view of the formation service, assembled from
-// the serve_* event stream alone: per-shard and per-tenant request
-// counts, busy time and queue depth, so shard imbalance and hot tenants
-// are visible without scraping Prometheus.
-type ServeLive struct {
-	// Requests counts serve_request events; Shards and Tenants key
-	// their stats by 1-based shard index and tenant id respectively.
-	Requests int64                 `json:"requests"`
-	Shards   map[string]*ShardLive `json:"shards,omitempty"`
-	Tenants  map[string]*ShardLive `json:"tenants,omitempty"`
-}
-
-// ShardLive is one shard's (or tenant's) rolling serving stats.
-type ShardLive struct {
-	// Requests counts applied delta requests, Batches applied batches.
-	Requests int64 `json:"requests"`
-	Batches  int64 `json:"batches,omitempty"`
-	// BusyNS is the cumulative engine-pass wall-clock attributed here;
-	// Busy is BusyNS over the stream's elapsed time (the busy fraction).
-	BusyNS int64   `json:"busy_ns"`
-	Busy   float64 `json:"busy,omitempty"`
-	// Depth is the latest observed queue backlog (shards only).
-	Depth int `json:"depth,omitempty"`
-	// Seq is the latest snapshot sequence (tenants only).
-	Seq int `json:"seq,omitempty"`
 }
 
 // LiveSink is an in-process Sink that keeps a ring buffer of recent
-// events, a rolling LiveStatus, and a set of subscribers for live
+// events, a rolling LiveStatus, and a Hub of subscribers for live
 // tailing — the in-memory backend of the serve package's /runz and
 // /eventz endpoints. Emit never blocks: a subscriber whose channel is
 // full loses events (counted in LiveStatus.Dropped) rather than
@@ -96,61 +66,25 @@ type ShardLive struct {
 // Unlike most sinks it is internally locked, because HTTP handlers read
 // it while the tracer is still emitting.
 type LiveSink struct {
-	mu      sync.Mutex
-	ring    []Event
-	next    int // ring write cursor
-	filled  bool
-	status  LiveStatus
-	subs    map[int]*liveSub
-	subSeq  int
-	dropped int64
+	mu     sync.Mutex
+	ring   eventRing
+	status LiveStatus
+	hub    Hub[Event]
 }
-
-// liveSub is one subscriber: its channel and how many events it has
-// missed because the channel was full when they were emitted.
-type liveSub struct {
-	ch      chan Event
-	dropped int64
-}
-
-// MaxSubscriberBuffer bounds the channel buffer one Subscribe call can
-// request. A serving process may hold many concurrent SSE tails; an
-// unbounded per-subscriber buffer would let one slow consumer pin an
-// arbitrary amount of the emitter's memory — backpressure is handled by
-// dropping (and counting) instead, never by buffering without bound or
-// blocking Emit.
-const MaxSubscriberBuffer = 4096
 
 // NewLiveSink returns a live sink retaining the last size events
 // (minimum 1; a typical CLI uses a few hundred).
 func NewLiveSink(size int) *LiveSink {
-	if size < 1 {
-		size = 1
-	}
-	return &LiveSink{
-		ring: make([]Event, size),
-		subs: make(map[int]*liveSub),
-	}
+	return &LiveSink{ring: newEventRing(size)}
 }
 
 // Emit implements Sink.
 func (s *LiveSink) Emit(e Event) {
 	s.mu.Lock()
-	s.ring[s.next] = e
-	s.next++
-	if s.next == len(s.ring) {
-		s.next, s.filled = 0, true
-	}
+	s.ring.add(e)
 	s.update(e)
-	for _, sub := range s.subs {
-		select {
-		case sub.ch <- e:
-		default:
-			sub.dropped++
-			s.dropped++
-		}
-	}
 	s.mu.Unlock()
+	s.hub.Publish(e)
 }
 
 // update folds one event into the rolling status. Called with mu held.
@@ -191,55 +125,7 @@ func (s *LiveSink) update(e Event) {
 		st.SweepDone++
 	case ESweepPoint:
 		st.SweepPoints++
-	case EServeRequest:
-		sv := st.serve()
-		sv.Requests++
-		if e.Tenant != "" {
-			tn := liveSlot(&sv.Tenants, e.Tenant)
-			tn.Requests++
-			// Per-request busy attribution: the compute+publish time the
-			// request's engine pass cost. Coalesced requests share a pass,
-			// so the per-tenant sum over-counts shared passes in exchange
-			// for ranking hot tenants by the work they demanded — which is
-			// the signal hot-tenant detection needs.
-			tn.BusyNS += e.ComputeNS + e.PublishNS
-		}
-	case EServeBatch:
-		sv := st.serve()
-		if e.Shard > 0 {
-			sh := liveSlot(&sv.Shards, fmt.Sprintf("%d", e.Shard))
-			sh.Batches++
-			sh.Requests += int64(e.N)
-			sh.BusyNS += e.DurNS
-			sh.Depth = e.Depth
-		}
-		if e.Tenant != "" {
-			tn := liveSlot(&sv.Tenants, e.Tenant)
-			tn.Batches++
-			tn.Seq = e.Rounds
-		}
 	}
-}
-
-// serve returns the lazily allocated serving view. Called with mu held.
-func (st *LiveStatus) serve() *ServeLive {
-	if st.Serve == nil {
-		st.Serve = &ServeLive{}
-	}
-	return st.Serve
-}
-
-// liveSlot returns m[key], allocating the map and slot on first use.
-func liveSlot(m *map[string]*ShardLive, key string) *ShardLive {
-	if *m == nil {
-		*m = make(map[string]*ShardLive)
-	}
-	s, ok := (*m)[key]
-	if !ok {
-		s = &ShardLive{}
-		(*m)[key] = s
-	}
-	return s
 }
 
 // liveFlushWait bounds how long Flush waits for subscribers to drain.
@@ -256,86 +142,30 @@ var liveFlushWait = 100 * time.Millisecond
 // the live sink must not be able to wedge the run it observes.
 func (s *LiveSink) Flush() error {
 	deadline := time.Now().Add(liveFlushWait)
-	for {
-		s.mu.Lock()
-		pending := 0
-		for _, sub := range s.subs {
-			pending += len(sub.ch)
-		}
-		s.mu.Unlock()
-		if pending == 0 || time.Now().After(deadline) {
-			return nil
-		}
+	for s.hub.Pending() > 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
-	}
-}
-
-// Close implements Sink: it closes every subscriber channel so /eventz
-// streams terminate when the run finishes.
-func (s *LiveSink) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for id, sub := range s.subs {
-		close(sub.ch)
-		delete(s.subs, id)
 	}
 	return nil
 }
 
-// Status returns a copy of the rolling status, with the per-subscriber
-// drop counts and the serving busy fractions filled in.
+// Close implements Sink: it closes every subscriber channel so /eventz
+// streams terminate when the run finishes; later subscribers get a
+// closed channel.
+func (s *LiveSink) Close() error {
+	s.hub.Close()
+	return nil
+}
+
+// Status returns a copy of the rolling status, with the drop count
+// filled in.
 func (s *LiveSink) Status() LiveStatus {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := s.status
-	st.Dropped = s.dropped
-	counts := make(map[string]int64, len(s.status.Counts))
-	for k, v := range s.status.Counts {
-		counts[k] = v
-	}
-	st.Counts = counts
-	if len(s.subs) > 0 {
-		st.SubscriberDropped = make(map[string]int64, len(s.subs))
-		for id, sub := range s.subs {
-			st.SubscriberDropped[fmt.Sprintf("%d", id)] = sub.dropped
-		}
-	}
-	if s.status.Serve != nil {
-		sv := &ServeLive{Requests: s.status.Serve.Requests}
-		sv.Shards = copyLiveSlots(s.status.Serve.Shards, st.TNS)
-		sv.Tenants = copyLiveSlots(s.status.Serve.Tenants, st.TNS)
-		st.Serve = sv
-	}
+	st.Counts = make(map[string]int64, len(s.status.Counts))
+	maps.Copy(st.Counts, s.status.Counts)
+	s.mu.Unlock()
+	st.Dropped = s.hub.Dropped()
 	return st
-}
-
-// copyLiveSlots deep-copies one attribution map, deriving each slot's
-// busy fraction from the stream-relative elapsed time.
-func copyLiveSlots(m map[string]*ShardLive, elapsedNS int64) map[string]*ShardLive {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]*ShardLive, len(m))
-	for k, v := range m {
-		c := *v
-		if elapsedNS > 0 {
-			c.Busy = float64(c.BusyNS) / float64(elapsedNS)
-		}
-		out[k] = &c
-	}
-	return out
-}
-
-// SubscriberDrops returns the per-subscriber drop counts of the current
-// subscribers, keyed by subscriber id.
-func (s *LiveSink) SubscriberDrops() map[int]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[int]int64, len(s.subs))
-	for id, sub := range s.subs {
-		out[id] = sub.dropped
-	}
-	return out
 }
 
 // WriteDropsPrometheus renders the sink's drop accounting as a
@@ -344,94 +174,40 @@ func (s *LiveSink) SubscriberDrops() map[int]int64 {
 // subscriber — the /metrics face of the SSE ": dropped N" gap comments,
 // so a slow tail is visible to scrapes, not only to itself.
 func (s *LiveSink) WriteDropsPrometheus(w io.Writer) error {
-	s.mu.Lock()
-	total := s.dropped
-	type sub struct {
-		id      int
-		dropped int64
+	drops := s.hub.SubscriberDrops()
+	ids := make([]int, 0, len(drops))
+	for id := range drops {
+		ids = append(ids, id)
 	}
-	subs := make([]sub, 0, len(s.subs))
-	for id, ls := range s.subs {
-		subs = append(subs, sub{id, ls.dropped})
-	}
-	s.mu.Unlock()
-	for i := 1; i < len(subs); i++ { // stable output: ascending id
-		for j := i; j > 0 && subs[j].id < subs[j-1].id; j-- {
-			subs[j], subs[j-1] = subs[j-1], subs[j]
-		}
-	}
-	var b []byte
-	b = append(b, "# TYPE ocpmesh_live_dropped counter\nocpmesh_live_dropped "...)
-	b = append(b, fmt.Sprintf("%d\n", total)...)
+	sort.Ints(ids) // stable output: ascending id
+	b := fmt.Appendf(nil, "# TYPE ocpmesh_live_dropped counter\nocpmesh_live_dropped %d\n", s.hub.Dropped())
 	b = append(b, "# TYPE ocpmesh_live_subscriber_dropped counter\n"...)
-	for _, su := range subs {
-		b = append(b, fmt.Sprintf("ocpmesh_live_subscriber_dropped{subscriber=\"%d\"} %d\n", su.id, su.dropped)...)
+	for _, id := range ids {
+		b = fmt.Appendf(b, "ocpmesh_live_subscriber_dropped{subscriber=\"%d\"} %d\n", id, drops[id])
 	}
 	_, err := w.Write(b)
 	return err
 }
 
-// Recent returns up to n of the most recent events, oldest first.
+// Recent returns up to n of the most recent events, oldest first (nil
+// for n <= 0).
 func (s *LiveSink) Recent(n int) []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	have := s.next
-	if s.filled {
-		have = len(s.ring)
-	}
-	if n > have {
-		n = have
-	}
 	if n <= 0 {
 		return nil
 	}
-	out := make([]Event, 0, n)
-	for i := s.next - n; i < s.next; i++ {
-		out = append(out, s.ring[(i+len(s.ring))%len(s.ring)])
-	}
-	return out
-}
-
-// Subscribe registers a live tail with the given channel buffer —
-// clamped to [1, MaxSubscriberBuffer] — and returns its id and receive
-// channel. The channel is closed by Close; events emitted while the
-// buffer is full are dropped for this subscriber only (counted, see
-// SubscriberDropped) rather than blocking the emitter.
-func (s *LiveSink) Subscribe(buf int) (int, <-chan Event) {
-	if buf < 1 {
-		buf = 1
-	}
-	if buf > MaxSubscriberBuffer {
-		buf = MaxSubscriberBuffer
-	}
-	ch := make(chan Event, buf)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.subSeq++
-	id := s.subSeq
-	s.subs[id] = &liveSub{ch: ch}
-	return id, ch
+	return s.ring.last(n)
 }
 
-// SubscriberDropped returns how many events the given subscriber has
-// missed so far because its buffer was full. Unknown (or already
-// unsubscribed) ids report 0.
-func (s *LiveSink) SubscriberDropped(id int) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sub, ok := s.subs[id]; ok {
-		return sub.dropped
-	}
-	return 0
-}
+// Subscribe registers a live tail on the sink's Hub (see
+// Hub.Subscribe): events emitted while the buffer is full are dropped
+// for this subscriber only, and Close ends every tail.
+func (s *LiveSink) Subscribe(buf int) (int, <-chan Event) { return s.hub.Subscribe(buf) }
 
-// Unsubscribe removes a subscriber; its channel is closed. Unknown ids
-// are ignored (the subscriber may have been removed by Close already).
-func (s *LiveSink) Unsubscribe(id int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sub, ok := s.subs[id]; ok {
-		close(sub.ch)
-		delete(s.subs, id)
-	}
-}
+// Unsubscribe removes a live tail and closes its channel.
+func (s *LiveSink) Unsubscribe(id int) { s.hub.Unsubscribe(id) }
+
+// SubscriberDropped returns how many events the given live tail has
+// missed so far (0 for unknown ids).
+func (s *LiveSink) SubscriberDropped(id int) int64 { return s.hub.SubscriberDropped(id) }

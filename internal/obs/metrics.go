@@ -89,6 +89,22 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
+// Remove unregisters every metric with the given (canonicalized) name,
+// so per-entity families such as per-tenant counters do not outlive
+// their entity. Handles already held keep working but are no longer
+// reported; a later lookup of the name creates a fresh metric.
+func (r *Registry) Remove(name string) {
+	if r == nil {
+		return
+	}
+	name = SanitizeMetricName(name)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	delete(r.counters, name)
+	delete(r.gauges, name)
+	delete(r.histograms, name)
+}
+
 // Counter is a monotonically increasing integer metric.
 type Counter struct{ v atomic.Int64 }
 

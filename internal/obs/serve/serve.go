@@ -150,10 +150,7 @@ func (s *Server) debugz(w http.ResponseWriter, r *http.Request) {
 		_ = enc.Encode(s.flight.Status())
 		return
 	}
-	n := 0
-	if v, err := strconv.Atoi(r.URL.Query().Get("n")); err == nil && v > 0 {
-		n = v
-	}
+	n, _ := strconv.Atoi(r.URL.Query().Get("n")) // n <= 0: the whole ring
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	for _, e := range s.flight.Recent(n) {
@@ -192,15 +189,34 @@ func (s *Server) convergz(w http.ResponseWriter, _ *http.Request) {
 	_ = s.fabric.Snapshot().WriteJSON(w)
 }
 
-// eventz streams trace events as server-sent events: one "data:" line
-// holding the event's JSON per message. ?replay=N prepends up to N
-// buffered events before going live. The stream ends when the client
-// disconnects or the run's tracer closes the sink.
+// eventz streams trace events as server-sent events (see StreamSSE).
+// ?replay=N prepends up to N buffered events before going live. The
+// stream ends when the client disconnects or the run's tracer closes
+// the sink.
 func (s *Server) eventz(w http.ResponseWriter, r *http.Request) {
 	if s.live == nil {
 		http.Error(w, "no live event sink attached", http.StatusNotFound)
 		return
 	}
+	// Subscribe before replaying so no event can fall in the gap; the
+	// replayed tail may then overlap the live stream by a few events,
+	// which SSE consumers dedupe on seq. The buffer is bounded: a
+	// consumer slower than the emitter misses events rather than stalling
+	// the run, and learns about each gap via a ": dropped N" comment.
+	id, ch := s.live.Subscribe(256)
+	defer s.live.Unsubscribe(id)
+	n, _ := strconv.Atoi(r.URL.Query().Get("replay")) // Recent(n <= 0) is empty
+	StreamSSE(w, r, s.live.Recent(n), ch, func() int64 { return s.live.SubscriberDropped(id) })
+}
+
+// StreamSSE writes a server-sent-events stream: first the replay
+// values, then every value received from ch, each as one "data:" line
+// of JSON. Whenever dropped — the subscriber's cumulative miss count —
+// has grown after a write, a ": dropped N" comment line follows, so the
+// consumer can detect the gap. The stream ends when ch closes or the
+// client disconnects. It is the one SSE write loop behind /eventz and
+// the formation service's per-tenant event streams.
+func StreamSSE[T any](w http.ResponseWriter, r *http.Request, replay []T, ch <-chan T, dropped func() int64) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
@@ -209,50 +225,36 @@ func (s *Server) eventz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
+	fl.Flush()
 
-	write := func(e obs.Event) bool {
-		data, err := json.Marshal(e)
+	var reported int64
+	write := func(v T) bool {
+		data, err := json.Marshal(v)
 		if err != nil {
 			return false
 		}
 		if _, err := fmt.Fprintf(w, "data: %s\n\n", data); err != nil {
 			return false
 		}
+		if d := dropped(); d > reported {
+			reported = d
+			if _, err := fmt.Fprintf(w, ": dropped %d\n\n", d); err != nil {
+				return false
+			}
+		}
 		fl.Flush()
 		return true
 	}
-
-	// Subscribe before replaying so no event can fall in the gap; the
-	// replayed tail may then overlap the live stream by a few events,
-	// which SSE consumers dedupe on seq. The buffer is bounded (the sink
-	// clamps it further): a consumer slower than the emitter misses
-	// events rather than stalling the run, and learns about each gap via
-	// an SSE comment carrying the running drop count.
-	id, ch := s.live.Subscribe(256)
-	defer s.live.Unsubscribe(id)
-	if n, err := strconv.Atoi(r.URL.Query().Get("replay")); err == nil && n > 0 {
-		for _, e := range s.live.Recent(n) {
-			if !write(e) {
-				return
-			}
+	for _, v := range replay {
+		if !write(v) {
+			return
 		}
 	}
-	var reported int64
 	for {
 		select {
-		case e, ok := <-ch:
-			if !ok {
+		case v, ok := <-ch:
+			if !ok || !write(v) {
 				return
-			}
-			if !write(e) {
-				return
-			}
-			if d := s.live.SubscriberDropped(id); d > reported {
-				reported = d
-				if _, err := fmt.Fprintf(w, ": dropped %d\n\n", d); err != nil {
-					return
-				}
-				fl.Flush()
 			}
 		case <-r.Context().Done():
 			return

@@ -15,6 +15,7 @@ import (
 
 	"ocpmesh/internal/grid"
 	"ocpmesh/internal/obs"
+	obsserve "ocpmesh/internal/obs/serve"
 	"ocpmesh/internal/region"
 	"ocpmesh/internal/routeidx"
 	"ocpmesh/internal/routing"
@@ -662,46 +663,20 @@ func (s *Server) restore(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, statusOf(t))
 }
 
-// events streams the tenant's formation events as server-sent events:
-// one "data:" line per applied delta. The stream ends when the client
-// disconnects, the tenant is deleted, or the service shuts down. A
-// client that cannot keep up misses events (the per-subscriber buffer
-// is bounded); the tenant status reports the drop count.
+// events streams the tenant's formation events as server-sent events
+// (obsserve.StreamSSE): one "data:" line per applied delta. The stream
+// ends when the client disconnects, the tenant is deleted, or the
+// service shuts down. A client that cannot keep up misses events (the
+// per-subscriber buffer is bounded); each gap is announced by a
+// ": dropped N" comment, and the tenant status reports the total.
 func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.tenant(w, r)
 	if !ok {
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
 	id, ch := t.Subscribe()
 	defer t.Unsubscribe(id)
-	for {
-		select {
-		case e, ok := <-ch:
-			if !ok {
-				return
-			}
-			data, err := json.Marshal(e)
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "data: %s\n\n", data); err != nil {
-				return
-			}
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
+	obsserve.StreamSSE(w, r, nil, ch, func() int64 { return t.hub.SubscriberDropped(id) })
 }
 
 // observeQuery wraps one read-path handler with the serve_query

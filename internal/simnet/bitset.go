@@ -42,7 +42,7 @@ type WordRule interface {
 // Multi-worker runs fuse rounds: each tile keeps a private extended
 // copy of its rows plus a k-deep halo and advances k rounds per
 // barrier, recomputing the halo redundantly instead of exchanging it
-// every round (see RunBitsetFusedGeneric). Thin row bands with a
+// every round (see runBitsetFused). Thin row bands with a
 // barrier per round were memory-bandwidth-bound and scaled *negatively*
 // with workers; fusing trades a sliver of redundant SWAR work for k
 // times fewer barriers.
@@ -53,13 +53,6 @@ type BitsetEngine struct {
 	// Workers is the number of row-band tiles (and worker goroutines);
 	// 0 means runtime.GOMAXPROCS(0), capped at the mesh height.
 	Workers int
-	// Fuse is the number of rounds each tile advances per barrier when
-	// more than one tile runs: 0 picks a default (currently 4), 1
-	// disables fusion, higher values are clamped to what the geometry
-	// admits. Single-tile runs and runs observed via Options.OnRound
-	// always step one round at a time. Results are identical at every
-	// setting.
-	Fuse int
 }
 
 // Bitset returns the word-parallel bitset engine with the given worker
@@ -71,14 +64,7 @@ func (BitsetEngine) Name() string { return "bitset" }
 
 // Run implements Engine.
 func (e BitsetEngine) Run(env *Env, rule Rule, opt Options) (*Result, error) {
-	res, err := RunBitsetFusedGeneric(env, rule, GenericOptions[bool]{
-		MaxRounds: opt.MaxRounds, OnRound: opt.OnRound,
-		Recorder: opt.Recorder, Phase: opt.Phase, Costs: opt.Costs, Pool: opt.Pool,
-	}, e.Workers, e.Fuse)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Labels: res.Labels, Rounds: res.Rounds}, nil
+	return boolResult(RunBitsetGeneric(env, rule, opt.generic(), e.Workers))
 }
 
 // bitPlanes is the packed per-run state shared by the bitset round
@@ -288,25 +274,35 @@ func tileRows(h, p int) [][2]int {
 }
 
 // RunBitsetGeneric computes the synchronous fixpoint of a boolean rule
-// with the bit-packed word-parallel sweep described on BitsetEngine.
-// It is RunBitsetFusedGeneric with the default fuse depth.
+// with the bit-packed word-parallel sweep described on BitsetEngine,
+// advancing fuseDepth rounds per barrier when more than one tile runs
+// (see runBitsetFused).
+//
+// The rule must implement WordRule. workers <= 0 means
+// runtime.GOMAXPROCS(0); the row-band count is capped at the mesh
+// height. With a Recorder the run additionally emits one
+// "bitset_band_<i>" span per band, feeds the bitset_band_ns histogram,
+// increments bitset_runs and sets the bitset_workers gauge (all after
+// the round loop, keeping the event stream engine-invariant). The
+// fan-out reuses opt.Pool when provided; otherwise a private pool is
+// created and released on every exit path, including errors.
 func RunBitsetGeneric(env *Env, rule GenericRule[bool], opt GenericOptions[bool], workers int) (*GenericResult[bool], error) {
-	return RunBitsetFusedGeneric(env, rule, opt, workers, 0)
+	return runBitset(env, rule, opt, workers, fuseDepth)
 }
 
-// fusedDepth picks the rounds-per-barrier count for a run: the
-// requested depth (0 = default 4), clamped to what the run admits.
-// Single-tile runs fuse nothing (there is no barrier to amortize), an
-// OnRound observer needs every round's labels, and on a torus the
-// extended tile (rows plus a k-deep halo on each side) must not wrap
-// onto itself, or a private row would alias two global rows.
-func fusedDepth(requested, h, maxTileRows, nTiles int, hasOnRound, torus bool) int {
+// fuseDepth is the number of rounds each tile advances per barrier in
+// multi-tile runs. Results are identical at every depth; the tests pin
+// depths 1-3 through an export_test.go hook.
+const fuseDepth = 4
+
+// fusedDepth clamps the fuse depth k to what a run admits. Single-tile
+// runs fuse nothing (there is no barrier to amortize), an OnRound
+// observer needs every round's labels, and on a torus the extended tile
+// (rows plus a k-deep halo on each side) must not wrap onto itself, or
+// a private row would alias two global rows.
+func fusedDepth(k, h, maxTileRows, nTiles int, hasOnRound, torus bool) int {
 	if nTiles == 1 || hasOnRound {
 		return 1
-	}
-	k := requested
-	if k <= 0 {
-		k = 4
 	}
 	if torus {
 		if lim := (h - maxTileRows) / 2; k > lim {
@@ -319,10 +315,10 @@ func fusedDepth(requested, h, maxTileRows, nTiles int, hasOnRound, torus bool) i
 	return k
 }
 
-// RunBitsetFusedGeneric is RunBitsetGeneric with an explicit fuse
-// depth: with more than one tile and fuse >= 2, each tile advances
-// fuse rounds per barrier pair on a private extended copy of its rows
-// (owned rows plus a fuse-deep halo on each side), recomputing the halo
+// runBitset is RunBitsetGeneric at an explicit fuse depth: with more
+// than one tile and fuse >= 2, each tile advances fuse rounds per
+// barrier pair on a private extended copy of its rows (owned rows plus
+// a fuse-deep halo on each side), recomputing the halo
 // redundantly — the halo results are deterministic, so they equal the
 // owning tile's — with the valid region shrinking by one interior-edge
 // row per sub-round. Owned flips are counted per sub-round, so the
@@ -330,16 +326,7 @@ func fusedDepth(requested, h, maxTileRows, nTiles int, hasOnRound, torus bool) i
 // would have produced: labels, round counts, trace events and cost
 // tracker stamps are byte-identical at every fuse depth and worker
 // count (TestBitsetFusedEquivalence pins fuse 1-3 against sequential).
-//
-// The rule must implement WordRule. workers <= 0 means
-// runtime.GOMAXPROCS(0); the row-band count is capped at the mesh
-// height. With a Recorder the run additionally emits one
-// "bitset_band_<i>" span per band, feeds the bitset_band_ns histogram,
-// increments bitset_runs and sets the bitset_workers gauge (all after
-// the round loop, keeping the event stream engine-invariant). The
-// fan-out reuses opt.Pool when provided; otherwise a private pool is
-// created and released on every exit path, including errors.
-func RunBitsetFusedGeneric(env *Env, rule GenericRule[bool], opt GenericOptions[bool], workers, fuse int) (*GenericResult[bool], error) {
+func runBitset(env *Env, rule GenericRule[bool], opt GenericOptions[bool], workers, fuse int) (*GenericResult[bool], error) {
 	wr, ok := rule.(WordRule)
 	if !ok {
 		return nil, fmt.Errorf("simnet: rule %q does not implement WordRule; the bitset engine needs a word-parallel kernel", rule.Name())

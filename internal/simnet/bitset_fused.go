@@ -284,7 +284,7 @@ func (t *fusedTile) runSuper(wr WordRule) int {
 }
 
 // runBitsetFused is the k >= 2 multi-tile round loop of
-// RunBitsetFusedGeneric: two pool barriers per superstep (compute, then
+// runBitset: two pool barriers per superstep (compute, then
 // publish), with the coordinator replaying the per-sub-round owned flip
 // totals as the exact round sequence of the unfused engine.
 func runBitsetFused(rule GenericRule[bool], wr WordRule, opt GenericOptions[bool], p *bitPlanes, scratch []bool,

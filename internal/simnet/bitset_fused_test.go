@@ -68,7 +68,7 @@ func checkFusedPhase(t *testing.T, ctx string, env *simnet.Env, rule simnet.Rule
 	want, wantEvents := runTraced(t, simnet.Sequential(), env, rule, phase)
 	for _, w := range []int{2, 3} {
 		for _, fuse := range []int{1, 2, 3} {
-			eng := simnet.BitsetEngine{Workers: w, Fuse: fuse}
+			eng := simnet.FusedBitset{Workers: w, Fuse: fuse}
 			got, gotEvents := runTraced(t, eng, env, rule, phase)
 			if got.Rounds != want.Rounds {
 				t.Fatalf("%s: fused w=%d k=%d rounds = %d, want %d", ctx, w, fuse, got.Rounds, want.Rounds)

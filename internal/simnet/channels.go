@@ -15,12 +15,5 @@ func (ChannelEngine) Name() string { return "channels" }
 
 // Run implements Engine.
 func (ChannelEngine) Run(env *Env, rule Rule, opt Options) (*Result, error) {
-	res, err := RunChannelsGeneric[bool](env, rule, GenericOptions[bool]{
-		MaxRounds: opt.MaxRounds, OnRound: opt.OnRound,
-		Recorder: opt.Recorder, Phase: opt.Phase, Costs: opt.Costs,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Labels: res.Labels, Rounds: res.Rounds}, nil
+	return boolResult(RunChannelsGeneric[bool](env, rule, opt.generic()))
 }

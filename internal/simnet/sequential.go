@@ -14,12 +14,5 @@ func (SeqEngine) Name() string { return "sequential" }
 
 // Run implements Engine.
 func (SeqEngine) Run(env *Env, rule Rule, opt Options) (*Result, error) {
-	res, err := RunSequentialGeneric[bool](env, rule, GenericOptions[bool]{
-		MaxRounds: opt.MaxRounds, OnRound: opt.OnRound,
-		Recorder: opt.Recorder, Phase: opt.Phase, Costs: opt.Costs,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Labels: res.Labels, Rounds: res.Rounds}, nil
+	return boolResult(RunSequentialGeneric[bool](env, rule, opt.generic()))
 }

@@ -121,6 +121,22 @@ type Options struct {
 	Pool *WorkerPool
 }
 
+// generic converts Engine options to the generic runners' options.
+func (o Options) generic() GenericOptions[bool] {
+	return GenericOptions[bool]{
+		MaxRounds: o.MaxRounds, OnRound: o.OnRound,
+		Recorder: o.Recorder, Phase: o.Phase, Costs: o.Costs, Pool: o.Pool,
+	}
+}
+
+// boolResult adapts a generic boolean run to an Engine result.
+func boolResult(res *GenericResult[bool], err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Labels: res.Labels, Rounds: res.Rounds}, nil
+}
+
 // Result is the outcome of a run.
 type Result struct {
 	// Labels holds the fixpoint label of every node, indexed by
