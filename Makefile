@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 20s
 
-.PHONY: build vet test race bench churn-bench bitset-bench bitset-scale-bench bench-check overhead-bench overhead-gate latency-overhead converge-demo serve-demo serve-bench route-bench route-gate fuzz check
+.PHONY: build vet test race bench churn-bench bitset-bench bench-check overhead-bench overhead-gate latency-overhead converge-demo serve-demo serve-bench route-bench route-gate fuzz check
 
 # serve-demo smoke-tests the live telemetry side-car: it starts a real
 # sweep with -serve, scrapes /healthz, /runz and /metrics while the
@@ -52,20 +52,12 @@ churn-bench:
 	@cat BENCH_churn.json
 
 # bitset-bench measures the word-parallel (SWAR) bitset engine on large
-# meshes with clustered faults across worker counts and records the
-# result in BENCH_bitset.json. Its headline speedup is per-core (64
-# labels per word op), so single-CPU numbers are meaningful.
+# meshes with clustered faults and records the result in
+# BENCH_bitset.json. The engine runs on one core (64 labels per word
+# op), so single-CPU numbers are meaningful.
 bitset-bench:
 	$(GO) test -run '^$$' -bench BenchmarkBitset -benchmem -timeout 30m . | $(GO) run ./scripts/benchjson > BENCH_bitset.json
 	@cat BENCH_bitset.json
-
-# bitset-scale-bench remeasures the bitset engine across worker counts
-# and enforces the worker-scaling contract: at n >= 2048 the highest
-# worker count's ns/op must not exceed w=1's (octrace bench scaling).
-# This gates the historical regression where per-run goroutine spawning
-# made every extra worker a net slowdown.
-bitset-scale-bench: bitset-bench
-	$(GO) run ./cmd/octrace bench scaling BENCH_bitset.json
 
 # bench-check is the local perf regression gate: it regenerates the
 # fast observability benchmark into a scratch file and compares it

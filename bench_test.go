@@ -433,7 +433,7 @@ func BenchmarkOverhead(b *testing.B) {
 			state = "on"
 		}
 		b.Run(fmt.Sprintf("bitset/n=%d/fabric=%s", n, state), func(b *testing.B) {
-			cfg := core.Config{Width: n, Height: n, Engine: core.EngineBitset, Workers: 4}
+			cfg := core.Config{Width: n, Height: n, Engine: core.EngineBitset}
 			if fabricOn {
 				cfg.Costs = costs.NewFabric(0)
 			}
@@ -448,26 +448,23 @@ func BenchmarkOverhead(b *testing.B) {
 
 // BenchmarkBitset is the word-parallel-engine benchmark: full two-phase
 // formation on large meshes with clustered faults (the workload with the
-// deepest fixpoints), at 1, 2, 4 and 8 row bands. The engine's 64-way
-// SWAR parallelism and changed-word frontier pay off on a single core,
-// so w=1 is the headline number. `make bitset-bench` converts the
-// output to BENCH_bitset.json.
+// deepest fixpoints). The engine's 64-way SWAR parallelism and
+// changed-word frontier run on a single core. `make bitset-bench`
+// converts the output to BENCH_bitset.json.
 func BenchmarkBitset(b *testing.B) {
 	for _, n := range []int{512, 2048} {
 		topo := mesh.MustNew(n, n, mesh.Mesh2D)
 		rng := rand.New(rand.NewSource(42))
 		faults := fault.Clustered{Count: n / 2, Clusters: 4, Spread: n / 32}.Generate(topo, rng)
 
-		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("bitset/n=%d/w=%d", n, w), func(b *testing.B) {
-				cfg := core.Config{Width: n, Height: n, Engine: core.EngineBitset, Workers: w}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					form(b, cfg, topo, faults)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("bitset/n=%d", n), func(b *testing.B) {
+			cfg := core.Config{Width: n, Height: n, Engine: core.EngineBitset}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				form(b, cfg, topo, faults)
+			}
+		})
 	}
 }
 

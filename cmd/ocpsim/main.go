@@ -66,7 +66,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		torus   = fs.Bool("torus", false, "use a 2-D torus instead of a mesh")
 		engine  = fs.String("engine", "sequential", "fixpoint engine: sequential, channels, or bitset (all result-identical)")
 		chans   = fs.Bool("channels", false, "deprecated alias for -engine channels")
-		workers = fs.Int("workers", 0, "parallel sweep workers, and the row-band count of -engine bitset (0 = GOMAXPROCS)")
+		workers = fs.Int("workers", 0, "parallel sweep workers (0 = GOMAXPROCS)")
 		format  = fs.String("format", "ascii", "output format: ascii or csv")
 		width   = fs.Int("width", 60, "ascii plot width")
 
@@ -135,9 +135,6 @@ func run(args []string, out io.Writer) (retErr error) {
 		Width: *n, Height: *n, MaxFaults: *maxf, Step: *step,
 		Replications: *reps, Seed: *seed, Workers: *workers, Recorder: rec,
 		Engine: eng, Costs: fabric, StrictInvariants: *strict,
-	}
-	if eng == core.EngineBitset {
-		cfg.EngineWorkers = *workers
 	}
 	if *torus {
 		cfg.Kind = mesh.Torus2D

@@ -37,13 +37,6 @@
 //	    times the on leg's. Exits 1 on violation, on a document without
 //	    idx pairs, and when no pair reaches -min-n (make route-bench).
 //
-//	octrace bench scaling [-min-n 2048] [-tol 0.10] BENCH_bitset.json
-//	    Enforce the worker-scaling contract on a document with /w=N
-//	    sub-benchmark legs: at problem sizes n >= -min-n, the highest
-//	    worker count's ns/op must not exceed the lowest's beyond -tol.
-//	    Exits 1 on violation, on a document without /w=N legs, and
-//	    when no family reaches -min-n (make bitset-scale-bench).
-//
 //	octrace latency [-json] [-top 5] trace.ndjson [more.ndjson ...]
 //	    Latency attribution from serve_request events (a trace recorded
 //	    by ocpserve -trace under load): exact per-stage percentiles
@@ -104,14 +97,11 @@ func run(args []string, out io.Writer) error {
 		if len(args) >= 2 && args[1] == "overhead" {
 			return runBenchOverhead(args[2:], out)
 		}
-		if len(args) >= 2 && args[1] == "scaling" {
-			return runBenchScaling(args[2:], out)
-		}
 		if len(args) >= 2 && args[1] == "speedup" {
 			return runBenchSpeedup(args[2:], out)
 		}
 		if len(args) < 2 || args[1] != "check" {
-			return fmt.Errorf("usage: octrace bench check [-tol 0.25] [-each] baseline.json fresh.json | octrace bench overhead [-max 0.05] overhead.json | octrace bench scaling [-min-n 2048] [-tol 0.10] bench.json | octrace bench speedup [-min 10] [-min-n 512] bench.json")
+			return fmt.Errorf("usage: octrace bench check [-tol 0.25] [-each] baseline.json fresh.json | octrace bench overhead [-max 0.05] overhead.json | octrace bench speedup [-min 10] [-min-n 512] bench.json")
 		}
 		return runBenchCheck(args[2:], out)
 	default:
@@ -303,60 +293,6 @@ func runBenchCheck(args []string, out io.Writer) error {
 			fs.Arg(1), *tol*100, fs.Arg(0))
 	}
 	fmt.Fprintln(out, "bench check ok")
-	return nil
-}
-
-// runBenchScaling enforces the worker-scaling contract on a benchmark
-// document with /w=N sub-benchmark legs (BENCH_bitset.json): at problem
-// sizes n >= -min-n, the highest worker count must not be slower than
-// the lowest beyond -tol. The CI
-// scaling gate runs this against the committed bitset baseline so a
-// reintroduced per-run spawn cost (workers made the engine *slower*)
-// fails loudly.
-func runBenchScaling(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("octrace bench scaling", flag.ContinueOnError)
-	minN := fs.Int("min-n", 2048, "smallest problem size the contract applies to")
-	tol := fs.Float64("tol", 0.10, "allowed max-vs-min worker slowdown fraction")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: octrace bench scaling [-min-n 2048] [-tol 0.10] bench.json")
-	}
-	rep, err := readBenchFile("scaling", fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	fams := analyze.WorkerScalings(rep)
-	if len(fams) == 0 {
-		return fmt.Errorf("bench scaling: %s has no /w=N benchmarks — wrong document, or a renamed worker leg? the gate never passes silently", fs.Arg(0))
-	}
-	checked := 0
-	for _, f := range fams {
-		gated := f.N >= *minN && len(f.Points) >= 2
-		if gated {
-			checked++
-		}
-		marker := "  "
-		if !gated {
-			marker = "- " // shown but below the gate's size floor
-		}
-		fmt.Fprintf(out, "%s %-40s", marker, f.Name)
-		for _, p := range f.Points {
-			fmt.Fprintf(out, "  w=%d %12.0f", p.Workers, p.NsPerOp)
-		}
-		fmt.Fprintln(out)
-	}
-	if violations := analyze.ScalingViolations(fams, *minN, *tol); len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintln(out, "!!", v)
-		}
-		return fmt.Errorf("bench scaling: %d violation(s) in %s", len(violations), fs.Arg(0))
-	}
-	if checked == 0 {
-		return fmt.Errorf("bench scaling: %s has no /w=N family at n >= %d — nothing the contract applies to, which must not pass as ok", fs.Arg(0), *minN)
-	}
-	fmt.Fprintf(out, "scaling ok: %d family(ies) at n >= %d within +%.0f%%\n", checked, *minN, *tol*100)
 	return nil
 }
 

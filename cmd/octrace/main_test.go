@@ -548,50 +548,3 @@ func TestBenchCheckMissingCounterpartDiagnostic(t *testing.T) {
 		t.Fatalf("missing counterpart misreported as a regression: %v", err)
 	}
 }
-
-// TestBenchScalingGate drives `octrace bench scaling`: the committed
-// bitset baseline passes, a doctored w=8 slowdown at n=2048 fails, a
-// document without /w=N legs fails loudly, and one whose families are
-// all below the size floor fails rather than passing vacuously.
-func TestBenchScalingGate(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"bench", "scaling", filepath.Join("..", "..", "BENCH_bitset.json")}, &out); err != nil {
-		t.Fatalf("committed bitset baseline fails the scaling gate: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "scaling ok") {
-		t.Fatalf("missing ok marker:\n%s", out.String())
-	}
-
-	bad := &analyze.BenchReport{Results: []analyze.BenchResult{
-		{Name: "BenchmarkBitset/bitset/n=2048/w=1-8", Iterations: 1, NsPerOp: 1000},
-		{Name: "BenchmarkBitset/bitset/n=2048/w=8-8", Iterations: 1, NsPerOp: 1500},
-	}}
-	out.Reset()
-	if err := run([]string{"bench", "scaling", writeBenchDoc(t, bad)}, &out); err == nil {
-		t.Fatalf("w=8 slowdown at n=2048 passed:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "!!") {
-		t.Fatalf("violation not marked:\n%s", out.String())
-	}
-
-	noLegs := &analyze.BenchReport{Results: []analyze.BenchResult{
-		{Name: "BenchmarkChurn/incremental/f=10-8", Iterations: 1, NsPerOp: 50},
-	}}
-	if err := run([]string{"bench", "scaling", writeBenchDoc(t, noLegs)}, &out); err == nil {
-		t.Fatal("document without /w=N legs passed the scaling gate")
-	}
-
-	tooSmall := &analyze.BenchReport{Results: []analyze.BenchResult{
-		{Name: "BenchmarkBitset/bitset/n=512/w=1-8", Iterations: 1, NsPerOp: 100},
-		{Name: "BenchmarkBitset/bitset/n=512/w=8-8", Iterations: 1, NsPerOp: 400},
-	}}
-	if err := run([]string{"bench", "scaling", writeBenchDoc(t, tooSmall)}, &out); err == nil {
-		t.Fatal("document with no family at n >= 2048 passed vacuously")
-	}
-	// With the floor lowered to 0 the n=512 family enters the gate, and
-	// its 4x w=8 leg must violate.
-	out.Reset()
-	if err := run([]string{"bench", "scaling", "-min-n", "0", writeBenchDoc(t, tooSmall)}, &out); err == nil {
-		t.Fatalf("lowered floor did not catch the n=512 violation:\n%s", out.String())
-	}
-}

@@ -23,7 +23,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 
 	"ocpmesh/internal/grid"
 	"ocpmesh/internal/mesh"
@@ -47,8 +46,7 @@ const (
 	// live 64 per uint64 word and each round advances whole words with
 	// shift/mask operations, with a changed-word frontier so late rounds
 	// touch only words still moving. Results are identical to
-	// EngineSequential at any worker count; Config.Workers sets the
-	// row-band count (0 = GOMAXPROCS).
+	// EngineSequential.
 	EngineBitset
 )
 
@@ -64,12 +62,12 @@ func (e EngineKind) String() string {
 	}
 }
 
-func (e EngineKind) engine(workers int) simnet.Engine {
+func (e EngineKind) engine() simnet.Engine {
 	switch e {
 	case EngineChannels:
 		return simnet.Channels()
 	case EngineBitset:
-		return simnet.Bitset(workers)
+		return simnet.Bitset()
 	default:
 		return simnet.Sequential()
 	}
@@ -91,10 +89,8 @@ type Config struct {
 	// Engine selects Form's fixpoint engine. A Session ignores it: its
 	// formation and deltas always run on the bitset engine.
 	Engine EngineKind
-	// Workers is the row-band count of the bitset engine (0 =
-	// GOMAXPROCS): Form's under EngineBitset, and a Session's initial
-	// formation under any engine. Form ignores it under the sequential
-	// and channel engines.
+	// Workers is a no-op kept so existing callers still compile: the
+	// bitset engine forms on the calling goroutine.
 	Workers int
 	// MaxRounds bounds each phase (0 = automatic safe bound).
 	MaxRounds int
@@ -163,15 +159,7 @@ func FormOn(cfg Config, topo *mesh.Topology, faults *grid.PointSet) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	eng := cfg.Engine.engine(cfg.Workers)
-	// Both phases share one worker pool: the bitset engine spawns its
-	// goroutines once here instead of once per phase, and every exit
-	// path (including phase errors) tears them down.
-	var pool *simnet.WorkerPool
-	if w := formWorkers(cfg, topo.Height()); w > 1 {
-		pool = simnet.NewWorkerPool(w)
-		defer pool.Close()
-	}
+	eng := cfg.Engine.engine()
 	rec := cfg.Recorder
 	fabric := cfg.Costs
 	if cfg.StrictInvariants && fabric == nil {
@@ -185,7 +173,7 @@ func FormOn(cfg Config, topo *mesh.Topology, faults *grid.PointSet) (*Result, er
 		pc2 = costs.NewPhase(fabric, "phase2", topo.Size())
 	}
 
-	p1, err := runPhase(rec, cfg, eng, env, "phase1", status.UnsafeRule(cfg.Safety), pc1, pool)
+	p1, err := runPhase(rec, cfg, eng, env, "phase1", status.UnsafeRule(cfg.Safety), pc1)
 	if err != nil {
 		return nil, fmt.Errorf("core: phase 1: %w", err)
 	}
@@ -193,7 +181,7 @@ func FormOn(cfg Config, topo *mesh.Topology, faults *grid.PointSet) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	p2, err := runPhase(rec, cfg, eng, env2, "phase2", status.EnabledRule(), pc2, pool)
+	p2, err := runPhase(rec, cfg, eng, env2, "phase2", status.EnabledRule(), pc2)
 	if err != nil {
 		return nil, fmt.Errorf("core: phase 2: %w", err)
 	}
@@ -226,8 +214,8 @@ func FormOn(cfg Config, topo *mesh.Topology, faults *grid.PointSet) (*Result, er
 // events around the engine's per-round stream and a rounds histogram
 // per phase. With a nil recorder it is exactly the bare engine run (plus
 // cost accounting when a collector is attached).
-func runPhase(rec *obs.Recorder, cfg Config, eng simnet.Engine, env *simnet.Env, phase string, rule simnet.Rule, pc *costs.Phase, pool *simnet.WorkerPool) (*simnet.Result, error) {
-	opts := simnet.Options{MaxRounds: cfg.MaxRounds, Recorder: rec, Phase: phase, Costs: pc, Pool: pool}
+func runPhase(rec *obs.Recorder, cfg Config, eng simnet.Engine, env *simnet.Env, phase string, rule simnet.Rule, pc *costs.Phase) (*simnet.Result, error) {
+	opts := simnet.Options{MaxRounds: cfg.MaxRounds, Recorder: rec, Phase: phase, Costs: pc}
 	if rec == nil {
 		return eng.Run(env, rule, opts)
 	}
@@ -250,24 +238,6 @@ func runPhase(rec *obs.Recorder, cfg Config, eng simnet.Engine, env *simnet.Env,
 	rec.Histogram("core_"+phase+"_rounds", nil).Observe(float64(res.Rounds))
 	rec.Histogram("core_"+phase+"_ns", obs.NSBuckets).Observe(float64(dur.Nanoseconds()))
 	return res, nil
-}
-
-// formWorkers returns the band count FormOn's engine will actually use
-// — cfg.Workers defaulting to GOMAXPROCS, capped at the mesh height
-// since the bitset engine never splits a row — so the shared worker
-// pool can be sized to match. Engines without bands get 0 (no pool).
-func formWorkers(cfg Config, height int) int {
-	if cfg.Engine != EngineBitset {
-		return 0
-	}
-	w := cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > height {
-		w = height
-	}
-	return w
 }
 
 // IsFaulty reports whether p is faulty.

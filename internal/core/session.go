@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"ocpmesh/internal/grid"
 	"ocpmesh/internal/incremental"
@@ -23,20 +22,14 @@ type Delta = incremental.Delta
 type Session struct {
 	cfg   Config
 	field *incremental.Field
-	// gen counts successfully applied deltas; read atomically, so index
-	// maintainers on other goroutines can cheaply detect staleness.
-	gen atomic.Uint64
-	// onDelta hooks run synchronously on the mutating goroutine after
-	// each successful delta, in registration order.
-	onDelta []func(Delta)
 }
 
 // NewSession computes a full formation for the initial fault list and
 // returns the session tracking it. A session always runs on the
 // word-parallel bitset engine and ignores cfg.Engine: the initial
-// formation fans out over cfg.Workers row bands (0 = GOMAXPROCS), and
-// every delta runs the single-threaded word frontier. Results are
-// bit-for-bit identical to Form on any engine.
+// formation runs the full word sweep and every delta the word
+// frontier, both on the calling goroutine. Results are bit-for-bit
+// identical to Form on any engine.
 func NewSession(cfg Config, faults []grid.Point) (*Session, error) {
 	topo, err := mesh.New(cfg.Width, cfg.Height, cfg.Kind)
 	if err != nil {
@@ -81,7 +74,6 @@ func (s *Session) AddFaults(ps ...grid.Point) (Delta, error) {
 		_ = s.cfg.Recorder.Flush()
 		return d, err
 	}
-	s.applied(d)
 	return d, nil
 }
 
@@ -94,30 +86,8 @@ func (s *Session) RemoveFaults(ps ...grid.Point) (Delta, error) {
 		_ = s.cfg.Recorder.Flush()
 		return d, err
 	}
-	s.applied(d)
 	return d, nil
 }
-
-// applied advances the generation counter and runs the delta hooks
-// after a successfully applied mutation.
-func (s *Session) applied(d Delta) {
-	s.gen.Add(1)
-	for _, fn := range s.onDelta {
-		fn(d)
-	}
-}
-
-// Generation returns the number of deltas successfully applied to the
-// session so far. Safe to read from any goroutine.
-func (s *Session) Generation() uint64 { return s.gen.Load() }
-
-// OnDelta registers fn to run synchronously on the mutating goroutine
-// after each successful AddFaults/RemoveFaults, in registration order.
-// Derived-state maintainers (routeidx.Publish) use it to rebuild
-// incrementally from the delta instead of polling. Registration is not
-// synchronized: register all hooks before sharing the session across
-// goroutines, the way the serving layer registers at tenant creation.
-func (s *Session) OnDelta(fn func(Delta)) { s.onDelta = append(s.onDelta, fn) }
 
 // Result snapshots the current formation as a Result, interchangeable
 // with the output of a from-scratch Form on the same fault set. The
@@ -150,7 +120,6 @@ func fieldConfig(cfg Config) incremental.Config {
 		Safety:       cfg.Safety,
 		Connectivity: cfg.Connectivity,
 		MaxRounds:    cfg.MaxRounds,
-		Workers:      cfg.Workers,
 		Recorder:     cfg.Recorder,
 		Costs:        cfg.Costs,
 		Strict:       cfg.StrictInvariants,
@@ -161,9 +130,8 @@ func initialRounds1(f *incremental.Field) int { r, _ := f.InitialRounds(); retur
 func initialRounds2(f *incremental.Field) int { _, r := f.InitialRounds(); return r }
 
 // Close is a no-op kept for API compatibility: a session holds no
-// goroutines or other resources beyond its memory (the initial
-// formation's worker pool is released before NewSession returns). It is
-// safe to call any number of times.
+// goroutines or other resources beyond its memory. It is safe to call
+// any number of times.
 func (s *Session) Close() {}
 
 // Topo returns the machine.

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-	"time"
 
 	"ocpmesh/internal/grid"
 )
@@ -95,8 +94,8 @@ func TestSessionResultIsolated(t *testing.T) {
 }
 
 // TestSessionIgnoresEngine pins that a session runs the same bitset
-// engine whatever cfg.Engine says: every engine and worker count must
-// construct and produce the same formation as Form.
+// engine whatever cfg.Engine says: every engine must construct and
+// produce the same formation as Form.
 func TestSessionIgnoresEngine(t *testing.T) {
 	faults := []grid.Point{grid.Pt(2, 2), grid.Pt(3, 2), grid.Pt(6, 5)}
 	want, err := Form(Config{Width: 8, Height: 8}, faults)
@@ -104,26 +103,24 @@ func TestSessionIgnoresEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, engine := range []EngineKind{EngineSequential, EngineChannels, EngineBitset} {
-		for _, workers := range []int{0, 1, 2} {
-			s, err := NewSession(Config{Width: 8, Height: 8, Engine: engine, Workers: workers}, faults)
-			if err != nil {
-				t.Fatalf("%s session rejected Workers=%d: %v", engine, workers, err)
-			}
-			got := s.Result()
-			for i := range want.Unsafe {
-				if got.Unsafe[i] != want.Unsafe[i] || got.Enabled[i] != want.Enabled[i] {
-					t.Fatalf("%s session Workers=%d: labels differ at %d", engine, workers, i)
-				}
+		s, err := NewSession(Config{Width: 8, Height: 8, Engine: engine}, faults)
+		if err != nil {
+			t.Fatalf("%s session rejected: %v", engine, err)
+		}
+		got := s.Result()
+		for i := range want.Unsafe {
+			if got.Unsafe[i] != want.Unsafe[i] || got.Enabled[i] != want.Enabled[i] {
+				t.Fatalf("%s session: labels differ at %d", engine, i)
 			}
 		}
 	}
 }
 
 // TestSessionsHoldNoGoroutines pins that a session parks no goroutines
-// for its lifetime: the initial formation's worker pool is released
-// before NewSession returns, and a restored session never creates one.
+// for its lifetime: neither the initial formation nor a restore starts
+// one.
 func TestSessionsHoldNoGoroutines(t *testing.T) {
-	cfg := Config{Width: 16, Height: 16, Engine: EngineBitset, Workers: 4}
+	cfg := Config{Width: 16, Height: 16, Engine: EngineBitset}
 	baseline := runtime.NumGoroutine()
 	var live []*Session
 	for i := 0; i < 32; i++ {
@@ -138,12 +135,7 @@ func TestSessionsHoldNoGoroutines(t *testing.T) {
 		}
 		live = append(live, s, r)
 	}
-	// Released workers exit asynchronously; give them a moment.
-	n := runtime.NumGoroutine()
-	for deadline := time.Now().Add(2 * time.Second); n > baseline && time.Now().Before(deadline); n = runtime.NumGoroutine() {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n > baseline {
+	if n := runtime.NumGoroutine(); n > baseline {
 		t.Fatalf("%d goroutines with %d live sessions, baseline %d", n, len(live), baseline)
 	}
 	runtime.KeepAlive(live)
@@ -153,7 +145,7 @@ func TestSessionsHoldNoGoroutines(t *testing.T) {
 // closed-then-reopened workflow (the sweep runner's per-replication
 // pattern) keeps working.
 func TestSessionClose(t *testing.T) {
-	cfg := Config{Width: 10, Height: 10, Engine: EngineBitset, Workers: 2}
+	cfg := Config{Width: 10, Height: 10, Engine: EngineBitset}
 	for rep := 0; rep < 3; rep++ {
 		s, err := NewSession(cfg, []grid.Point{grid.Pt(4, 4)})
 		if err != nil {
@@ -164,40 +156,6 @@ func TestSessionClose(t *testing.T) {
 		}
 		s.Close()
 		s.Close() // idempotent
-	}
-}
-
-// TestSessionGenerationAndOnDelta pins the delta-hook contract derived
-// state maintainers rely on: Generation counts successful deltas only,
-// OnDelta hooks fire synchronously in registration order with the
-// applied delta, and neither fires for no-op validation errors.
-func TestSessionGenerationAndOnDelta(t *testing.T) {
-	s, err := NewSession(Config{Width: 10, Height: 10}, []grid.Point{grid.Pt(2, 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Generation() != 0 {
-		t.Fatalf("fresh generation %d", s.Generation())
-	}
-	var order []string
-	var seen []Delta
-	s.OnDelta(func(d Delta) { order = append(order, "a"); seen = append(seen, d) })
-	s.OnDelta(func(Delta) { order = append(order, "b") })
-
-	if _, err := s.AddFaults(grid.Pt(5, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if s.Generation() != 1 || len(seen) != 1 {
-		t.Fatalf("after add: generation %d, hooks %d", s.Generation(), len(seen))
-	}
-	if _, err := s.RemoveFaults(grid.Pt(5, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if s.Generation() != 2 {
-		t.Fatalf("after remove: generation %d", s.Generation())
-	}
-	if len(order) != 4 || order[0] != "a" || order[1] != "b" || order[2] != "a" || order[3] != "b" {
-		t.Fatalf("hook order %v", order)
 	}
 }
 

@@ -108,13 +108,13 @@ func countDiffs(a, b []bool) int {
 	return n
 }
 
-// TestBitsetChurnWorkers runs a short churn script at a worker count
-// exercising the pooled full-formation path plus the worker cap,
-// pinned against from-scratch formations.
+// TestBitsetChurnWorkers runs a short churn script on a machine one
+// lane wider than a word, with faults on the last lane and the corner
+// rows, pinned against from-scratch formations.
 func TestBitsetChurnWorkers(t *testing.T) {
 	topo := mesh.MustNew(65, 6, mesh.Mesh2D)
 	f, err := incremental.New(topo, grid.PointSetOf(grid.Pt(10, 2), grid.Pt(40, 3)),
-		incremental.Config{Workers: 3})
+		incremental.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,6 @@ package incremental
 
 import (
 	"fmt"
-	"runtime"
 
 	"ocpmesh/internal/grid"
 	"ocpmesh/internal/mesh"
@@ -48,11 +47,6 @@ type Config struct {
 	Connectivity region.Connectivity
 	// MaxRounds bounds each fixpoint (0 = automatic safe bound).
 	MaxRounds int
-	// Workers is the row-band count of the initial full formation on the
-	// bit-packed word-parallel engine (simnet.RunBitsetGeneric); 0 means
-	// GOMAXPROCS. Deltas run the single-threaded word frontier, so it has
-	// no effect on them. Results are bit-for-bit identical at any count.
-	Workers int
 	// Recorder, when non-nil, traces the field: per-round events during
 	// (re)computation and one obs.EDelta event per applied delta, plus
 	// incremental_* metrics. Nil disables observability at no cost.
@@ -131,18 +125,7 @@ func New(topo *mesh.Topology, faults *grid.PointSet, cfg Config) (*Field, error)
 		return nil, err
 	}
 	f := &Field{cfg: cfg, topo: topo, faults: env.Faulty}
-	// Both full runs share one worker pool. Deltas never fan out, so the
-	// pool is released before New returns.
-	bands := cfg.Workers
-	if bands <= 0 {
-		bands = runtime.GOMAXPROCS(0)
-	}
-	var pool *simnet.WorkerPool
-	if bands = min(bands, topo.Height()); bands > 1 {
-		pool = simnet.NewWorkerPool(bands)
-		defer pool.Close()
-	}
-	p1, err := f.runFull(env, status.UnsafeRule(cfg.Safety), "phase1", pool)
+	p1, err := f.runFull(env, status.UnsafeRule(cfg.Safety), "phase1")
 	if err != nil {
 		return nil, fmt.Errorf("incremental: phase 1: %w", err)
 	}
@@ -150,7 +133,7 @@ func New(topo *mesh.Topology, faults *grid.PointSet, cfg Config) (*Field, error)
 	if err != nil {
 		return nil, err
 	}
-	p2, err := f.runFull(env2, status.EnabledRule(), "phase2", pool)
+	p2, err := f.runFull(env2, status.EnabledRule(), "phase2")
 	if err != nil {
 		return nil, fmt.Errorf("incremental: phase 2: %w", err)
 	}
@@ -228,14 +211,10 @@ func (f *Field) newPhase(phase string) *costs.Phase {
 	return costs.NewPhase(f.cfg.Costs, phase, 0)
 }
 
-// runFull computes one full synchronous fixpoint on the bitset engine,
-// fanning its row bands out over pool (nil runs a single band inline or
-// on a private pool).
-func (f *Field) runFull(env *simnet.Env, rule simnet.Rule, phase string, pool *simnet.WorkerPool) (*simnet.GenericResult[bool], error) {
+// runFull computes one full synchronous fixpoint on the bitset engine.
+func (f *Field) runFull(env *simnet.Env, rule simnet.Rule, phase string) (*simnet.GenericResult[bool], error) {
 	pc := f.newPhase(phase)
-	opt := f.genericOpts(phase, pc)
-	opt.Pool = pool
-	res, err := simnet.RunBitsetGeneric(env, rule, opt, f.cfg.Workers)
+	res, err := simnet.RunBitsetGeneric(env, rule, f.genericOpts(phase, pc))
 	if err != nil {
 		return nil, err
 	}

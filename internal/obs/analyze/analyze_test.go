@@ -205,44 +205,3 @@ func TestTrimProcs(t *testing.T) {
 		}
 	}
 }
-
-func TestWorkerScalings(t *testing.T) {
-	rep := &BenchReport{Results: []BenchResult{
-		{Name: "BenchmarkBitset/bitset/n=512/w=4-8", NsPerOp: 140},
-		{Name: "BenchmarkBitset/bitset/n=512/w=1-8", NsPerOp: 100},
-		{Name: "BenchmarkBitset/bitset/n=2048/w=1-8", NsPerOp: 1000},
-		{Name: "BenchmarkBitset/bitset/n=2048/w=8-8", NsPerOp: 900},
-		{Name: "BenchmarkChurn/incremental/f=10-8", NsPerOp: 50}, // no /w=N: skipped
-	}}
-	fams := WorkerScalings(rep)
-	if len(fams) != 2 {
-		t.Fatalf("families = %d, want 2", len(fams))
-	}
-	if fams[0].Name != "BenchmarkBitset/bitset/n=512" || fams[0].N != 512 {
-		t.Fatalf("family 0 = %+v", fams[0])
-	}
-	// Points ascend by worker count regardless of document order.
-	if fams[0].Points[0].Workers != 1 || fams[0].Points[1].Workers != 4 {
-		t.Fatalf("family 0 points unsorted: %+v", fams[0].Points)
-	}
-	if fams[1].N != 2048 || fams[1].Points[1].NsPerOp != 900 {
-		t.Fatalf("family 1 = %+v", fams[1])
-	}
-}
-
-func TestScalingViolations(t *testing.T) {
-	fams := []WorkerScaling{
-		{Name: "small/n=512", N: 512, Points: []WorkerPoint{{1, 100}, {8, 300}}},    // below floor: exempt
-		{Name: "big/n=2048", N: 2048, Points: []WorkerPoint{{1, 1000}, {8, 950}}},   // faster: ok
-		{Name: "flat/n=4096", N: 4096, Points: []WorkerPoint{{1, 1000}, {8, 1050}}}, // +5%: within tol
-		{Name: "bad/n=2048", N: 2048, Points: []WorkerPoint{{1, 1000}, {4, 1000}, {8, 1300}}},
-		{Name: "single/n=2048", N: 2048, Points: []WorkerPoint{{1, 1000}}}, // one point: skipped
-	}
-	got := ScalingViolations(fams, 2048, 0.10)
-	if len(got) != 1 || !strings.Contains(got[0], "bad/n=2048") || !strings.Contains(got[0], "w=8") {
-		t.Fatalf("violations = %v, want exactly bad/n=2048 w=8", got)
-	}
-	if v := ScalingViolations(fams, 0, 0.10); len(v) != 2 {
-		t.Fatalf("with no size floor, violations = %v, want small + bad", v)
-	}
-}

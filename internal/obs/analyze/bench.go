@@ -6,7 +6,6 @@ import (
 	"io"
 	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -198,91 +197,6 @@ func OverheadPairs(rep *BenchReport) []OverheadPair {
 		})
 	}
 	return pairs
-}
-
-// WorkerPoint is one worker count's measurement within a scaling
-// family.
-type WorkerPoint struct {
-	Workers int     `json:"workers"`
-	NsPerOp float64 `json:"ns_per_op"`
-}
-
-// WorkerScaling groups the /w=N legs of one benchmark family — the
-// name with the /w=N component removed — ascending by worker count.
-// N is the problem size parsed from the family's /n=N component
-// (0 when the name carries none).
-type WorkerScaling struct {
-	Name   string        `json:"name"`
-	N      int           `json:"n"`
-	Points []WorkerPoint `json:"points"`
-}
-
-var (
-	workerLeg = regexp.MustCompile(`/w=(\d+)(/|$)`)
-	sizeLeg   = regexp.MustCompile(`/n=(\d+)(/|$)`)
-)
-
-// WorkerScalings extracts the worker-scaling families of a bench
-// document: results whose names carry a /w=N sub-benchmark leg
-// (BenchmarkBitset naming), grouped by the rest of
-// the name. Families are returned in first-appearance order, their
-// points ascending by worker count.
-func WorkerScalings(rep *BenchReport) []WorkerScaling {
-	byName := map[string]int{}
-	var fams []WorkerScaling
-	for _, r := range rep.Results {
-		name := trimProcs(r.Name)
-		m := workerLeg.FindStringSubmatch(name)
-		if m == nil {
-			continue
-		}
-		w, _ := strconv.Atoi(m[1])
-		fam := strings.Replace(name, "/w="+m[1], "", 1)
-		i, ok := byName[fam]
-		if !ok {
-			n := 0
-			if sm := sizeLeg.FindStringSubmatch(fam); sm != nil {
-				n, _ = strconv.Atoi(sm[1])
-			}
-			i = len(fams)
-			byName[fam] = i
-			fams = append(fams, WorkerScaling{Name: fam, N: n})
-		}
-		fams[i].Points = append(fams[i].Points, WorkerPoint{Workers: w, NsPerOp: r.NsPerOp})
-	}
-	for i := range fams {
-		sort.Slice(fams[i].Points, func(a, b int) bool {
-			return fams[i].Points[a].Workers < fams[i].Points[b].Workers
-		})
-	}
-	return fams
-}
-
-// ScalingViolations enforces the worker-scaling contract on the
-// families WorkerScalings extracted: at problem sizes n >= minN, the
-// highest worker count's ns/op must not exceed the lowest's by more
-// than the tolerance fraction. A tiled engine whose extra workers make
-// it slower at scale is the regression this gate exists to catch (the
-// historical failure mode was per-run goroutine spawning drowning the
-// kernel). Families below minN or with fewer than two worker counts
-// are skipped. Returns one human-readable diagnostic per violation.
-func ScalingViolations(fams []WorkerScaling, minN int, tol float64) []string {
-	var out []string
-	for _, f := range fams {
-		if f.N < minN || len(f.Points) < 2 {
-			continue
-		}
-		lo, hi := f.Points[0], f.Points[len(f.Points)-1]
-		if lo.NsPerOp <= 0 {
-			continue
-		}
-		if ratio := hi.NsPerOp / lo.NsPerOp; ratio > 1+tol {
-			out = append(out, fmt.Sprintf(
-				"%s: w=%d is x%.3f of w=%d (%.0f -> %.0f ns/op), beyond +%.0f%% — workers must not cost at n>=%d",
-				f.Name, hi.Workers, ratio, lo.Workers, lo.NsPerOp, hi.NsPerOp, tol*100, minN))
-		}
-	}
-	return out
 }
 
 // trimProcs strips the "-N" GOMAXPROCS suffix from a benchmark name.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"ocpmesh/internal/core"
@@ -410,78 +409,6 @@ func TestRouteIndexIncremental(t *testing.T) {
 	}
 	if !sawReuse {
 		t.Fatal("churn sequence never reused a region compilation; the incremental path went untested")
-	}
-}
-
-// TestRouteIndexPublished exercises the atomic publication discipline:
-// concurrent readers route off whatever index is current while the
-// session owner applies deltas; afterwards the published index matches
-// a from-scratch compile of the final state.
-func TestRouteIndexPublished(t *testing.T) {
-	topo, err := mesh.New(24, 24, mesh.Mesh2D)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := core.NewSessionOn(core.Config{Width: 24, Height: 24, Safety: status.Def2b}, topo, grid.PointSetOf(grid.Pt(12, 12)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pub := Publish(s, routing.ModelRegions, Options{})
-	if g := s.Generation(); g != 0 {
-		t.Fatalf("fresh session generation %d", g)
-	}
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				ix := pub.Load()
-				src := grid.Pt(rng.Intn(24), rng.Intn(24))
-				dst := grid.Pt(rng.Intn(24), rng.Intn(24))
-				if path, err := ix.Route(src, dst); err == nil {
-					if verr := path.Validate(ix.Result(), routing.ModelRegions, src, dst); verr != nil {
-						t.Error(verr)
-						return
-					}
-				}
-			}
-		}(int64(r))
-	}
-	rng := rand.New(rand.NewSource(77))
-	var live []grid.Point
-	for i := 0; i < 30; i++ {
-		if len(live) > 0 && rng.Intn(3) == 0 {
-			j := rng.Intn(len(live))
-			if _, err := s.RemoveFaults(live[j]); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live[:j], live[j+1:]...)
-			continue
-		}
-		p := grid.Pt(rng.Intn(24), rng.Intn(24))
-		if _, err := s.AddFaults(p); err != nil {
-			t.Fatal(err)
-		}
-		live = append(live, p)
-	}
-	close(stop)
-	wg.Wait()
-
-	if g := s.Generation(); g != 30 {
-		t.Fatalf("generation %d after 30 deltas", g)
-	}
-	fresh := Compile(s.Result(), routing.ModelRegions, Options{})
-	if pub.Load().Fingerprint() != fresh.Fingerprint() {
-		t.Fatal("published index differs from from-scratch compile of the final state")
 	}
 }
 

@@ -327,8 +327,8 @@ func TestServeSnapshotLegacyParallelEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(raw), `"engine":"parallel"`) {
-		t.Fatalf("snapshot config lost the legacy engine name: %s", raw)
+	if !strings.Contains(string(raw), `"engine":"parallel"`) || !strings.Contains(string(raw), `"workers":3`) {
+		t.Fatalf("snapshot config lost the legacy engine or workers field: %s", raw)
 	}
 	var ts serve.TenantSnapshot
 	if err := json.Unmarshal(raw, &ts); err != nil {
@@ -346,7 +346,7 @@ func TestServeSnapshotLegacyParallelEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Engine, cfg.Workers = core.EngineSequential, 0
+	cfg.Engine = core.EngineSequential
 	check := func(tag string) {
 		t.Helper()
 		snap := restored.Snapshot()

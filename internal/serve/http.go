@@ -347,13 +347,11 @@ func (s *Server) postDelta(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("%w: body: %v", ErrBadDelta, err))
 		return
 	}
-	_, pts, err := ParseDeltaRequest(data)
+	req, pts, err := ParseDeltaRequest(data)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	var req DeltaRequest
-	_ = json.Unmarshal(data, &req) // already validated by ParseDeltaRequest
 	resp, err := s.svc.Apply(r.PathValue("id"), req.Op, pts)
 	if err != nil {
 		writeErr(w, err)

@@ -9,8 +9,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -199,6 +201,8 @@ func TestHTTPErrorPaths(t *testing.T) {
 			serve.DeltaRequest{Op: "add", Points: [][2]int{{100, 100}}}, 400},
 		{"oversized mesh", "POST", "/api/tenants",
 			serve.CreateRequest{ID: "big", Config: serve.TenantConfig{Width: 64, Height: 64}}, 413},
+		{"overflowing mesh", "POST", "/api/tenants",
+			serve.CreateRequest{ID: "huge", Config: hugeMesh}, 413},
 		{"zero-dim mesh", "POST", "/api/tenants",
 			serve.CreateRequest{ID: "flat", Config: serve.TenantConfig{Width: 0, Height: 4}}, 400},
 		{"bad engine", "POST", "/api/tenants",
@@ -219,6 +223,34 @@ func TestHTTPErrorPaths(t *testing.T) {
 		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 			t.Errorf("%s: error content type %q, want JSON", tc.name, ct)
 		}
+	}
+}
+
+// hugeMesh's node count overflows int and wraps to 0, so a cap checked
+// by multiplying the dimensions lets it through.
+var hugeMesh = serve.TenantConfig{Width: 1 << (strconv.IntSize / 2), Height: 1 << (strconv.IntSize / 2)}
+
+// TestServeMeshSizeOverflow pins the node cap against hugeMesh: Create
+// and Restore report ErrTooLarge instead of panicking on the
+// allocation. TestHTTPErrorPaths pins the 413 over the wire.
+func TestServeMeshSizeOverflow(t *testing.T) {
+	svc := serve.New(serve.Options{Shards: 1})
+	defer svc.Close()
+
+	if _, _, err := svc.Create("huge", hugeMesh, nil); !errors.Is(err, serve.ErrTooLarge) {
+		t.Fatalf("Create: err = %v, want ErrTooLarge", err)
+	}
+	if _, _, err := svc.Create("small", serve.TenantConfig{Width: 4, Height: 4}, nil); err != nil {
+		t.Fatal(err)
+	}
+	tn, err := svc.Tenant("small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := tn.TakeSnapshot()
+	snap.Config = hugeMesh
+	if _, err := svc.Restore("huge", snap); !errors.Is(err, serve.ErrTooLarge) {
+		t.Fatalf("Restore: err = %v, want ErrTooLarge", err)
 	}
 }
 

@@ -8,20 +8,23 @@ package serve_test
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ocpmesh/internal/core"
 	"ocpmesh/internal/grid"
+	"ocpmesh/internal/routing"
 	"ocpmesh/internal/serve"
 )
 
 // TestServeConcurrentHammer runs writer goroutines on disjoint point
 // sets against one tenant (so every interleaving has the same final
-// fault set), concurrent snapshot readers, and an event-stream
-// subscriber, then pins the final served state against a fresh
-// formation.
+// fault set), concurrent snapshot and indexed-route readers, and an
+// event-stream subscriber, then pins the final served state against a
+// fresh formation.
 func TestServeConcurrentHammer(t *testing.T) {
 	const (
 		writers = 6
@@ -63,18 +66,25 @@ func TestServeConcurrentHammer(t *testing.T) {
 	}()
 
 	// Readers: snapshots must always be internally consistent — every
-	// fault unsafe and not enabled, sequence never moving backwards.
+	// fault unsafe and not enabled, sequence never moving backwards —
+	// and an indexed route answered while deltas land must be a valid
+	// path on the snapshot it was answered from. Readers keep going
+	// until at least one route has been answered.
 	stopReaders := make(chan struct{})
 	var readerWG sync.WaitGroup
+	var routed atomic.Int64
 	for r := 0; r < 2; r++ {
 		readerWG.Add(1)
-		go func() {
+		go func(seed int64) {
 			defer readerWG.Done()
+			rng := rand.New(rand.NewSource(seed))
 			var lastSeq uint64
 			for {
 				select {
 				case <-stopReaders:
-					return
+					if routed.Load() > 0 {
+						return
+					}
 				default:
 				}
 				snap := hot.Snapshot()
@@ -94,8 +104,23 @@ func TestServeConcurrentHammer(t *testing.T) {
 					t.Error("torn snapshot: a faulty node is not unsafe/disabled")
 					return
 				}
+				if snap.Routes.Result() != snap.Res {
+					t.Error("snapshot's routing index was built over a different result")
+					return
+				}
+
+				src := grid.Pt(rng.Intn(side), rng.Intn(side))
+				dst := grid.Pt(rng.Intn(side), rng.Intn(side))
+				path, rsnap, err := hot.Route(src, dst, "regions", "indexed")
+				if err == nil {
+					if verr := path.Validate(rsnap.Res, routing.ModelRegions, src, dst); verr != nil {
+						t.Errorf("indexed route %v -> %v at seq %d: %v", src, dst, rsnap.Seq, verr)
+						return
+					}
+					routed.Add(1)
+				}
 			}
-		}()
+		}(int64(r))
 	}
 
 	// Writers: each owns one point and toggles it add/remove an odd

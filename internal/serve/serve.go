@@ -416,8 +416,8 @@ func (s *Service) Create(id string, tcfg TenantConfig, faults []grid.Point) (t *
 	if err != nil {
 		return nil, false, err
 	}
-	if cfg.Width*cfg.Height > s.opts.maxNodes() {
-		return nil, false, fmt.Errorf("%w: %dx%d > %d nodes", ErrTooLarge, cfg.Width, cfg.Height, s.opts.maxNodes())
+	if err := checkSize(cfg, s.opts.maxNodes()); err != nil {
+		return nil, false, err
 	}
 	fs := grid.PointSetOf(faults...)
 	for _, p := range faults {

@@ -31,15 +31,15 @@ type TenantConfig struct {
 	// bitset engine, so the name only selects core.Config.Engine;
 	// "parallel" is accepted for older snapshots and maps to "bitset".
 	Engine string `json:"engine,omitempty"`
-	// Workers is the row-band count of the initial formation (0 =
-	// GOMAXPROCS).
+	// Workers is a no-op, accepted so older snapshots and clients that
+	// still send it decode under strict JSON.
 	Workers int `json:"workers,omitempty"`
 }
 
 // CoreConfig maps the JSON form onto a core.Config, validating every
 // enum.
 func (c TenantConfig) CoreConfig() (core.Config, error) {
-	cfg := core.Config{Width: c.Width, Height: c.Height, Workers: c.Workers}
+	cfg := core.Config{Width: c.Width, Height: c.Height}
 	if c.Width < 1 || c.Height < 1 {
 		return cfg, fmt.Errorf("%w: mesh %dx%d (want positive dimensions)", ErrBadDelta, c.Width, c.Height)
 	}
@@ -73,6 +73,17 @@ func (c TenantConfig) CoreConfig() (core.Config, error) {
 		return cfg, fmt.Errorf("%w: engine %q (want sequential, channels, parallel, or bitset)", ErrBadDelta, c.Engine)
 	}
 	return cfg, nil
+}
+
+// checkSize rejects a mesh of more than maxNodes nodes with ErrTooLarge.
+// It divides instead of multiplying, so dimensions whose product
+// overflows int are rejected too. cfg must have positive dimensions
+// (CoreConfig checks them).
+func checkSize(cfg core.Config, maxNodes int) error {
+	if cfg.Width > maxNodes/cfg.Height {
+		return fmt.Errorf("%w: %dx%d > %d nodes", ErrTooLarge, cfg.Width, cfg.Height, maxNodes)
+	}
+	return nil
 }
 
 // TenantSnapshot is the serialized state of one tenant: the config, the
@@ -134,8 +145,8 @@ func (ts *TenantSnapshot) RestoreSession(maxNodes int) (*core.Session, core.Conf
 	if ts.Version != snapshotVersion {
 		return nil, cfg, fmt.Errorf("%w: snapshot version %d (want %d)", ErrBadDelta, ts.Version, snapshotVersion)
 	}
-	if cfg.Width*cfg.Height > maxNodes {
-		return nil, cfg, fmt.Errorf("%w: %dx%d > %d nodes", ErrTooLarge, cfg.Width, cfg.Height, maxNodes)
+	if err := checkSize(cfg, maxNodes); err != nil {
+		return nil, cfg, err
 	}
 	if got, want := ts.checksum(), ts.Checksum; got != want {
 		return nil, cfg, fmt.Errorf("%w: snapshot checksum %s, computed %s", ErrBadDelta, want, got)

@@ -3,13 +3,9 @@ package simnet
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sync/atomic"
-	"time"
 
 	"ocpmesh/internal/grid"
 	"ocpmesh/internal/mesh"
-	"ocpmesh/internal/obs"
 )
 
 // WordRule is the word-parallel counterpart of a boolean rule: StepWord
@@ -32,43 +28,27 @@ type WordRule interface {
 // word-parallel (SWAR) sweeps: labels live in row-major []uint64 planes
 // (grid.BitGrid), 64 nodes per word, and each round advances a whole
 // word with a handful of shift/AND/OR operations — 64-way data
-// parallelism per core, on top of a row-band worker tiling (one band
-// per worker goroutine, a barrier between rounds). A changed-word
-// bitmap restricts late rounds to the moving frontier. Labels, round
-// counts and per-round trace events are byte-identical to SeqEngine's
-// at every worker count (the differential matrix and both fuzz targets
-// pin this).
-//
-// Multi-worker runs fuse rounds: each tile keeps a private extended
-// copy of its rows plus a k-deep halo and advances k rounds per
-// barrier, recomputing the halo redundantly instead of exchanging it
-// every round (see runBitsetFused). Thin row bands with a
-// barrier per round were memory-bandwidth-bound and scaled *negatively*
-// with workers; fusing trades a sliver of redundant SWAR work for k
-// times fewer barriers.
+// parallelism on one goroutine. A changed-word bitmap restricts late
+// rounds to the moving frontier. Labels, round counts and per-round
+// trace events are byte-identical to SeqEngine's (the differential
+// matrix and both fuzz targets pin this).
 //
 // The rule must implement WordRule (both paper rules do); Run fails
 // otherwise.
-type BitsetEngine struct {
-	// Workers is the number of row-band tiles (and worker goroutines);
-	// 0 means runtime.GOMAXPROCS(0), capped at the mesh height.
-	Workers int
-}
+type BitsetEngine struct{}
 
-// Bitset returns the word-parallel bitset engine with the given worker
-// count (0 = GOMAXPROCS).
-func Bitset(workers int) Engine { return BitsetEngine{Workers: workers} }
+// Bitset returns the word-parallel bitset engine.
+func Bitset() Engine { return BitsetEngine{} }
 
 // Name implements Engine.
 func (BitsetEngine) Name() string { return "bitset" }
 
 // Run implements Engine.
-func (e BitsetEngine) Run(env *Env, rule Rule, opt Options) (*Result, error) {
-	return boolResult(RunBitsetGeneric(env, rule, opt.generic(), e.Workers))
+func (BitsetEngine) Run(env *Env, rule Rule, opt Options) (*Result, error) {
+	return boolResult(RunBitsetGeneric(env, rule, opt.generic()))
 }
 
-// bitPlanes is the packed per-run state shared by the bitset round
-// loops.
+// bitPlanes is the packed per-run state of the bitset round loop.
 type bitPlanes struct {
 	w, h, wpr int
 	lastLane  uint // lane of column width-1 in a row's last word
@@ -88,10 +68,7 @@ type bitPlanes struct {
 
 	// Cost-tracker state: tr[i] records the last round node i's label
 	// flipped, round is the 1-based index of the round being computed.
-	// The coordinator writes round before releasing the workers (the
-	// command channel send orders it), and flipped lanes land in disjoint
-	// tr ranges per row band, so neither field needs synchronization. tr
-	// is nil when no tracking collector is attached.
+	// tr is nil when no tracking collector is attached.
 	tr    []int32
 	round int32
 }
@@ -167,14 +144,13 @@ func (p *bitPlanes) wordActive(r, k int) bool {
 	return false
 }
 
-// stepRows advances rows [lo, hi) of the current round, writing the next
-// plane and the next changed-word flags for those rows only (disjoint
-// write ranges across workers), and returns the number of flipped
-// labels plus the number of words evaluated (the engine's true work
-// metric, fed to the cost fabric's words_touched counter).
-func (p *bitPlanes) stepRows(wr WordRule, lo, hi int) (nchanged, words int) {
+// step advances every row by one round, writing the next plane and the
+// next changed-word flags, and returns the number of flipped labels
+// plus the number of words evaluated (the engine's true work metric,
+// fed to the cost fabric's words_touched counter).
+func (p *bitPlanes) step(wr WordRule) (nchanged, words int) {
 	last := p.wpr - 1
-	for r := lo; r < hi; r++ {
+	for r := 0; r < p.h; r++ {
 		base := r * p.wpr
 		// Rows feeding the south/north reads; -1 marks the ghost row.
 		southBase, northBase := base-p.wpr, base+p.wpr
@@ -257,181 +233,30 @@ func (p *bitPlanes) swap() {
 	p.changed, p.nextChanged = p.nextChanged, p.changed
 }
 
-// tileRows splits h rows into at most p contiguous bands of near-equal
-// height, returned as [start, end) row ranges. p is clamped to [1, h].
-func tileRows(h, p int) [][2]int {
-	if p < 1 {
-		p = 1
-	}
-	if p > h {
-		p = h
-	}
-	out := make([][2]int, p)
-	for t := 0; t < p; t++ {
-		out[t] = [2]int{t * h / p, (t + 1) * h / p}
-	}
-	return out
-}
-
 // RunBitsetGeneric computes the synchronous fixpoint of a boolean rule
-// with the bit-packed word-parallel sweep described on BitsetEngine,
-// advancing fuseDepth rounds per barrier when more than one tile runs
-// (see runBitsetFused).
-//
-// The rule must implement WordRule. workers <= 0 means
-// runtime.GOMAXPROCS(0); the row-band count is capped at the mesh
-// height. With a Recorder the run additionally emits one
-// "bitset_band_<i>" span per band, feeds the bitset_band_ns histogram,
-// increments bitset_runs and sets the bitset_workers gauge (all after
-// the round loop, keeping the event stream engine-invariant). The
-// fan-out reuses opt.Pool when provided; otherwise a private pool is
-// created and released on every exit path, including errors.
-func RunBitsetGeneric(env *Env, rule GenericRule[bool], opt GenericOptions[bool], workers int) (*GenericResult[bool], error) {
-	return runBitset(env, rule, opt, workers, fuseDepth)
-}
-
-// fuseDepth is the number of rounds each tile advances per barrier in
-// multi-tile runs. Results are identical at every depth; the tests pin
-// depths 1-3 through an export_test.go hook.
-const fuseDepth = 4
-
-// fusedDepth clamps the fuse depth k to what a run admits. Single-tile
-// runs fuse nothing (there is no barrier to amortize), an OnRound
-// observer needs every round's labels, and on a torus the extended tile
-// (rows plus a k-deep halo on each side) must not wrap onto itself, or
-// a private row would alias two global rows.
-func fusedDepth(k, h, maxTileRows, nTiles int, hasOnRound, torus bool) int {
-	if nTiles == 1 || hasOnRound {
-		return 1
-	}
-	if torus {
-		if lim := (h - maxTileRows) / 2; k > lim {
-			k = lim
-		}
-	}
-	if k < 1 {
-		return 1
-	}
-	return k
-}
-
-// runBitset is RunBitsetGeneric at an explicit fuse depth: with more
-// than one tile and fuse >= 2, each tile advances fuse rounds per
-// barrier pair on a private extended copy of its rows (owned rows plus
-// a fuse-deep halo on each side), recomputing the halo
-// redundantly — the halo results are deterministic, so they equal the
-// owning tile's — with the valid region shrinking by one interior-edge
-// row per sub-round. Owned flips are counted per sub-round, so the
-// coordinator replays the exact per-round totals the unfused engine
-// would have produced: labels, round counts, trace events and cost
-// tracker stamps are byte-identical at every fuse depth and worker
-// count (TestBitsetFusedEquivalence pins fuse 1-3 against sequential).
-func runBitset(env *Env, rule GenericRule[bool], opt GenericOptions[bool], workers, fuse int) (*GenericResult[bool], error) {
+// with the bit-packed word-parallel sweep described on BitsetEngine.
+// The rule must implement WordRule. With a Recorder the run also
+// increments the bitset_runs counter.
+func RunBitsetGeneric(env *Env, rule GenericRule[bool], opt GenericOptions[bool]) (*GenericResult[bool], error) {
 	wr, ok := rule.(WordRule)
 	if !ok {
 		return nil, fmt.Errorf("simnet: rule %q does not implement WordRule; the bitset engine needs a word-parallel kernel", rule.Name())
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	p, scratch := newBitPlanes(env, rule)
 	maxRounds := opt.maxRounds(env)
 	ro := newRoundObs(env, rule, opt)
-	rec := opt.Recorder
+	if opt.Recorder != nil {
+		opt.Recorder.Counter("bitset_runs").Inc()
+	}
 	pc := opt.Costs
 	p.tr = pc.Tracker()
-
-	tiles := tileRows(p.h, workers)
-	nTiles := len(tiles)
-	maxTileRows := 0
-	for _, t := range tiles {
-		if rows := t[1] - t[0]; rows > maxTileRows {
-			maxTileRows = rows
-		}
-	}
-	k := fusedDepth(fuse, p.h, maxTileRows, nTiles, opt.OnRound != nil, p.torus)
-
-	busyNS := make([]int64, nTiles)
-	finishObs := func() {
-		if rec == nil {
-			return
-		}
-		rec.Counter("bitset_runs").Inc()
-		rec.Gauge("bitset_workers").Set(float64(nTiles))
-		for t, ns := range busyNS {
-			rec.Emit(obs.Event{Type: obs.ESpan, Name: fmt.Sprintf("bitset_band_%d", t), DurNS: ns})
-			rec.Histogram("bitset_band_ns", obs.NSBuckets).Observe(float64(ns))
-		}
-	}
-
-	if nTiles == 1 {
-		// Single band: no barrier, step inline.
-		rounds := 0
-		for {
-			p.round = int32(rounds + 1)
-			var start time.Time
-			if rec != nil {
-				start = rec.Now()
-			}
-			nchanged, words := p.stepRows(wr, 0, p.h)
-			pc.AddWords(int64(words))
-			if rec != nil {
-				busyNS[0] += rec.Now().Sub(start).Nanoseconds()
-			}
-			if nchanged == 0 {
-				finishObs()
-				return &GenericResult[bool]{Labels: p.unpack(scratch), Rounds: rounds}, nil
-			}
-			p.swap()
-			rounds++
-			ro.observe(rounds, nchanged)
-			if opt.OnRound != nil {
-				opt.OnRound(rounds, p.unpack(scratch))
-			}
-			if rounds > maxRounds {
-				finishObs()
-				return nil, fmt.Errorf("simnet: rule %q did not stabilize within %d rounds (non-monotone rule?)",
-					rule.Name(), maxRounds)
-			}
-		}
-	}
-
-	pool, release := acquirePool(opt.Pool, nTiles)
-	defer release()
-
-	if k >= 2 {
-		return runBitsetFused(rule, wr, opt, p, scratch, tiles, k, pool, busyNS, finishObs, ro, maxRounds)
-	}
-
-	// Unfused multi-tile path: one barrier per round over the pool.
-	var changedCtr atomic.Int64
-	jobs := make([]func(), nTiles)
-	for t := range tiles {
-		t, lo, hi := t, tiles[t][0], tiles[t][1]
-		jobs[t] = func() {
-			var start time.Time
-			if rec != nil {
-				start = rec.Now()
-			}
-			n, words := p.stepRows(wr, lo, hi)
-			changedCtr.Add(int64(n))
-			pc.AddWords(int64(words))
-			if rec != nil {
-				busyNS[t] += rec.Now().Sub(start).Nanoseconds()
-			}
-		}
-	}
 
 	rounds := 0
 	for {
 		p.round = int32(rounds + 1)
-		pool.Run(jobs)
-		// All workers have passed the barrier, so the counter holds
-		// the complete round total and nobody touches it until the
-		// next round is released.
-		nchanged := int(changedCtr.Swap(0))
+		nchanged, words := p.step(wr)
+		pc.AddWords(int64(words))
 		if nchanged == 0 {
-			finishObs()
 			return &GenericResult[bool]{Labels: p.unpack(scratch), Rounds: rounds}, nil
 		}
 		p.swap()
@@ -441,7 +266,6 @@ func runBitset(env *Env, rule GenericRule[bool], opt GenericOptions[bool], worke
 			opt.OnRound(rounds, p.unpack(scratch))
 		}
 		if rounds > maxRounds {
-			finishObs()
 			return nil, fmt.Errorf("simnet: rule %q did not stabilize within %d rounds (non-monotone rule?)",
 				rule.Name(), maxRounds)
 		}

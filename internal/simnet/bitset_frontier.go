@@ -154,7 +154,7 @@ func (f *BitField) nbrLive(r, k int) (lw, le, ls, ln uint64) {
 // stepWordAt evaluates the kernel for word wi = (r, k) against the
 // current plane, returning the full next word (live lanes advanced,
 // non-live lanes pinned). Identical operand construction to
-// bitPlanes.stepRows; ghost and ghostBit carry the rule's ghost label
+// bitPlanes.step; ghost and ghostBit carry the rule's ghost label
 // into mesh-boundary reads (all-ones/one when the ghost is true).
 func (f *BitField) stepWordAt(wr WordRule, r, k int, ghost, ghostBit uint64) uint64 {
 	base := r * f.wpr

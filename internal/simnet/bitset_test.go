@@ -10,6 +10,7 @@ package simnet_test
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ocpmesh/internal/grid"
@@ -21,7 +22,7 @@ import (
 
 // checkBitsetShape pins bitset against sequential on one topology and
 // fault set: phase 1 under both definitions and phase 2 chained from
-// phase 1, at worker counts 1 (pure SWAR) and 3 (row bands).
+// phase 1.
 func checkBitsetShape(t *testing.T, topo *mesh.Topology, faults *grid.PointSet) {
 	t.Helper()
 	for _, def := range []status.SafetyDef{status.Def2a, status.Def2b} {
@@ -43,17 +44,15 @@ func checkBitsetShape(t *testing.T, topo *mesh.Topology, faults *grid.PointSet) 
 func checkBitsetPhase(t *testing.T, ctx string, env *simnet.Env, rule simnet.Rule, phase string) []bool {
 	t.Helper()
 	want, wantEvents := runTraced(t, simnet.Sequential(), env, rule, phase)
-	for _, w := range []int{1, 3} {
-		got, gotEvents := runTraced(t, simnet.Bitset(w), env, rule, phase)
-		if got.Rounds != want.Rounds {
-			t.Fatalf("%s: bitset w=%d rounds = %d, want %d", ctx, w, got.Rounds, want.Rounds)
-		}
-		if !reflect.DeepEqual(got.Labels, want.Labels) {
-			t.Fatalf("%s: bitset w=%d labels diverge from sequential", ctx, w)
-		}
-		if !reflect.DeepEqual(gotEvents, wantEvents) {
-			t.Fatalf("%s: bitset w=%d trace diverges:\nseq: %+v\ngot: %+v", ctx, w, wantEvents, gotEvents)
-		}
+	got, gotEvents := runTraced(t, simnet.Bitset(), env, rule, phase)
+	if got.Rounds != want.Rounds {
+		t.Fatalf("%s: bitset rounds = %d, want %d", ctx, got.Rounds, want.Rounds)
+	}
+	if !reflect.DeepEqual(got.Labels, want.Labels) {
+		t.Fatalf("%s: bitset labels diverge from sequential", ctx)
+	}
+	if !reflect.DeepEqual(gotEvents, wantEvents) {
+		t.Fatalf("%s: bitset trace diverges:\nseq: %+v\ngot: %+v", ctx, wantEvents, gotEvents)
 	}
 	return want.Labels
 }
@@ -138,13 +137,38 @@ func TestBitsetRandomMatrix(t *testing.T) {
 	}
 }
 
+// TestBitsetStartsNoGoroutines: a bitset formation runs entirely on the
+// calling goroutine, so no round observes more goroutines than existed
+// when the run started.
+func TestBitsetStartsNoGoroutines(t *testing.T) {
+	topo := mesh.MustNew(130, 40, mesh.Mesh2D)
+	env, err := simnet.NewEnv(topo, simnettest.RandomFaults(rand.New(rand.NewSource(9)), topo, 0.3), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	most := before
+	res, err := simnet.Bitset().Run(env, status.UnsafeRule(status.Def2b), simnet.Options{
+		OnRound: func(int, []bool) { most = max(most, runtime.NumGoroutine()) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rounds == 0 {
+		t.Fatal("formation converged in 0 rounds; OnRound never ran")
+	}
+	if most > before {
+		t.Fatalf("bitset run reached %d goroutines, started with %d", most, before)
+	}
+}
+
 // nonWordRule is a valid boolean rule without a StepWord kernel.
 type nonWordRule struct{}
 
-func (nonWordRule) Name() string                                { return "no-word-kernel" }
-func (nonWordRule) Init(*simnet.Env, grid.Point) bool           { return false }
-func (nonWordRule) GhostLabel() bool                            { return false }
-func (nonWordRule) FaultyLabel() bool                           { return true }
+func (nonWordRule) Name() string                      { return "no-word-kernel" }
+func (nonWordRule) Init(*simnet.Env, grid.Point) bool { return false }
+func (nonWordRule) GhostLabel() bool                  { return false }
+func (nonWordRule) FaultyLabel() bool                 { return true }
 func (nonWordRule) Step(_ *simnet.Env, _ grid.Point, cur bool, _ [4]bool) bool {
 	return cur
 }
@@ -157,7 +181,7 @@ func TestBitsetRequiresWordRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := simnet.Bitset(1).Run(env, nonWordRule{}, simnet.Options{}); err == nil {
+	if _, err := simnet.Bitset().Run(env, nonWordRule{}, simnet.Options{}); err == nil {
 		t.Fatal("bitset engine accepted a rule without StepWord")
 	}
 }

@@ -4,7 +4,7 @@ package simnet_test
 // engines must produce byte-identical labels, round counts, and
 // per-round trace event streams on the paper's actual phase rules —
 // phase 1 under both safety definitions and phase 2 on top of phase 1's
-// labels — over random meshes and tori, at every worker count. The
+// labels — over random meshes and tori. The
 // frontier engines compute the same fixpoint by worklist iteration, so
 // they are pinned on labels and rounds (their Msgs accounting
 // deliberately counts only recomputed nodes' links and is excluded from
@@ -13,7 +13,6 @@ package simnet_test
 import (
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"ocpmesh/internal/mesh"
@@ -22,22 +21,6 @@ import (
 	"ocpmesh/internal/simnet/simnettest"
 	"ocpmesh/internal/status"
 )
-
-// workerCounts is the worker-count matrix the bitset engine is pinned
-// at: degenerate (1), non-dividing (3), more workers than rows on small
-// meshes (8), and whatever this machine actually has.
-func workerCounts() []int {
-	counts := []int{1, 2, 3, 8, runtime.NumCPU()}
-	seen := map[int]bool{}
-	var out []int
-	for _, c := range counts {
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	return out
-}
 
 // runTraced runs one engine with a collecting recorder and returns the
 // result plus its ERound stream, with the emission bookkeeping fields
@@ -91,11 +74,7 @@ func checkPhase(t *testing.T, ctx string, env *simnet.Env, rule simnet.Rule, pha
 	t.Helper()
 	want, wantEvents := runTraced(t, simnet.Sequential(), env, rule, phase)
 
-	engines := []simnet.Engine{simnet.Channels()}
-	for _, w := range workerCounts() {
-		engines = append(engines, simnet.Bitset(w))
-	}
-	for _, eng := range engines {
+	for _, eng := range []simnet.Engine{simnet.Channels(), simnet.Bitset()} {
 		got, gotEvents := runTraced(t, eng, env, rule, phase)
 		if got.Rounds != want.Rounds {
 			t.Fatalf("%s: %s rounds = %d, want %d", ctx, eng.Name(), got.Rounds, want.Rounds)
@@ -171,9 +150,9 @@ func TestDifferentialEngines(t *testing.T) {
 	}
 }
 
-// TestDifferentialParallelDegenerate pins the multi-worker bitset engine
-// on shapes where the row-band tiling degenerates: a single row (every extra worker idle),
-// a single column, and worker counts far beyond the row count.
+// TestDifferentialParallelDegenerate pins the bitset engine on
+// degenerate shapes at a high fault density: a single row, a single
+// column, one node, and machines only a few nodes wide or tall.
 func TestDifferentialParallelDegenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := [][2]int{{12, 1}, {1, 12}, {5, 2}, {2, 5}, {1, 1}, {9, 9}}
@@ -185,11 +164,9 @@ func TestDifferentialParallelDegenerate(t *testing.T) {
 				t.Fatal(err)
 			}
 			want, _ := runTraced(t, simnet.Sequential(), env, status.UnsafeRule(status.Def2b), "p1")
-			for _, w := range []int{env.Topo.Height(), env.Topo.Height() + 7, 64} {
-				got, _ := runTraced(t, simnet.Bitset(w), env, status.UnsafeRule(status.Def2b), "p1")
-				if got.Rounds != want.Rounds || !reflect.DeepEqual(got.Labels, want.Labels) {
-					t.Fatalf("trial %d %v bitset w=%d: diverges from sequential", trial, env.Topo, w)
-				}
+			got, _ := runTraced(t, simnet.Bitset(), env, status.UnsafeRule(status.Def2b), "p1")
+			if got.Rounds != want.Rounds || !reflect.DeepEqual(got.Labels, want.Labels) {
+				t.Fatalf("trial %d %v bitset: diverges from sequential", trial, env.Topo)
 			}
 		}
 	}

@@ -41,9 +41,6 @@ type GenericOptions[T comparable] struct {
 	// Costs mirrors Options.Costs: the convergence observatory's
 	// per-phase cost collector, nil-safe and independent of Recorder.
 	Costs *costs.Phase
-	// Pool mirrors Options.Pool: a caller-owned worker pool for the
-	// bitset engine's row bands. Nil makes each run use a private pool.
-	Pool *WorkerPool
 }
 
 // GenericResult is the outcome of a generic run.

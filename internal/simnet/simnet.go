@@ -20,7 +20,7 @@
 //     large parameter sweeps; TestEnginesAgree pins it to ChannelEngine.
 //
 //   - BitsetEngine packs 64 labels per word and advances whole words per
-//     kernel call over row bands; it is the production engine behind
+//     kernel call on one goroutine; it is the production engine behind
 //     incremental formation, pinned to SeqEngine by the differential
 //     matrix.
 //
@@ -114,18 +114,13 @@ type Options struct {
 	// carries a tracker — records the last round each node's label
 	// changed. Independent of Recorder; a nil collector costs nothing.
 	Costs *costs.Phase
-	// Pool, when non-nil, is the worker pool the bitset engine's row
-	// bands fan out over instead of spawning goroutines per run; the
-	// caller owns it (and its Close). A pool too small for the run's tile
-	// count is ignored. Nil makes each run use a private pool.
-	Pool *WorkerPool
 }
 
 // generic converts Engine options to the generic runners' options.
 func (o Options) generic() GenericOptions[bool] {
 	return GenericOptions[bool]{
 		MaxRounds: o.MaxRounds, OnRound: o.OnRound,
-		Recorder: o.Recorder, Phase: o.Phase, Costs: o.Costs, Pool: o.Pool,
+		Recorder: o.Recorder, Phase: o.Phase, Costs: o.Costs,
 	}
 }
 

@@ -48,7 +48,7 @@ func (flipRule) FaultyLabel() bool                                   { return fa
 func (flipRule) Step(_ *Env, _ grid.Point, cur bool, _ [4]bool) bool { return !cur }
 func (flipRule) StepWord(cur, _, _, _, _ uint64) uint64              { return ^cur }
 
-func engines() []Engine { return []Engine{Sequential(), Channels(), Bitset(3)} }
+func engines() []Engine { return []Engine{Sequential(), Channels(), Bitset()} }
 
 func mustEnv(t *testing.T, topo *mesh.Topology, faults *grid.PointSet) *Env {
 	t.Helper()
@@ -229,7 +229,7 @@ func TestEnginesAgree(t *testing.T) {
 		env := mustEnv(t, topo, faults)
 
 		seq, seqEvents := traceRun(t, Sequential(), env, "p")
-		for _, eng := range []Engine{Channels(), Bitset(1), Bitset(2), Bitset(5)} {
+		for _, eng := range []Engine{Channels(), Bitset()} {
 			got, gotEvents := traceRun(t, eng, env, "p")
 			if seq.Rounds != got.Rounds {
 				t.Fatalf("trial %d (%v): rounds differ: seq=%d %s=%d",

@@ -35,7 +35,7 @@ func (r *Runner) ChurnCost(arrivalsPerRun int) ([]*stats.Series, error) {
 	rec := r.cfg.Recorder
 	formCfg := core.Config{
 		Width: r.cfg.Width, Height: r.cfg.Height, Kind: r.cfg.Kind,
-		Safety: status.Def2b, Engine: r.cfg.Engine, Workers: r.cfg.EngineWorkers,
+		Safety: status.Def2b, Engine: r.cfg.Engine,
 		Recorder: rec,
 	}
 	topo, err := mesh.New(r.cfg.Width, r.cfg.Height, r.cfg.Kind)

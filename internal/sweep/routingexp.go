@@ -41,7 +41,7 @@ func (r *Runner) RoutingComparison(pairsPerRun int) ([]*stats.Series, error) {
 	formCfg := core.Config{
 		Width: r.cfg.Width, Height: r.cfg.Height, Kind: r.cfg.Kind,
 		Safety:       status.Def2a, // the block model the paper improves on
-		Connectivity: region.Conn8, Engine: r.cfg.Engine, Workers: r.cfg.EngineWorkers,
+		Connectivity: region.Conn8, Engine: r.cfg.Engine,
 		Recorder: rec,
 	}
 	topo, err := mesh.New(r.cfg.Width, r.cfg.Height, r.cfg.Kind)

@@ -48,10 +48,6 @@ type Config struct {
 	// Engine selects the fixpoint engine (sequential by default; the
 	// engines are result-equivalent, see simnet).
 	Engine core.EngineKind
-	// EngineWorkers is the per-formation row-band count of the bitset
-	// engine (0 = GOMAXPROCS): used when Engine is core.EngineBitset, and
-	// by the churn experiment's sessions, which always run on it.
-	EngineWorkers int
 	// Workers is the number of goroutines evaluating sweep cells
 	// concurrently; 0 means runtime.GOMAXPROCS(0). Each (f, replication)
 	// cell owns a seed-derived RNG, so results are identical at any
@@ -146,7 +142,7 @@ func (r *Runner) Sweep(def status.SafetyDef, gen func(f int) fault.Generator, me
 	rec := r.cfg.Recorder
 	formCfg := core.Config{
 		Width: r.cfg.Width, Height: r.cfg.Height, Kind: r.cfg.Kind,
-		Safety: def, Connectivity: region.Conn8, Engine: r.cfg.Engine, Workers: r.cfg.EngineWorkers,
+		Safety: def, Connectivity: region.Conn8, Engine: r.cfg.Engine,
 		Recorder: rec, Costs: r.cfg.Costs, StrictInvariants: r.cfg.StrictInvariants,
 	}
 	topo, err := mesh.New(r.cfg.Width, r.cfg.Height, r.cfg.Kind)

@@ -44,7 +44,7 @@ func (r *Runner) WormholeComparison(flowsPerRun, packetLen int) ([]*stats.Series
 	rec := r.cfg.Recorder
 	formCfg := core.Config{
 		Width: r.cfg.Width, Height: r.cfg.Height, Kind: r.cfg.Kind,
-		Safety: status.Def2a, Connectivity: region.Conn8, Engine: r.cfg.Engine, Workers: r.cfg.EngineWorkers,
+		Safety: status.Def2a, Connectivity: region.Conn8, Engine: r.cfg.Engine,
 		Recorder: rec,
 	}
 	topo, err := mesh.New(r.cfg.Width, r.cfg.Height, r.cfg.Kind)
