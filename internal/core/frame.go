@@ -1,0 +1,240 @@
+package core
+
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+	"sync"
+
+	"ocpmesh/internal/grid"
+	"ocpmesh/internal/mesh"
+	"ocpmesh/internal/region"
+)
+
+// Frame is one published formation state in packed form: the fault set,
+// the region structures, and frozen copies of both label planes as
+// 64-lane words (the grid.BitGrid layout). Label tests are bit tests and
+// counts are popcounts, so publishing and reading a frame never touches
+// a []bool plane. Result materializes the []bool form on first use, for
+// the consumers that walk labels cell by cell (the walk-based routers,
+// disjoint paths). A Frame is immutable and safe for concurrent use.
+//
+// The planes are stored in fixed-size word chunks, and a session's
+// consecutive frames share every chunk whose words did not change, so a
+// small delta publishes O(changed chunks) of new plane memory.
+type Frame struct {
+	// Topo is the machine.
+	Topo *mesh.Topology
+	// Faults is the fault set in row-major order. Immutable: a session
+	// replaces its list on every delta instead of editing it.
+	Faults FaultList
+	// Blocks and Regions are shared with the session that published the
+	// frame (deltas replace them, never mutate them).
+	Blocks  []*region.Region
+	Regions []*region.Region
+	// RoundsPhase1/RoundsPhase2 are the initial formation's rounds, as
+	// on Result.
+	RoundsPhase1, RoundsPhase2 int
+
+	unsafe, enabled plane
+
+	once sync.Once
+	res  *Result
+}
+
+// chunkWords is the number of plane words per shared chunk: 4 KB, 64
+// rows of a 512-wide mesh. A small delta copies one or two chunks per
+// plane, and a few large live chunks keep a long-serving session's heap
+// from fragmenting as deltas replace them.
+const chunkWords = 512
+
+// plane is a frozen label plane: the grid.BitGrid words in order, cut
+// into chunks of chunkWords (the last one shorter). Chunks are never
+// mutated, so frames share them freely.
+type plane [][]uint64
+
+// freeze returns words as a plane, reusing every chunk of prev (the
+// previous frame's plane of the same session, or nil) whose words are
+// unchanged and copying the rest.
+func freeze(words []uint64, prev plane) plane {
+	out := make(plane, (len(words)+chunkWords-1)/chunkWords)
+	for c := range out {
+		src := words[c*chunkWords : min((c+1)*chunkWords, len(words))]
+		if c < len(prev) && sameWords(prev[c], src) {
+			out[c] = prev[c]
+		} else {
+			out[c] = slices.Clone(src)
+		}
+	}
+	return out
+}
+
+// sameWords reports whether two equal-length chunks hold the same
+// words, without a branch per word.
+func sameWords(a, b []uint64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	b = b[:len(a)]
+	var d0, d1, d2, d3 uint64
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		d0 |= a[i] ^ b[i]
+		d1 |= a[i+1] ^ b[i+1]
+		d2 |= a[i+2] ^ b[i+2]
+		d3 |= a[i+3] ^ b[i+3]
+	}
+	for ; i < len(a); i++ {
+		d0 |= a[i] ^ b[i]
+	}
+	return d0|d1|d2|d3 == 0
+}
+
+// get returns cell p of a plane over topo, panicking off the machine
+// like Result's accessors.
+func (pl plane) get(topo *mesh.Topology, p grid.Point) bool {
+	if !topo.Contains(p) {
+		panic(fmt.Sprintf("core: %v outside %v", p, topo))
+	}
+	wi := p.Y*((topo.Width()+63)/64) + p.X/64
+	return pl[wi/chunkWords][wi%chunkWords]>>(uint(p.X)%64)&1 != 0
+}
+
+func (pl plane) count() int {
+	n := 0
+	for _, chunk := range pl {
+		for _, w := range chunk {
+			n += bits.OnesCount64(w)
+		}
+	}
+	return n
+}
+
+// bools unpacks a plane over topo into a row-major []bool.
+func (pl plane) bools(topo *mesh.Topology) []bool {
+	g := grid.NewBitGrid(topo.Width(), topo.Height())
+	words := g.Words()
+	for c, chunk := range pl {
+		copy(words[c*chunkWords:], chunk)
+	}
+	return g.Bools(nil)
+}
+
+// FaultList is a fault set as a row-major sorted point list: the
+// immutable form a Frame publishes, cheap to replace per delta where a
+// hash set would have to be cloned.
+type FaultList []grid.Point
+
+// Len returns the number of faults.
+func (l FaultList) Len() int { return len(l) }
+
+// Has reports whether p is faulty, by binary search.
+func (l FaultList) Has(p grid.Point) bool {
+	_, ok := slices.BinarySearchFunc(l, p, comparePoints)
+	return ok
+}
+
+// Points returns a copy of the faults in row-major order.
+func (l FaultList) Points() []grid.Point { return slices.Clone(l) }
+
+// Set returns the faults as a new PointSet.
+func (l FaultList) Set() *grid.PointSet { return grid.PointSetOf(l...) }
+
+// Equal reports whether l and s hold the same points.
+func (l FaultList) Equal(s *grid.PointSet) bool {
+	if len(l) != s.Len() {
+		return false
+	}
+	for _, p := range l {
+		if !s.Has(p) {
+			return false
+		}
+	}
+	return true
+}
+
+// apply returns l with ps added (add) or removed, as a new list: l
+// itself may be shared by published frames.
+func (l FaultList) apply(ps []grid.Point, add bool) FaultList {
+	ps = slices.Clone(ps)
+	slices.SortFunc(ps, comparePoints)
+	ps = slices.Compact(ps)
+	out := make(FaultList, 0, len(l)+len(ps))
+	i, j := 0, 0
+	for i < len(l) || j < len(ps) {
+		switch {
+		case j == len(ps) || i < len(l) && l[i].Less(ps[j]):
+			out = append(out, l[i])
+			i++
+		case i == len(l) || ps[j].Less(l[i]):
+			if add {
+				out = append(out, ps[j])
+			}
+			j++
+		default: // the same point on both sides
+			if add {
+				out = append(out, l[i])
+			}
+			i++
+			j++
+		}
+	}
+	return out
+}
+
+func comparePoints(a, b grid.Point) int {
+	switch {
+	case a.Less(b):
+		return -1
+	case b.Less(a):
+		return 1
+	}
+	return 0
+}
+
+// IsFaulty reports whether p is faulty.
+func (f *Frame) IsFaulty(p grid.Point) bool { return f.Faults.Has(p) }
+
+// IsUnsafe reports whether p is unsafe (phase 1).
+func (f *Frame) IsUnsafe(p grid.Point) bool { return f.unsafe.get(f.Topo, p) }
+
+// IsEnabled reports whether p is enabled (phase 2).
+func (f *Frame) IsEnabled(p grid.Point) bool { return f.enabled.get(f.Topo, p) }
+
+// UnsafeCount and EnabledCount return the number of unsafe and enabled
+// nodes, by popcount over the plane words.
+func (f *Frame) UnsafeCount() int  { return f.unsafe.count() }
+func (f *Frame) EnabledCount() int { return f.enabled.count() }
+
+// DisabledNonfaultyCount equals Result.DisabledNonfaultyCount: faulty
+// nodes are disabled and disabled nodes are unsafe, so the disabled
+// nonfaulty nodes are exactly the nodes that are neither enabled nor
+// faulty.
+func (f *Frame) DisabledNonfaultyCount() int {
+	return f.Topo.Size() - f.EnabledCount() - f.Faults.Len()
+}
+
+// UnsafeWords and EnabledWords return the packed planes' words in the
+// grid.BitGrid.Words order (row-major, zero padding bits), as
+// consecutive chunks: concatenated, they are the plane. Read-only.
+func (f *Frame) UnsafeWords() [][]uint64  { return f.unsafe }
+func (f *Frame) EnabledWords() [][]uint64 { return f.enabled }
+
+// Result returns the frame as a Result with []bool label planes and a
+// PointSet fault set, unpacked on the first call and shared by every
+// later one. The region structures are the frame's own.
+func (f *Frame) Result() *Result {
+	f.once.Do(func() {
+		f.res = &Result{
+			Topo:         f.Topo,
+			Faults:       f.Faults.Set(),
+			Unsafe:       f.unsafe.bools(f.Topo),
+			Enabled:      f.enabled.bools(f.Topo),
+			Blocks:       f.Blocks,
+			Regions:      f.Regions,
+			RoundsPhase1: f.RoundsPhase1,
+			RoundsPhase2: f.RoundsPhase2,
+		}
+	})
+	return f.res
+}

@@ -1,0 +1,162 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"ocpmesh/internal/grid"
+	"ocpmesh/internal/mesh"
+)
+
+// TestFrameMatchesResult churns sessions on shapes around the 64-lane
+// word boundary and on a torus, and after every delta pins the packed
+// Frame to the []bool Result: bit tests, popcounts and the disabled
+// count cell for cell, the frame's words equal to packing the Result's
+// planes, and the lazily materialized Result equal to Session.Result
+// (the same region pointers, one materialization shared by concurrent
+// callers). A frame held from the start must not change under the
+// later deltas.
+func TestFrameMatchesResult(t *testing.T) {
+	for _, shape := range []struct {
+		w, h int
+		kind mesh.Kind
+	}{{65, 3, mesh.Mesh2D}, {130, 7, mesh.Mesh2D}, {14, 11, mesh.Mesh2D}, {20, 17, mesh.Torus2D}} {
+		t.Run(fmt.Sprintf("%v/%dx%d", shape.kind, shape.w, shape.h), func(t *testing.T) {
+			cfg := Config{Width: shape.w, Height: shape.h, Kind: shape.kind}
+			rng := rand.New(rand.NewSource(int64(shape.w + 100*shape.h)))
+			s, err := NewSession(cfg, []grid.Point{grid.Pt(1, 1), grid.Pt(shape.w-2, shape.h-1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			held := s.Frame()
+			heldUnsafe := slices.Concat(held.UnsafeWords()...)
+			heldEnabled := slices.Concat(held.EnabledWords()...)
+			heldFaults := slices.Clone(held.Faults)
+			for step := 0; step < 30; step++ {
+				p := grid.Pt(rng.Intn(shape.w), rng.Intn(shape.h))
+				switch r := rng.Intn(6); {
+				case r < 2 && s.Faults().Len() > 0:
+					pts := s.Faults().Points()
+					q := pts[rng.Intn(len(pts))]
+					_, err = s.RemoveFaults(q, q, p) // a duplicate and maybe a non-fault
+				case r == 2 && s.Faults().Len() > 0:
+					// An already-faulty point and a duplicate.
+					_, err = s.AddFaults(s.Faults().Points()[0], p, p)
+				case r == 3:
+					// Rejected before any mutation: the list must not move.
+					if _, err := s.AddFaults(p, grid.Pt(-1, 0)); err == nil {
+						t.Fatalf("step %d: a point off the machine was accepted", step)
+					}
+				default:
+					_, err = s.AddFaults(p, grid.Pt(rng.Intn(shape.w), rng.Intn(shape.h)))
+				}
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				checkFrame(t, fmt.Sprintf("step %d", step), s.Frame(), s.Result())
+			}
+			if !slices.Equal(slices.Concat(held.UnsafeWords()...), heldUnsafe) || !slices.Equal(slices.Concat(held.EnabledWords()...), heldEnabled) || !slices.Equal(held.Faults, heldFaults) {
+				t.Fatal("a held frame changed under later deltas")
+			}
+		})
+	}
+}
+
+func checkFrame(t *testing.T, tag string, fr *Frame, want *Result) {
+	t.Helper()
+	if !fr.Faults.Equal(want.Faults) || !slices.IsSortedFunc(fr.Faults, comparePoints) || len(slices.Compact(slices.Clone(fr.Faults))) != len(fr.Faults) {
+		t.Fatalf("%s: fault list %v is not the sorted fault set %v", tag, fr.Faults, want.Faults.Points())
+	}
+	n := want.Topo.Size()
+	unsafe, enabled := 0, 0
+	for i := 0; i < n; i++ {
+		p := want.Topo.PointAt(i)
+		if fr.IsFaulty(p) != want.IsFaulty(p) || fr.IsUnsafe(p) != want.IsUnsafe(p) || fr.IsEnabled(p) != want.IsEnabled(p) {
+			t.Fatalf("%s: labels at %v differ from the Result", tag, p)
+		}
+		if want.Unsafe[i] {
+			unsafe++
+		}
+		if want.Enabled[i] {
+			enabled++
+		}
+	}
+	if fr.UnsafeCount() != unsafe || fr.EnabledCount() != enabled {
+		t.Fatalf("%s: counts %d/%d, want %d/%d", tag, fr.UnsafeCount(), fr.EnabledCount(), unsafe, enabled)
+	}
+	if got, w := fr.DisabledNonfaultyCount(), want.DisabledNonfaultyCount(); got != w {
+		t.Fatalf("%s: DisabledNonfaultyCount %d, want %d", tag, got, w)
+	}
+	packed := grid.NewBitGrid(want.Topo.Width(), want.Topo.Height())
+	packed.SetBools(want.Unsafe)
+	if !slices.Equal(slices.Concat(fr.UnsafeWords()...), packed.Words()) {
+		t.Fatalf("%s: unsafe words differ from the packed Result plane", tag)
+	}
+	packed.SetBools(want.Enabled)
+	if !slices.Equal(slices.Concat(fr.EnabledWords()...), packed.Words()) {
+		t.Fatalf("%s: enabled words differ from the packed Result plane", tag)
+	}
+
+	// Concurrent first calls share one materialization.
+	results := make([]*Result, 4)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i] = fr.Result()
+		}(i)
+	}
+	wg.Wait()
+	got := results[0]
+	for _, r := range results[1:] {
+		if r != got {
+			t.Fatalf("%s: Frame.Result materialized more than once", tag)
+		}
+	}
+	if got.Topo != want.Topo || !got.Faults.Equal(want.Faults) || !slices.Equal(got.Unsafe, want.Unsafe) || !slices.Equal(got.Enabled, want.Enabled) {
+		t.Fatalf("%s: materialized Result differs from Session.Result", tag)
+	}
+	if !slices.Equal(got.Blocks, want.Blocks) || !slices.Equal(got.Regions, want.Regions) {
+		t.Fatalf("%s: materialized Result does not share the session's region pointers", tag)
+	}
+	if got.RoundsPhase1 != want.RoundsPhase1 || got.RoundsPhase2 != want.RoundsPhase2 {
+		t.Fatalf("%s: rounds %d/%d, want %d/%d", tag, got.RoundsPhase1, got.RoundsPhase2, want.RoundsPhase1, want.RoundsPhase2)
+	}
+}
+
+// TestFrameSharesUnchangedChunks pins the copy-on-write publication: a
+// one-fault delta far from the rest leaves all but a few plane chunks
+// shared with the previous frame, and the previous frame still reads
+// its own state.
+func TestFrameSharesUnchangedChunks(t *testing.T) {
+	s, err := NewSession(Config{Width: 512, Height: 512}, []grid.Point{grid.Pt(10, 10), grid.Pt(11, 11)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.Frame()
+	if _, err := s.AddFaults(grid.Pt(400, 300)); err != nil {
+		t.Fatal(err)
+	}
+	after := s.Frame()
+	for name, pair := range map[string][2]plane{
+		"unsafe": {before.unsafe, after.unsafe}, "enabled": {before.enabled, after.enabled},
+	} {
+		copied := 0
+		for c := range pair[1] {
+			if &pair[0][c][0] != &pair[1][c][0] {
+				copied++
+			}
+		}
+		if copied == 0 || copied > 2 {
+			t.Fatalf("%s: %d of %d chunks copied for a one-fault delta, want 1 or 2", name, copied, len(pair[1]))
+		}
+	}
+	if before.IsUnsafe(grid.Pt(400, 300)) || !after.IsUnsafe(grid.Pt(400, 300)) || !after.IsFaulty(grid.Pt(400, 300)) {
+		t.Fatal("frames do not read their own states")
+	}
+	checkFrame(t, "after", after, s.Result())
+}

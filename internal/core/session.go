@@ -22,6 +22,12 @@ type Delta = incremental.Delta
 type Session struct {
 	cfg   Config
 	field *incremental.Field
+	// faults mirrors the field's fault set as the sorted list frames
+	// publish; every delta replaces it.
+	faults FaultList
+	// last is the latest Frame, whose unchanged plane chunks the next
+	// Frame shares.
+	last *Frame
 }
 
 // NewSession computes a full formation for the initial fault list and
@@ -45,7 +51,7 @@ func NewSessionOn(cfg Config, topo *mesh.Topology, faults *grid.PointSet) (*Sess
 	if err != nil {
 		return nil, fmt.Errorf("core: session: %w", err)
 	}
-	return &Session{cfg: cfg, field: field}, nil
+	return newSession(cfg, field), nil
 }
 
 // RestoreSession rebuilds a session from a previously snapshotted
@@ -61,7 +67,11 @@ func RestoreSession(cfg Config, topo *mesh.Topology, faults *grid.PointSet, unsa
 	if err != nil {
 		return nil, fmt.Errorf("core: session: %w", err)
 	}
-	return &Session{cfg: cfg, field: field}, nil
+	return newSession(cfg, field), nil
+}
+
+func newSession(cfg Config, field *incremental.Field) *Session {
+	return &Session{cfg: cfg, field: field, faults: field.Faults().Points()}
 }
 
 // AddFaults marks the given nodes faulty and restabilizes the formation
@@ -70,6 +80,7 @@ func RestoreSession(cfg Config, topo *mesh.Topology, faults *grid.PointSet, unsa
 // behind.
 func (s *Session) AddFaults(ps ...grid.Point) (Delta, error) {
 	d, err := s.field.Add(ps...)
+	s.syncFaults(ps, true, d, err)
 	if err != nil {
 		_ = s.cfg.Recorder.Flush()
 		return d, err
@@ -82,11 +93,24 @@ func (s *Session) AddFaults(ps ...grid.Point) (Delta, error) {
 // like AddFaults.
 func (s *Session) RemoveFaults(ps ...grid.Point) (Delta, error) {
 	d, err := s.field.Remove(ps...)
+	s.syncFaults(ps, false, d, err)
 	if err != nil {
 		_ = s.cfg.Recorder.Flush()
 		return d, err
 	}
 	return d, nil
+}
+
+// syncFaults brings the sorted fault list in line with the field after
+// a delta over ps: a merge when the delta applied, a rebuild from the
+// field's set when it failed partway.
+func (s *Session) syncFaults(ps []grid.Point, add bool, d Delta, err error) {
+	switch {
+	case err != nil:
+		s.faults = s.field.Faults().Points()
+	case d.Points > 0:
+		s.faults = s.faults.apply(ps, add)
+	}
 }
 
 // Result snapshots the current formation as a Result, interchangeable
@@ -112,6 +136,32 @@ func (s *Session) Result() *Result {
 		RoundsPhase1: initialRounds1(f),
 		RoundsPhase2: initialRounds2(f),
 	}
+}
+
+// Frame snapshots the current formation as an immutable packed Frame:
+// frozen word chunks of both label planes and the sorted fault list,
+// with the region structures shared exactly as in Result. Chunks whose
+// words are unchanged since the previous Frame are shared with it, so
+// it compares O(plane words), allocates O(changed chunks), and never
+// touches the []bool label mirrors; this is what a server publishes per
+// batch. Frame().Result() equals Result().
+func (s *Session) Frame() *Frame {
+	f := s.field
+	var lastUnsafe, lastEnabled plane
+	if s.last != nil {
+		lastUnsafe, lastEnabled = s.last.unsafe, s.last.enabled
+	}
+	s.last = &Frame{
+		Topo:         f.Topo(),
+		Faults:       s.faults,
+		Blocks:       f.Blocks(),
+		Regions:      f.Regions(),
+		RoundsPhase1: initialRounds1(f),
+		RoundsPhase2: initialRounds2(f),
+		unsafe:       freeze(f.UnsafeBits().Words(), lastUnsafe),
+		enabled:      freeze(f.EnabledBits().Words(), lastEnabled),
+	}
+	return s.last
 }
 
 // fieldConfig maps a formation Config onto the incremental field's.

@@ -112,18 +112,27 @@ func (g *BitGrid) Fill(v bool) {
 }
 
 // SetBools loads a row-major []bool of length Width*Height (the label
-// vector layout used by mesh.Topology.Index).
+// vector layout used by mesh.Topology.Index). It packs one 64-lane word
+// at a time, row by row, so no cell pays a division or a branch; lanes past the row
+// end are never set, which keeps the padding bits zero.
 func (g *BitGrid) SetBools(vals []bool) {
 	if len(vals) != g.width*g.height {
 		panic(fmt.Sprintf("grid: SetBools got %d values, want %d", len(vals), g.width*g.height))
 	}
-	for i := range g.words {
-		g.words[i] = 0
-	}
-	for i, v := range vals {
-		if v {
-			x, y := i%g.width, i/g.width
-			g.words[y*g.wpr+x/64] |= 1 << (uint(x) % 64)
+	for y := 0; y < g.height; y++ {
+		row := vals[y*g.width : (y+1)*g.width]
+		words := g.words[y*g.wpr : (y+1)*g.wpr]
+		for k := range words {
+			lanes := row[k*64 : min(k*64+64, len(row))]
+			var w uint64
+			for i, v := range lanes {
+				var bit uint64
+				if v {
+					bit = 1
+				}
+				w |= bit << uint(i)
+			}
+			words[k] = w
 		}
 	}
 }

@@ -140,3 +140,46 @@ func TestBitGridPanics(t *testing.T) {
 	expectPanic("Set out of range", func() { g.Set(0, -1, true) })
 	expectPanic("SetBools short", func() { g.SetBools(make([]bool, 3)) })
 }
+
+// TestBitGridSetBoolsRows pins the word-at-a-time SetBools against Get
+// cell by cell on widths around the word boundary, over a grid whose
+// previous contents were all ones (so a stale word or padding lane
+// would show).
+func TestBitGridSetBoolsRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, w := range []int{1, 63, 64, 65, 130} {
+		for h := 1; h <= 3; h++ {
+			g := NewBitGrid(w, h)
+			g.Fill(true)
+			vals := make([]bool, w*h)
+			for i := range vals {
+				vals[i] = rng.Intn(2) == 0
+			}
+			g.SetBools(vals)
+			checkPadding(t, g)
+			for y := 0; y < h; y++ {
+				for x := 0; x < w; x++ {
+					if g.Get(x, y) != vals[y*w+x] {
+						t.Fatalf("%dx%d: Get(%d,%d) = %t, want %t", w, h, x, y, g.Get(x, y), vals[y*w+x])
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkBitGridSetBools packs one 512x512 label plane.
+func BenchmarkBitGridSetBools(b *testing.B) {
+	const side = 512
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]bool, side*side)
+	for i := range vals {
+		vals[i] = rng.Intn(2) == 0
+	}
+	g := NewBitGrid(side, side)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.SetBools(vals)
+	}
+}

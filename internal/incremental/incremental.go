@@ -277,6 +277,12 @@ func (f *Field) Unsafe() []bool { return f.unsafe }
 // Enabled returns the current phase-2 label field. Read-only.
 func (f *Field) Enabled() []bool { return f.enabled }
 
+// UnsafeBits and EnabledBits return the packed mirrors of Unsafe and
+// Enabled (padding bits zero). Read-only, and mutated in place by the
+// next delta: publishers copy what they keep.
+func (f *Field) UnsafeBits() *grid.BitGrid  { return f.ubits.Labels() }
+func (f *Field) EnabledBits() *grid.BitGrid { return f.ebits.Labels() }
+
 // Blocks returns the current faulty blocks in canonical order. Read-only.
 func (f *Field) Blocks() []*region.Region { return f.blocks }
 

@@ -55,8 +55,11 @@ type Region struct {
 	minSet bool
 }
 
-// canonical returns the row-major minimal node of the region, memoized.
-func (r *Region) canonical() grid.Point {
+// Canonical returns the row-major minimal node of the region, the key
+// region lists are ordered by. It is memoized on first use; extract and
+// UpdateRegions compute it for every region they return, so calls on a
+// published list only read.
+func (r *Region) Canonical() grid.Point {
 	if !r.minSet {
 		r.min = minNode(r)
 		r.minSet = true
@@ -239,7 +242,7 @@ func UpdateRegions(topo *mesh.Topology, faults *grid.PointSet, labels []bool, wa
 	// in canonical order (this function's own postcondition), and a
 	// subsequence of a sorted list stays sorted, so survivors merge in
 	// O(len(old)) without re-keying and re-sorting the whole list.
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i].canonical().Less(fresh[j].canonical()) })
+	sort.Slice(fresh, func(i, j int) bool { return fresh[i].Canonical().Less(fresh[j].Canonical()) })
 	out := make([]*Region, 0, len(fresh)+len(old))
 	fi := 0
 	for _, r := range old {
@@ -250,11 +253,11 @@ func UpdateRegions(topo *mesh.Topology, faults *grid.PointSet, labels []bool, wa
 		// them, so both conditions hold for every cell or for none — one
 		// representative-cell membership test decides survival in O(1)
 		// instead of a walk over the region's area.
-		p := r.canonical()
+		p := r.Canonical()
 		if hot.Contains(p) && (touched.Has(p) || seen.Has(p)) {
 			continue
 		}
-		for fi < len(fresh) && fresh[fi].canonical().Less(p) {
+		for fi < len(fresh) && fresh[fi].Canonical().Less(p) {
 			out = append(out, fresh[fi])
 			fi++
 		}

@@ -113,7 +113,7 @@ func (idxRouter) Name() string { return "indexed" }
 
 // Route implements routing.Router.
 func (r idxRouter) Route(g *routing.Graph, src, dst grid.Point) (routing.Path, error) {
-	if g.Result() != r.ix.res || g.Model() != r.ix.model {
+	if g.Result() != r.ix.Result() || g.Model() != r.ix.model {
 		return nil, fmt.Errorf("routeidx: router compiled for a different snapshot or model than the graph")
 	}
 	return r.ix.Route(src, dst)

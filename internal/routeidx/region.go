@@ -1,7 +1,8 @@
 package routeidx
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"ocpmesh/internal/grid"
 	"ocpmesh/internal/mesh"
@@ -31,7 +32,6 @@ type ringPos struct {
 // unchanged whenever the region's own cells did not change — the result
 // is byte-identical to recompiling, by construction.
 type regionIdx struct {
-	cells  *grid.PointSet
 	bounds grid.Rect
 	size   int
 	// rowRuns[y-bounds.MinY] and colRuns[x-bounds.MinX] hold the sorted
@@ -56,10 +56,8 @@ type regionIdx struct {
 // compileRegion builds the compiled form of one obstacle.
 func compileRegion(topo *mesh.Topology, cells *grid.PointSet) *regionIdx {
 	r := &regionIdx{
-		cells:  cells,
 		bounds: cells.Bounds(),
 		size:   cells.Len(),
-		pos:    make(map[ringStep]ringPos),
 	}
 	pts := cells.Points()
 	grid.SortPoints(pts) // row-major: y, then x
@@ -75,12 +73,12 @@ func compileRegion(topo *mesh.Topology, cells *grid.PointSet) *regionIdx {
 		i = j
 	}
 
-	colPts := append([]grid.Point(nil), pts...)
-	sort.Slice(colPts, func(i, j int) bool {
-		if colPts[i].X != colPts[j].X {
-			return colPts[i].X < colPts[j].X
+	colPts := slices.Clone(pts)
+	slices.SortFunc(colPts, func(a, b grid.Point) int {
+		if c := cmp.Compare(a.X, b.X); c != 0 {
+			return c
 		}
-		return colPts[i].Y < colPts[j].Y
+		return cmp.Compare(a.Y, b.Y)
 	})
 	r.colRuns = make([][]xrun, r.bounds.MaxX-r.bounds.MinX+1)
 	for i := 0; i < len(colPts); {
@@ -103,7 +101,7 @@ func compileRegion(topo *mesh.Topology, cells *grid.PointSet) *regionIdx {
 	for _, b := range pts {
 		for _, d := range mesh.Directions {
 			c, ok := topo.NeighborIn(b, d)
-			if !ok || cells.Has(c) {
+			if !ok || r.has(c) {
 				continue
 			}
 			blocked := d.Opposite() // the greedy step c -> b that got blocked
@@ -111,18 +109,47 @@ func compileRegion(topo *mesh.Topology, cells *grid.PointSet) *regionIdx {
 		}
 	}
 
-	cornerSet := grid.NewPointSet()
 	for _, ring := range r.rings {
 		for i, s := range ring {
 			next := ring[(i+1)%len(ring)]
 			if next.h != s.h {
-				cornerSet.Add(s.p)
+				r.corners = append(r.corners, s.p)
 			}
 		}
 	}
-	r.corners = cornerSet.Points()
 	grid.SortPoints(r.corners)
+	r.corners = slices.Compact(r.corners)
 	return r
+}
+
+// has reports whether p is one of the region's cells, read off its row
+// runs (a disabled region, being orthogonally convex, has one per row).
+func (r *regionIdx) has(p grid.Point) bool {
+	if p.Y < r.bounds.MinY || p.Y > r.bounds.MaxY {
+		return false
+	}
+	for _, run := range r.rowRuns[p.Y-r.bounds.MinY] {
+		if int(run.lo) <= p.X && p.X <= int(run.hi) {
+			return true
+		}
+	}
+	return false
+}
+
+// eachRun calls fn for every row run (row true, line y) and column run
+// (row false, line x) of the region — its contribution to the global
+// interval tables.
+func (r *regionIdx) eachRun(fn func(row bool, line int, run xrun)) {
+	for i, runs := range r.rowRuns {
+		for _, run := range runs {
+			fn(true, r.bounds.MinY+i, run)
+		}
+	}
+	for i, runs := range r.colRuns {
+		for _, run := range runs {
+			fn(false, r.bounds.MinX+i, run)
+		}
+	}
 }
 
 // trace follows the idealized wall-following automaton from start until
@@ -130,34 +157,66 @@ func compileRegion(topo *mesh.Topology, cells *grid.PointSet) *regionIdx {
 // cycle, or exhausts the budget. Only the cyclic part is registered:
 // ring following relies on modular successor arithmetic, which is
 // meaningless for tail states.
+//
+// The cycle is found with Brent's algorithm, so the trajectory itself is
+// never stored: a contour that follows the mesh border runs to
+// thousands of states, and only its ring is kept. Every state the
+// search visits is checked against registered cycles and dead ends, so
+// the trace stops wherever a step-by-step walk would. A cycle whose
+// closing state lies past the budget is not registered; Brent's search
+// meets it within three times that distance.
 func (r *regionIdx) trace(topo *mesh.Topology, start ringStep, budget int) {
 	if _, ok := r.pos[start]; ok {
 		return
 	}
-	seen := make(map[ringStep]int32)
-	var traj []ringStep
-	st := start
-	for len(traj) <= budget {
-		if j, ok := seen[st]; ok {
-			ring := append([]ringStep(nil), traj[j:]...)
-			ri := int32(len(r.rings))
-			for i, s := range ring {
-				r.pos[s] = ringPos{ring: ri, idx: int32(i)}
-			}
-			r.rings = append(r.rings, ring)
+	tortoise, hare := start, start
+	power, lam := 1, 0
+	for steps := 0; ; steps++ {
+		if steps > 3*budget+3 {
 			return
 		}
-		if _, ok := r.pos[st]; ok {
-			return // tail into a previously registered cycle
-		}
-		seen[st] = int32(len(traj))
-		traj = append(traj, st)
-		nst, ok := r.wallStep(topo, st)
+		next, ok := r.wallStep(topo, hare)
 		if !ok {
 			return // isolated pocket of the idealized map
 		}
-		st = nst
+		if _, ok := r.pos[next]; ok {
+			return // tail into a previously registered cycle
+		}
+		hare = next
+		lam++
+		if hare == tortoise {
+			break
+		}
+		if lam == power {
+			tortoise, power, lam = hare, 2*power, 0
+		}
 	}
+	// The cycle starts at the first state mu whose lam-th successor is
+	// itself.
+	tortoise, hare = start, start
+	for i := 0; i < lam; i++ {
+		hare, _ = r.wallStep(topo, hare)
+	}
+	mu := 0
+	for tortoise != hare {
+		tortoise, _ = r.wallStep(topo, tortoise)
+		hare, _ = r.wallStep(topo, hare)
+		mu++
+	}
+	if mu+lam > budget {
+		return
+	}
+	ring := make([]ringStep, lam)
+	if r.pos == nil {
+		r.pos = make(map[ringStep]ringPos, lam)
+	}
+	ri := int32(len(r.rings))
+	for i := range ring {
+		ring[i] = tortoise
+		r.pos[tortoise] = ringPos{ring: ri, idx: int32(i)}
+		tortoise, _ = r.wallStep(topo, tortoise)
+	}
+	r.rings = append(r.rings, ring)
 }
 
 // wallStep is one step of Detour's right-hand rule on the idealized map:
@@ -165,7 +224,7 @@ func (r *regionIdx) trace(topo *mesh.Topology, start ringStep, budget int) {
 // first direction whose neighbor exists and is not a region cell.
 func (r *regionIdx) wallStep(topo *mesh.Topology, st ringStep) (ringStep, bool) {
 	for _, d := range [4]mesh.Direction{routing.TurnRight(st.h), st.h, routing.TurnLeft(st.h), st.h.Opposite()} {
-		if next, ok := topo.NeighborIn(st.p, d); ok && !r.cells.Has(next) {
+		if next, ok := topo.NeighborIn(st.p, d); ok && !r.has(next) {
 			return ringStep{p: next, h: d}, true
 		}
 	}
@@ -190,16 +249,10 @@ func detourCosts(ringLen, i, j int) (cw, ccw int) {
 // router itself replays rings step by step because leave-checks can cut
 // an episode short at any offset.
 func (ix *Index) DetourCosts(b grid.Point, from, to grid.Point, fromHeading, toHeading mesh.Direction) (cw, ccw int, ok bool) {
-	if b.Y < 0 || b.Y >= ix.h {
+	if !ix.inside(b) {
 		return 0, 0, false
 	}
-	var rp *regionIdx
-	for _, s := range ix.rows[b.Y] {
-		if int(s.lo) <= b.X && b.X <= int(s.hi) {
-			rp = s.reg
-			break
-		}
-	}
+	rp := ix.regionAt(b)
 	if rp == nil {
 		return 0, 0, false
 	}
@@ -215,13 +268,11 @@ func (ix *Index) DetourCosts(b grid.Point, from, to grid.Point, fromHeading, toH
 // Corners returns the sorted corner array of the region owning forbidden
 // cell b (nil when b is not forbidden). The caller must not mutate it.
 func (ix *Index) Corners(b grid.Point) []grid.Point {
-	if b.Y < 0 || b.Y >= ix.h {
+	if !ix.inside(b) {
 		return nil
 	}
-	for _, s := range ix.rows[b.Y] {
-		if int(s.lo) <= b.X && b.X <= int(s.hi) {
-			return s.reg.corners
-		}
+	if rp := ix.regionAt(b); rp != nil {
+		return rp.corners
 	}
 	return nil
 }

@@ -47,11 +47,11 @@ func (ix *Index) Hops(src, dst grid.Point) (int, error) {
 // inline, which is Detour's own wall step. Decisions, hop counts and
 // failure modes therefore match Detour on every query.
 func (ix *Index) run(src, dst grid.Point, buf routing.Path, wantPath bool) (routing.Path, int, error) {
-	topo := ix.topo
-	if !ix.allow(src) {
+	topo := ix.src.topo
+	if !ix.allowed(src) {
 		return buf, 0, &routing.UnroutableError{Role: "source", Point: src, Model: ix.model}
 	}
-	if !ix.allow(dst) {
+	if !ix.allowed(dst) {
 		return buf, 0, &routing.UnroutableError{Role: "destination", Point: dst, Model: ix.model}
 	}
 	path := buf[:0]
@@ -116,7 +116,7 @@ func (ix *Index) run(src, dst grid.Point, buf routing.Path, wantPath bool) (rout
 		// in Detour.
 		if topo.Dist(cur, dst) < hitDist {
 			if dir, ok := routing.DirToward(topo, cur, dst); ok {
-				if next, ok := topo.NeighborIn(cur, dir); ok && ix.allow(next) {
+				if next, ok := topo.NeighborIn(cur, dir); ok && ix.allowed(next) {
 					wall = false
 					if wantPath {
 						path = append(path, next)
@@ -138,7 +138,7 @@ func (ix *Index) run(src, dst grid.Point, buf routing.Path, wantPath bool) (rout
 			// probes before st.h for reasons (mesh border, this region's
 			// cells) that hold in the real map too, so st is Detour's
 			// choice whenever st.p is really allowed.
-			if ix.allow(st.p) {
+			if ix.allowed(st.p) {
 				ringAt = ni
 				heading = st.h
 				if wantPath {
@@ -158,7 +158,7 @@ func (ix *Index) run(src, dst grid.Point, buf routing.Path, wantPath bool) (rout
 			if !ok {
 				continue
 			}
-			if !ix.allow(next) {
+			if !ix.allowed(next) {
 				// Remember whose wall rejected the probe — the contour
 				// re-acquisition below follows that region's ring.
 				wallReg = ix.regionAt(next)
@@ -251,8 +251,24 @@ func (ix *Index) emit(path routing.Path, cur grid.Point, d mesh.Direction, count
 	return grid.Pt(x, y), path
 }
 
+// inside reports whether p lies on the machine.
+func (ix *Index) inside(p grid.Point) bool {
+	return p.X >= 0 && p.X < ix.w && p.Y >= 0 && p.Y < ix.h
+}
+
+// allowed reports whether p may carry traffic under the index's model:
+// inside the machine and in no obstacle (regionAt(p) == nil, read off
+// the forbidden-cell plane the row spans are mirrored into). The
+// obstacles partition exactly the cells the model forbids (disabled
+// regions, faulty blocks or fault components), so this is
+// routing.Model.Allowed with no label plane.
+func (ix *Index) allowed(p grid.Point) bool {
+	return ix.inside(p) && !ix.occ.has(p.X, p.Y)
+}
+
 // regionAt returns the compiled region owning obstacle cell p, nil for
-// allowed cells — one binary search on p's row table.
+// allowed cells — one binary search on p's row table. p must be inside
+// the machine.
 func (ix *Index) regionAt(p grid.Point) *regionIdx {
 	spans := ix.rows[p.Y]
 	i := sort.Search(len(spans), func(i int) bool { return int(spans[i].hi) >= p.X })

@@ -32,18 +32,26 @@
 // every precomputed cycle), the router falls back to running the
 // automaton inline for that episode — still exact, just not accelerated.
 //
+// The index reads no label plane. Its obstacles partition exactly the
+// cells the fault model forbids, so "allowed" is "inside the machine and
+// in no obstacle", answered from a forbidden-cell bit plane that mirrors
+// the row spans.
+//
 // Indexes are immutable once built and are published with snapshots
 // (atomic.Pointer, same discipline as internal/serve). Rebuild reuses
 // the per-region compilation of every region whose *region.Region
 // pointer survived the delta — region.UpdateRegions keeps survivor
-// pointers, and a region's compilation depends only on its own cells —
-// so steady-state delta cost is O(changed regions) plus reassembling the
-// interval tables of the rows and columns those regions touch.
+// pointers in canonical order, so one merge over the two obstacle lists
+// finds them, and a region's compilation depends only on its own cells.
+// The tables and the bit plane are edited copy-on-write, so steady-state
+// delta cost is O(changed regions) plus one copy of the table line
+// headers: the dropped regions' runs are deleted, the added ones'
+// inserted, and every other line and plane chunk is shared with the
+// previous index.
 package routeidx
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -70,7 +78,7 @@ type Options struct {
 // Stats describes the last (re)build of an index.
 type Stats struct {
 	// Regions is the obstacle count, Compiled how many were compiled
-	// from scratch by the last build, Reused how many were carried over
+	// from scratch by the last build, Reused how many were taken over
 	// pointer-identical from the previous index.
 	Regions, Compiled, Reused int
 }
@@ -85,42 +93,90 @@ type span struct {
 	reg    *regionIdx
 }
 
-// Index is an immutable routing index over one formation result. All
+// Index is an immutable routing index over one formation state. All
 // methods are safe for concurrent use; queries take no locks.
 type Index struct {
-	res     *core.Result
-	topo    *mesh.Topology
+	src     formation
 	model   routing.Model
 	opt     Options
 	maxHops int
 	w, h    int
 	torus   bool
-	allow   func(grid.Point) bool
 	regs    []*regionIdx
-	srcs    []*region.Region // parallel to regs; nil for synthetic fault components
+	srcs    []*region.Region // parallel to regs: the obstacle each was compiled from
 	rows    [][]span         // rows[y]: forbidden x spans, sorted by lo
 	cols    [][]span         // cols[x]: forbidden y spans, sorted by lo
+	occ     bitPlane         // the forbidden cells: the union of the row spans
 	stats   Stats
+}
+
+// formation is what an index is compiled from: the topology, fault set
+// and obstacle lists core.Result and core.Frame share, plus whichever of
+// the two it came from (Result and Frame hand it back). No label plane
+// is read: the obstacles are exactly the forbidden cells.
+type formation struct {
+	topo            *mesh.Topology
+	faults          faultSet
+	blocks, regions []*region.Region
+	res             *core.Result // set when compiled from a Result
+	frame           *core.Frame  // set when compiled from a Frame
+}
+
+// faultSet is the fault-set view the faults-only model compiles from,
+// met by *grid.PointSet (Result) and core.FaultList (Frame).
+type faultSet interface {
+	Points() []grid.Point
+	Has(grid.Point) bool
+}
+
+func ofResult(res *core.Result) formation {
+	return formation{topo: res.Topo, faults: res.Faults, blocks: res.Blocks, regions: res.Regions, res: res}
+}
+
+func ofFrame(f *core.Frame) formation {
+	return formation{topo: f.Topo, faults: f.Faults, blocks: f.Blocks, regions: f.Regions, frame: f}
 }
 
 // Compile builds the index for res under the given fault model.
 func Compile(res *core.Result, model routing.Model, opt Options) *Index {
-	return build(nil, res, model, opt)
+	return build(nil, ofResult(res), model, opt)
+}
+
+// CompileFrame is Compile over a published frame. It reads only the
+// frame's topology, faults and region lists, never its label planes.
+func CompileFrame(f *core.Frame, model routing.Model, opt Options) *Index {
+	return build(nil, ofFrame(f), model, opt)
 }
 
 // Rebuild compiles an index for a new result incrementally: regions
 // whose *region.Region pointer is shared with the previous result —
 // i.e. whose label sets did not change across the delta — keep their
-// compiled form. res must come from the same session (same topology) as
-// the previous index's result. Under ModelFaultsOnly obstacles are
-// synthesized fault components with no stable pointers, so Rebuild
-// degrades to a full recompile.
+// compiled form, and only the table rows and columns a changed region
+// covers are rewritten. res must come from the same session (same
+// topology) as the previous index's result. Under ModelFaultsOnly
+// obstacles are synthesized fault components with no stable pointers,
+// so Rebuild degrades to a full recompile.
 func (ix *Index) Rebuild(res *core.Result) *Index {
-	return build(ix, res, ix.model, ix.opt)
+	return build(ix, ofResult(res), ix.model, ix.opt)
 }
 
-// Result returns the formation result the index was compiled for.
-func (ix *Index) Result() *core.Result { return ix.res }
+// RebuildFrame is Rebuild over a published frame.
+func (ix *Index) RebuildFrame(f *core.Frame) *Index {
+	return build(ix, ofFrame(f), ix.model, ix.opt)
+}
+
+// Result returns the formation result the index was compiled for; an
+// index compiled from a frame materializes the frame's Result.
+func (ix *Index) Result() *core.Result {
+	if ix.src.res != nil {
+		return ix.src.res
+	}
+	return ix.src.frame.Result()
+}
+
+// Frame returns the frame the index was compiled from, nil when it was
+// compiled from a Result.
+func (ix *Index) Frame() *core.Frame { return ix.src.frame }
 
 // Model returns the fault model the index routes under.
 func (ix *Index) Model() routing.Model { return ix.model }
@@ -128,45 +184,54 @@ func (ix *Index) Model() routing.Model { return ix.model }
 // Stats returns the compile/reuse accounting of the last build.
 func (ix *Index) Stats() Stats { return ix.stats }
 
-func build(prev *Index, res *core.Result, model routing.Model, opt Options) *Index {
+func build(prev *Index, src formation, model routing.Model, opt Options) *Index {
 	start := time.Now()
-	topo := res.Topo
+	topo := src.topo
 	maxHops := opt.MaxHops
 	if maxHops == 0 {
 		maxHops = 4 * topo.Size()
 	}
 	ix := &Index{
-		res: res, topo: topo, model: model, opt: opt, maxHops: maxHops,
+		src: src, model: model, opt: opt, maxHops: maxHops,
 		w: topo.Width(), h: topo.Height(), torus: topo.Kind() == mesh.Torus2D,
 	}
-	ix.allow = allowFunc(res, model)
+	if prev != nil && (prev.w != ix.w || prev.h != ix.h) {
+		prev = nil
+	}
+	var prevSrcs []*region.Region
+	if prev != nil {
+		prevSrcs = prev.srcs
+	}
 
-	obstacles, srcs := obstaclesOf(res, model)
-	var prevByRegion map[*region.Region]*regionIdx
-	if prev != nil && len(prev.srcs) > 0 {
-		prevByRegion = make(map[*region.Region]*regionIdx, len(prev.srcs))
-		for i, src := range prev.srcs {
-			if src != nil {
-				prevByRegion[src] = prev.regs[i]
+	// Both obstacle lists are in canonical order and a delta keeps its
+	// survivors in order (region.UpdateRegions), so one merge finds every
+	// survivor by pointer: a previous obstacle passed over, or met at the
+	// same canonical node under another pointer, did not survive.
+	stable := model != routing.ModelFaultsOnly
+	ix.srcs = obstaclesOf(src, model)
+	ix.regs = make([]*regionIdx, len(ix.srcs))
+	var added, dropped []*regionIdx
+	j := 0
+	for i, r := range ix.srcs {
+		if stable {
+			for j < len(prevSrcs) && prevSrcs[j] != r && !r.Canonical().Less(prevSrcs[j].Canonical()) {
+				dropped = append(dropped, prev.regs[j])
+				j++
+			}
+			if j < len(prevSrcs) && prevSrcs[j] == r {
+				ix.regs[i] = prev.regs[j]
+				j++
+				continue
 			}
 		}
+		ix.regs[i] = compileRegion(topo, r.Nodes)
+		added = append(added, ix.regs[i])
 	}
-	carried := make(map[*regionIdx]bool, len(obstacles))
-	ix.stats.Regions = len(obstacles)
-	for i, cells := range obstacles {
-		var rp *regionIdx
-		if src := srcs[i]; src != nil && prevByRegion[src] != nil {
-			rp = prevByRegion[src]
-			carried[rp] = true
-			ix.stats.Reused++
-		} else {
-			rp = compileRegion(topo, cells)
-			ix.stats.Compiled++
-		}
-		ix.regs = append(ix.regs, rp)
-		ix.srcs = append(ix.srcs, srcs[i])
+	if prev != nil {
+		dropped = append(dropped, prev.regs[j:]...)
 	}
-	ix.buildTables(prev, carried)
+	ix.stats = Stats{Regions: len(ix.regs), Compiled: len(added), Reused: len(ix.regs) - len(added)}
+	ix.buildTables(prev, added, dropped)
 
 	if rec := opt.Recorder; rec != nil {
 		dur := time.Since(start).Nanoseconds()
@@ -182,120 +247,69 @@ func build(prev *Index, res *core.Result, model routing.Model, opt Options) *Ind
 	return ix
 }
 
-// buildTables assembles the global row/column interval tables. On an
-// incremental build only the rows and columns touched by a changed
-// region — compiled this round, or present before and gone now — are
-// reassembled; every other row's span slice is shared with the previous
-// index, which is what keeps steady-state delta cost O(changed regions).
-func (ix *Index) buildTables(prev *Index, carried map[*regionIdx]bool) {
-	dirtyRows := make([]bool, ix.h)
-	dirtyCols := make([]bool, ix.w)
-	ix.rows = make([][]span, ix.h)
-	ix.cols = make([][]span, ix.w)
-	if prev == nil || prev.w != ix.w || prev.h != ix.h {
-		for y := range dirtyRows {
-			dirtyRows[y] = true
-		}
-		for x := range dirtyCols {
-			dirtyCols[x] = true
-		}
-	} else {
-		copy(ix.rows, prev.rows)
-		copy(ix.cols, prev.cols)
-		mark := func(rp *regionIdx) {
-			for y := rp.bounds.MinY; y <= rp.bounds.MaxY; y++ {
-				dirtyRows[y] = true
-			}
-			for x := rp.bounds.MinX; x <= rp.bounds.MaxX; x++ {
-				dirtyCols[x] = true
-			}
-		}
-		for _, rp := range ix.regs {
-			if !carried[rp] {
-				mark(rp)
-			}
-		}
-		for _, rp := range prev.regs {
-			if !carried[rp] {
-				mark(rp)
-			}
-		}
-		for y, dirty := range dirtyRows {
-			if dirty {
-				ix.rows[y] = nil
-			}
-		}
-		for x, dirty := range dirtyCols {
-			if dirty {
-				ix.cols[x] = nil
-			}
-		}
+// buildTables derives the global row/column interval tables and the
+// forbidden-cell plane from the previous index's (empty ones on a first
+// compile): every run of a dropped region is deleted and every run of an
+// added region inserted. Lines and plane chunks no changed region
+// covers stay shared with the previous index, so steady-state delta
+// cost is O(changed regions' runs) plus one copy of the line headers,
+// not O(all regions).
+func (ix *Index) buildTables(prev *Index, added, dropped []*regionIdx) {
+	var prevRows, prevCols [][]span
+	var prevOcc bitPlane
+	if prev != nil {
+		prevRows, prevCols, prevOcc = prev.rows, prev.cols, prev.occ
 	}
-	for _, rp := range ix.regs {
-		for i, runs := range rp.rowRuns {
-			y := rp.bounds.MinY + i
-			if !dirtyRows[y] {
-				continue
+	rows := newTableEdit(prevRows, ix.h)
+	cols := newTableEdit(prevCols, ix.w)
+	occ := newPlaneEdit(prevOcc, ix.w, ix.h)
+	for _, rp := range dropped {
+		rp.eachRun(func(row bool, line int, r xrun) {
+			if row {
+				rows.remove(line, r.lo)
+				occ.setRun(line, r, false)
+			} else {
+				cols.remove(line, r.lo)
 			}
-			for _, r := range runs {
-				ix.rows[y] = append(ix.rows[y], span{lo: r.lo, hi: r.hi, reg: rp})
-			}
-		}
-		for i, runs := range rp.colRuns {
-			x := rp.bounds.MinX + i
-			if !dirtyCols[x] {
-				continue
-			}
-			for _, r := range runs {
-				ix.cols[x] = append(ix.cols[x], span{lo: r.lo, hi: r.hi, reg: rp})
-			}
-		}
+		})
 	}
-	for y, dirty := range dirtyRows {
-		if dirty {
-			sortSpans(ix.rows[y])
-		}
+	for _, rp := range added {
+		rp.eachRun(func(row bool, line int, r xrun) {
+			if row {
+				rows.insert(line, span{lo: r.lo, hi: r.hi, reg: rp})
+				occ.setRun(line, r, true)
+			} else {
+				cols.insert(line, span{lo: r.lo, hi: r.hi, reg: rp})
+			}
+		})
 	}
-	for x, dirty := range dirtyCols {
-		if dirty {
-			sortSpans(ix.cols[x])
-		}
-	}
+	ix.rows, ix.cols, ix.occ = rows.tab, cols.tab, occ.plane
 }
 
-func sortSpans(s []span) {
-	sort.Slice(s, func(i, j int) bool { return s[i].lo < s[j].lo })
-}
-
-// obstaclesOf partitions the forbidden cells of res under model into the
-// connected obstacles the index compiles. For ModelRegions and
-// ModelBlocks these are the formation's own region structures, whose
-// pointers are stable across deltas for unchanged components; for
-// ModelFaultsOnly the obstacles are 8-connected fault components
-// synthesized here, with no stable source pointers.
-func obstaclesOf(res *core.Result, model routing.Model) ([]*grid.PointSet, []*region.Region) {
-	var regs []*region.Region
+// obstaclesOf returns the obstacles the index compiles for model, in
+// canonical order; their cells partition the cells the model forbids.
+// For ModelRegions and ModelBlocks these are the formation's own region
+// structures, whose pointers are stable across deltas for unchanged
+// components; for ModelFaultsOnly they are 8-connected fault components
+// synthesized here, fresh on every build.
+func obstaclesOf(src formation, model routing.Model) []*region.Region {
 	switch model {
 	case routing.ModelRegions:
-		regs = res.Regions
+		return src.regions
 	case routing.ModelBlocks:
-		regs = res.Blocks
-	default:
-		comps := conn8Components(res.Topo, res.Faults)
-		return comps, make([]*region.Region, len(comps))
+		return src.blocks
 	}
-	sets := make([]*grid.PointSet, len(regs))
-	srcs := make([]*region.Region, len(regs))
-	for i, r := range regs {
-		sets[i] = r.Nodes
-		srcs[i] = r
+	comps := conn8Components(src.topo, src.faults)
+	out := make([]*region.Region, len(comps))
+	for i, c := range comps {
+		out[i] = &region.Region{Nodes: c, Faults: c}
 	}
-	return sets, srcs
+	return out
 }
 
 // conn8Components splits the fault set into 8-connected components
 // (wrap-aware on tori), in deterministic order.
-func conn8Components(topo *mesh.Topology, faults *grid.PointSet) []*grid.PointSet {
+func conn8Components(topo *mesh.Topology, faults faultSet) []*grid.PointSet {
 	pts := faults.Points()
 	grid.SortPoints(pts)
 	seen := make(map[grid.Point]bool, len(pts))
@@ -327,27 +341,6 @@ func conn8Components(topo *mesh.Topology, faults *grid.PointSet) []*grid.PointSe
 		comps = append(comps, comp)
 	}
 	return comps
-}
-
-// allowFunc returns the model's allowed-predicate with the plane lookup
-// inlined for the hot models; semantics are identical to
-// routing.Model.Allowed.
-func allowFunc(res *core.Result, model routing.Model) func(grid.Point) bool {
-	w, h := res.Topo.Width(), res.Topo.Height()
-	switch model {
-	case routing.ModelRegions:
-		plane := res.Enabled
-		return func(p grid.Point) bool {
-			return p.X >= 0 && p.X < w && p.Y >= 0 && p.Y < h && plane[p.Y*w+p.X]
-		}
-	case routing.ModelBlocks:
-		plane := res.Unsafe
-		return func(p grid.Point) bool {
-			return p.X >= 0 && p.X < w && p.Y >= 0 && p.Y < h && !plane[p.Y*w+p.X]
-		}
-	default:
-		return func(p grid.Point) bool { return model.Allowed(res, p) }
-	}
 }
 
 // Fingerprint serializes the index's complete content deterministically:

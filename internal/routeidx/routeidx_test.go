@@ -24,9 +24,10 @@ func formOn(t testing.TB, topo *mesh.Topology, safety status.SafetyDef, faults *
 }
 
 // checkCoverage pins the index's interval tables to the model's
-// forbidden set: every machine node is forbidden iff some row span
-// covers it, and the column table agrees. Everything else in the index
-// builds on this equivalence.
+// forbidden set, read off the label planes (routing.Model.Allowed):
+// every machine node is forbidden iff some row span covers it, the
+// column table agrees, and so does the index's label-free allowed
+// predicate. Everything else in the index builds on this equivalence.
 func checkCoverage(t *testing.T, ix *Index) {
 	t.Helper()
 	inSpans := func(spans []span, c int) bool {
@@ -37,8 +38,12 @@ func checkCoverage(t *testing.T, ix *Index) {
 		}
 		return false
 	}
-	for _, p := range ix.topo.Points() {
-		forbidden := !ix.allow(p)
+	res := ix.Result()
+	for _, p := range res.Topo.Points() {
+		forbidden := !ix.model.Allowed(res, p)
+		if ix.allowed(p) == forbidden {
+			t.Fatalf("allowed(%v) = %t, label planes say forbidden=%t", p, ix.allowed(p), forbidden)
+		}
 		if got := inSpans(ix.rows[p.Y], p.X); got != forbidden {
 			t.Fatalf("row table at %v: forbidden=%t, span=%t", p, forbidden, got)
 		}
@@ -159,9 +164,9 @@ func TestRouteIndexEdgeCaseSharedRow(t *testing.T) {
 	g := routing.NewGraph(res, routing.ModelRegions)
 	ix := Compile(res, routing.ModelRegions, Options{})
 	sharedRow := false
-	for _, spans := range ix.rows {
+	for y := 0; y < ix.h; y++ {
 		owners := map[*regionIdx]bool{}
-		for _, s := range spans {
+		for _, s := range ix.rows[y] {
 			owners[s.reg] = true
 		}
 		if len(owners) >= 2 {
@@ -222,7 +227,7 @@ func TestRouteIndexUnroutableEndpoints(t *testing.T) {
 	res := formOn(t, topo, status.Def2b, faults)
 	ix := Compile(res, routing.ModelRegions, Options{})
 	bad := grid.Pt(4, 4)
-	if ix.allow(bad) {
+	if ix.allowed(bad) {
 		t.Fatal("fixture expectation broken: fault point allowed")
 	}
 	_, err = ix.Route(bad, grid.Pt(0, 0))
@@ -341,7 +346,9 @@ func regionPtrSet(res *core.Result) map[interface{}]bool {
 // pins the incremental contract: after every delta the rebuilt index is
 // byte-identical (Fingerprint) to a from-scratch compilation, and the
 // number of regions compiled equals the number whose pointer changed —
-// O(changed regions), verified exactly rather than asymptotically.
+// O(changed regions), verified exactly rather than asymptotically. Two
+// index chains run side by side, one fed Session.Result and one fed
+// Session.Frame, and both must match the from-scratch Compile.
 func TestRouteIndexIncremental(t *testing.T) {
 	topo, err := mesh.New(40, 40, mesh.Mesh2D)
 	if err != nil {
@@ -357,6 +364,10 @@ func TestRouteIndexIncremental(t *testing.T) {
 	ix := Compile(s.Result(), routing.ModelRegions, Options{})
 	if ix.Stats().Compiled != len(s.Result().Regions) || ix.Stats().Reused != 0 {
 		t.Fatalf("initial stats %+v", ix.Stats())
+	}
+	fx := CompileFrame(s.Frame(), routing.ModelRegions, Options{})
+	if fx.Fingerprint() != ix.Fingerprint() {
+		t.Fatal("initial: CompileFrame differs from Compile")
 	}
 
 	steps := []struct {
@@ -383,10 +394,17 @@ func TestRouteIndexIncremental(t *testing.T) {
 		}
 		res := s.Result()
 		ix = ix.Rebuild(res)
+		fx = fx.RebuildFrame(s.Frame())
 
 		fresh := Compile(res, routing.ModelRegions, Options{})
 		if got, want := ix.Fingerprint(), fresh.Fingerprint(); got != want {
 			t.Fatalf("step %d: rebuilt index differs from from-scratch compile:\n--- rebuilt\n%s\n--- fresh\n%s", i, got, want)
+		}
+		if got, want := fx.Fingerprint(), fresh.Fingerprint(); got != want {
+			t.Fatalf("step %d: frame-rebuilt index differs from from-scratch compile:\n--- rebuilt\n%s\n--- fresh\n%s", i, got, want)
+		}
+		if fx.Stats() != ix.Stats() {
+			t.Fatalf("step %d: frame chain stats %+v, result chain %+v", i, fx.Stats(), ix.Stats())
 		}
 
 		prevPtrs := regionPtrSet(prevRes)
@@ -409,6 +427,64 @@ func TestRouteIndexIncremental(t *testing.T) {
 	}
 	if !sawReuse {
 		t.Fatal("churn sequence never reused a region compilation; the incremental path went untested")
+	}
+}
+
+// TestRouteIndexRebuildChurn runs random add/remove churn on shapes
+// around the word boundary and on a torus, under all three models, and
+// after every delta pins the frame-fed incremental index to a
+// from-scratch Compile: identical fingerprints, interval tables that
+// cover exactly the forbidden cells, and unchanged previous indexes
+// (the copy-on-write table edits must never reach a published index).
+func TestRouteIndexRebuildChurn(t *testing.T) {
+	models := []routing.Model{routing.ModelRegions, routing.ModelBlocks, routing.ModelFaultsOnly}
+	for _, shape := range []struct {
+		w, h int
+		kind mesh.Kind
+	}{{65, 3, mesh.Mesh2D}, {130, 7, mesh.Mesh2D}, {24, 24, mesh.Mesh2D}, {20, 18, mesh.Torus2D}} {
+		t.Run(fmt.Sprintf("%v/%dx%d", shape.kind, shape.w, shape.h), func(t *testing.T) {
+			topo, err := mesh.New(shape.w, shape.h, shape.kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(shape.w*31 + shape.h)))
+			faults := fault.Uniform{Count: shape.w * shape.h / 40}.Generate(topo, rng)
+			s, err := core.NewSessionOn(core.Config{Width: shape.w, Height: shape.h, Kind: shape.kind}, topo, faults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ixs := make([]*Index, len(models))
+			for m, model := range models {
+				ixs[m] = CompileFrame(s.Frame(), model, Options{})
+			}
+			for step := 0; step < 40; step++ {
+				pts := make([]grid.Point, 1+rng.Intn(3))
+				for i := range pts {
+					pts[i] = grid.Pt(rng.Intn(shape.w), rng.Intn(shape.h))
+				}
+				if rng.Intn(2) == 0 {
+					_, err = s.AddFaults(pts...)
+				} else {
+					_, err = s.RemoveFaults(s.Faults().Points()[:min(2, s.Faults().Len())]...)
+				}
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				fr := s.Frame()
+				for m, model := range models {
+					before := ixs[m].Fingerprint()
+					next := ixs[m].RebuildFrame(fr)
+					if ixs[m].Fingerprint() != before {
+						t.Fatalf("step %d %v: rebuild mutated the previous index", step, model)
+					}
+					if got, want := next.Fingerprint(), Compile(fr.Result(), model, Options{}).Fingerprint(); got != want {
+						t.Fatalf("step %d %v: rebuilt index differs from from-scratch compile:\n--- rebuilt\n%s\n--- fresh\n%s", step, model, got, want)
+					}
+					checkCoverage(t, next)
+					ixs[m] = next
+				}
+			}
+		})
 	}
 }
 

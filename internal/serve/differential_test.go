@@ -35,24 +35,34 @@ func assertServedMatchesFresh(t *testing.T, tag string, tn *serve.Tenant) {
 	if err != nil {
 		t.Fatalf("%s: config: %v", tag, err)
 	}
-	fresh, err := core.FormOn(cfg, snap.Res.Topo, snap.Res.Faults)
+	fresh, err := core.FormOn(cfg, snap.Frame.Topo, snap.Frame.Faults.Set())
 	if err != nil {
 		t.Fatalf("%s: fresh form: %v", tag, err)
 	}
-	if !snap.Res.Faults.Equal(fresh.Faults) {
+	if !snap.Frame.Faults.Equal(fresh.Faults) {
 		t.Fatalf("%s: served fault set differs from fresh", tag)
 	}
-	if !slices.Equal(snap.Res.Unsafe, fresh.Unsafe) {
-		t.Fatalf("%s: served unsafe plane differs from fresh form (faults=%d)", tag, snap.Res.Faults.Len())
+	if !slices.Equal(snap.Frame.Result().Unsafe, fresh.Unsafe) {
+		t.Fatalf("%s: served unsafe plane differs from fresh form (faults=%d)", tag, snap.Frame.Faults.Len())
 	}
-	if !slices.Equal(snap.Res.Enabled, fresh.Enabled) {
-		t.Fatalf("%s: served enabled plane differs from fresh form (faults=%d)", tag, snap.Res.Faults.Len())
+	if !slices.Equal(snap.Frame.Result().Enabled, fresh.Enabled) {
+		t.Fatalf("%s: served enabled plane differs from fresh form (faults=%d)", tag, snap.Frame.Faults.Len())
 	}
-	if err := sameRegions(snap.Res.Blocks, fresh.Blocks); err != nil {
+	if err := sameRegions(snap.Frame.Blocks, fresh.Blocks); err != nil {
 		t.Fatalf("%s: served faulty blocks differ: %v", tag, err)
 	}
-	if err := sameRegions(snap.Res.Regions, fresh.Regions); err != nil {
+	if err := sameRegions(snap.Frame.Regions, fresh.Regions); err != nil {
 		t.Fatalf("%s: served disabled regions differ: %v", tag, err)
+	}
+	if got, want := snap.Frame.DisabledNonfaultyCount(), fresh.DisabledNonfaultyCount(); got != want {
+		t.Fatalf("%s: frame counts %d disabled nonfaulty nodes, fresh form %d", tag, got, want)
+	}
+	if got, want := serve.StatusOf(tn).Disabled, fresh.DisabledNonfaultyCount(); got != want {
+		t.Fatalf("%s: status reports %d disabled nonfaulty nodes, fresh form %d", tag, got, want)
+	}
+	labels := serve.LabelsOf(snap)
+	if labels.Unsafe != serve.PackPlane(snap.Frame.Topo, fresh.Unsafe) || labels.Enabled != serve.PackPlane(snap.Frame.Topo, fresh.Enabled) {
+		t.Fatalf("%s: served plane words differ from the packed fresh planes", tag)
 	}
 }
 
@@ -161,7 +171,7 @@ func TestServeDifferentialRandom(t *testing.T) {
 					}
 				case r < 0.8: // query: the published snapshot matches the mirror
 					snap := tn.Snapshot()
-					if !snap.Res.Faults.Equal(m.faults) {
+					if !snap.Frame.Faults.Equal(m.faults) {
 						t.Fatalf("%s: served fault set diverged from the applied deltas", m.id)
 					}
 				default: // route query off the snapshot
@@ -190,7 +200,7 @@ func TestServeDifferentialRandom(t *testing.T) {
 				if err != nil {
 					t.Fatalf("tenant %s: %v", m.id, err)
 				}
-				if !tn.Snapshot().Res.Faults.Equal(m.faults) {
+				if !tn.Snapshot().Frame.Faults.Equal(m.faults) {
 					t.Fatalf("%s: final fault set diverged", m.id)
 				}
 				assertServedMatchesFresh(t, m.id+" final", tn)
@@ -350,17 +360,17 @@ func TestServeSnapshotLegacyParallelEngine(t *testing.T) {
 	check := func(tag string) {
 		t.Helper()
 		snap := restored.Snapshot()
-		want, err := core.FormOn(cfg, topo, snap.Res.Faults)
+		want, err := core.FormOn(cfg, topo, snap.Frame.Faults.Set())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(snap.Res.Unsafe, want.Unsafe) || !slices.Equal(snap.Res.Enabled, want.Enabled) {
+		if !slices.Equal(snap.Frame.Result().Unsafe, want.Unsafe) || !slices.Equal(snap.Frame.Result().Enabled, want.Enabled) {
 			t.Fatalf("%s: served labels differ from the sequential formation", tag)
 		}
-		if err := sameRegions(snap.Res.Blocks, want.Blocks); err != nil {
+		if err := sameRegions(snap.Frame.Blocks, want.Blocks); err != nil {
 			t.Fatalf("%s: blocks: %v", tag, err)
 		}
-		if err := sameRegions(snap.Res.Regions, want.Regions); err != nil {
+		if err := sameRegions(snap.Frame.Regions, want.Regions); err != nil {
 			t.Fatalf("%s: regions: %v", tag, err)
 		}
 	}

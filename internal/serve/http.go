@@ -291,10 +291,10 @@ func statusOf(t *Tenant) TenantStatus {
 		ID:            t.ID(),
 		Config:        t.Config(),
 		Seq:           snap.Seq,
-		Faults:        snap.Res.Faults.Len(),
-		Blocks:        len(snap.Res.Blocks),
-		Regions:       len(snap.Res.Regions),
-		Disabled:      snap.Res.DisabledNonfaultyCount(),
+		Faults:        snap.Frame.Faults.Len(),
+		Blocks:        len(snap.Frame.Blocks),
+		Regions:       len(snap.Frame.Regions),
+		Disabled:      snap.Frame.DisabledNonfaultyCount(),
 		DroppedEvents: t.Dropped(),
 		Features:      t.svc.Features(),
 	}
@@ -386,14 +386,20 @@ func (s *Server) labels(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := t.Snapshot()
 	s.observeQuery("labels", func() {
-		writeJSON(w, http.StatusOK, LabelsResponse{
-			Seq:     snap.Seq,
-			Width:   snap.Res.Topo.Width(),
-			Height:  snap.Res.Topo.Height(),
-			Unsafe:  packPlane(snap.Res.Topo, snap.Res.Unsafe),
-			Enabled: packPlane(snap.Res.Topo, snap.Res.Enabled),
-		})
+		writeJSON(w, http.StatusOK, labelsOf(snap))
 	})
+}
+
+// labelsOf encodes a snapshot's frame words directly, with no
+// repacking.
+func labelsOf(snap *Snapshot) LabelsResponse {
+	return LabelsResponse{
+		Seq:     snap.Seq,
+		Width:   snap.Frame.Topo.Width(),
+		Height:  snap.Frame.Topo.Height(),
+		Unsafe:  encodeWords(snap.Frame.UnsafeWords()),
+		Enabled: encodeWords(snap.Frame.EnabledWords()),
+	}
 }
 
 // RegionJSON is one region in a RegionsResponse.
@@ -447,8 +453,8 @@ func (s *Server) regions(w http.ResponseWriter, r *http.Request) {
 	s.observeQuery("regions", func() {
 		writeJSON(w, http.StatusOK, RegionsResponse{
 			Seq:     snap.Seq,
-			Blocks:  regionJSON(snap.Res.Blocks, withNodes),
-			Regions: regionJSON(snap.Res.Regions, withNodes),
+			Blocks:  regionJSON(snap.Frame.Blocks, withNodes),
+			Regions: regionJSON(snap.Frame.Regions, withNodes),
 		})
 	})
 }

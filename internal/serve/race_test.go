@@ -94,18 +94,17 @@ func TestServeConcurrentHammer(t *testing.T) {
 				}
 				lastSeq = snap.Seq
 				ok := true
-				snap.Res.Faults.Each(func(p grid.Point) {
-					i := snap.Res.Topo.Index(p)
-					if !snap.Res.Unsafe[i] || snap.Res.Enabled[i] {
+				for _, p := range snap.Frame.Faults {
+					if !snap.Frame.IsUnsafe(p) || snap.Frame.IsEnabled(p) {
 						ok = false
 					}
-				})
+				}
 				if !ok {
 					t.Error("torn snapshot: a faulty node is not unsafe/disabled")
 					return
 				}
-				if snap.Routes.Result() != snap.Res {
-					t.Error("snapshot's routing index was built over a different result")
+				if snap.Routes.Frame() != snap.Frame {
+					t.Error("snapshot's routing index was built over a different frame")
 					return
 				}
 
@@ -113,7 +112,11 @@ func TestServeConcurrentHammer(t *testing.T) {
 				dst := grid.Pt(rng.Intn(side), rng.Intn(side))
 				path, rsnap, err := hot.Route(src, dst, "regions", "indexed")
 				if err == nil {
-					if verr := path.Validate(rsnap.Res, routing.ModelRegions, src, dst); verr != nil {
+					if rsnap.Routes.Frame() != rsnap.Frame {
+						t.Errorf("route at seq %d answered by an index over another frame", rsnap.Seq)
+						return
+					}
+					if verr := path.Validate(rsnap.Frame.Result(), routing.ModelRegions, src, dst); verr != nil {
 						t.Errorf("indexed route %v -> %v at seq %d: %v", src, dst, rsnap.Seq, verr)
 						return
 					}
@@ -159,7 +162,7 @@ func TestServeConcurrentHammer(t *testing.T) {
 				// Nobody else touches p and this writer has nothing in
 				// flight, so any snapshot at or past the reply must show
 				// the delta's effect — coalescing may not drop it.
-				if snap.Res.Faults.Has(p) != (op == "add") {
+				if snap.Frame.Faults.Has(p) != (op == "add") {
 					t.Errorf("writer %d: delta %d (%s %v) dropped at seq %d", w, i, op, p, snap.Seq)
 					return
 				}
@@ -181,8 +184,8 @@ func TestServeConcurrentHammer(t *testing.T) {
 	for w := 0; w < writers; w++ {
 		wantFaults.Add(grid.Pt(2+3*w, 7))
 	}
-	if !snap.Res.Faults.Equal(wantFaults) {
-		t.Fatalf("final fault set %v, want %v", snap.Res.Faults.Points(), wantFaults.Points())
+	if !snap.Frame.Faults.Equal(wantFaults) {
+		t.Fatalf("final fault set %v, want %v", snap.Frame.Faults.Points(), wantFaults.Points())
 	}
 	assertServedMatchesFresh(t, "hot after hammer", hot)
 
@@ -191,7 +194,7 @@ func TestServeConcurrentHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Snapshot().Seq != 0 || cold.Snapshot().Res.Faults.Len() != 1 {
+	if cold.Snapshot().Seq != 0 || cold.Snapshot().Frame.Faults.Len() != 1 {
 		t.Fatal("cold tenant state changed under the hammer")
 	}
 
@@ -261,7 +264,7 @@ func TestServeBatchCoalescing(t *testing.T) {
 		t.Fatalf("final seq %d, want %d", snap.Seq, burst)
 	}
 	for i := 0; i < burst; i++ {
-		if !snap.Res.Faults.Has(grid.Pt(i, i)) {
+		if !snap.Frame.Faults.Has(grid.Pt(i, i)) {
 			t.Fatalf("delta %d lost in coalescing", i)
 		}
 	}
@@ -387,7 +390,7 @@ func TestServeResponseSeqCoversEffect(t *testing.T) {
 			if snap.Seq < resp.Seq {
 				t.Errorf("snapshot %d behind reply %d", snap.Seq, resp.Seq)
 			}
-			if !snap.Res.Faults.Has(p) {
+			if !snap.Frame.Faults.Has(p) {
 				t.Errorf("effect of %v missing from snapshot at seq %d", p, snap.Seq)
 			}
 		}(i)
@@ -397,11 +400,11 @@ func TestServeResponseSeqCoversEffect(t *testing.T) {
 	// library's answer.
 	snap := tn.Snapshot()
 	cfg, _ := tn.Config().CoreConfig()
-	fresh, err := core.FormOn(cfg, snap.Res.Topo, snap.Res.Faults)
+	fresh, err := core.FormOn(cfg, snap.Frame.Topo, snap.Frame.Faults.Set())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Res.Faults.Len() != fresh.Faults.Len() || len(snap.Res.Regions) != len(fresh.Regions) {
+	if snap.Frame.Faults.Len() != fresh.Faults.Len() || len(snap.Frame.Regions) != len(fresh.Regions) {
 		t.Fatal("served state diverged from library formation")
 	}
 }

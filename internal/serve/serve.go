@@ -141,19 +141,22 @@ type Event struct {
 	DurNS int64 `json:"dur_ns,omitempty"`
 }
 
-// Snapshot is one published formation state: an immutable core.Result
-// plus the delta sequence number it reflects. Readers share it; nothing
-// reachable from it is ever mutated after publication.
+// Snapshot is one published formation state: an immutable packed
+// core.Frame plus the delta sequence number it reflects. Readers share
+// it; nothing reachable from it is ever mutated after publication.
 type Snapshot struct {
 	// Seq counts applied delta requests: 0 is the initial formation,
 	// and the snapshot published after the batch containing request k
 	// has Seq >= k.
 	Seq uint64
-	// Res is the formation result, interchangeable with a from-scratch
-	// core.Form on the tenant's current fault set.
-	Res *core.Result
-	// Routes is the precompiled routing index over Res under the
-	// regions fault model (internal/routeidx). Immutable like Res, and
+	// Frame is the formation state: fault set, region lists and both
+	// label planes as frozen words. Frame.Result() is interchangeable
+	// with a from-scratch core.Form on the tenant's current fault set;
+	// it is unpacked only for the consumers that walk []bool planes
+	// (the xy, detour and bfs routers and disjoint paths).
+	Frame *core.Frame
+	// Routes is the precompiled routing index over Frame under the
+	// regions fault model (internal/routeidx). Immutable like Frame, and
 	// rebuilt incrementally at publication: only regions whose label
 	// sets changed across the batch are recompiled.
 	Routes *routeidx.Index
@@ -428,7 +431,7 @@ func (s *Service) Create(id string, tcfg TenantConfig, faults []grid.Point) (t *
 	// sameAs reports whether an existing tenant makes this create a
 	// no-op retry (identical config and fault set).
 	sameAs := func(old *Tenant) (t *Tenant, created bool, err error) {
-		if old.tcfg == tcfg && old.Snapshot().Res.Faults.Equal(fs) {
+		if old.tcfg == tcfg && old.Snapshot().Frame.Faults.Equal(fs) {
 			return old, false, nil
 		}
 		return nil, false, fmt.Errorf("%w: %q", ErrTenantExists, id)
@@ -487,19 +490,24 @@ func (s *Service) Restore(id string, snap *TenantSnapshot) (*Tenant, error) {
 	}
 	t := s.adopt(id, snap.Config, cfg, session)
 	t.seq = snap.Seq
-	res := session.Result()
-	t.snap.Store(&Snapshot{Seq: snap.Seq, Res: res, Routes: s.buildRoutes(t.snap.Load(), res, id)})
+	adopted := t.snap.Load()
+	t.snap.Store(&Snapshot{Seq: snap.Seq, Frame: adopted.Frame, Routes: adopted.Routes})
 	return t, nil
 }
 
-// buildRoutes compiles the routing index published with a snapshot,
-// rebuilding incrementally from the previous snapshot's index when one
-// exists (unchanged regions keep their compiled form).
-func (s *Service) buildRoutes(prev *Snapshot, res *core.Result, tenant string) *routeidx.Index {
-	if prev != nil && prev.Routes != nil {
-		return prev.Routes.Rebuild(res)
+// publish builds the snapshot for the session's current state: one
+// packed frame, and the routing index over it, rebuilt incrementally
+// from the previous snapshot's index when one exists (unchanged regions
+// keep their compiled form).
+func (s *Service) publish(prev *Snapshot, seq uint64, session *core.Session, tenant string) *Snapshot {
+	fr := session.Frame()
+	var ix *routeidx.Index
+	if prev != nil {
+		ix = prev.Routes.RebuildFrame(fr)
+	} else {
+		ix = routeidx.CompileFrame(fr, routing.ModelRegions, routeidx.Options{Recorder: s.opts.Recorder, Tenant: tenant})
 	}
-	return routeidx.Compile(res, routing.ModelRegions, routeidx.Options{Recorder: s.opts.Recorder, Tenant: tenant})
+	return &Snapshot{Seq: seq, Frame: fr, Routes: ix}
 }
 
 // adopt wires a freshly built session into the registry. Caller holds
@@ -511,8 +519,7 @@ func (s *Service) adopt(id string, tcfg TenantConfig, cfg core.Config, session *
 		requests: rec.Counter("serve_tenant_requests:" + id),
 		busyNS:   rec.Counter("serve_tenant_busy_ns:" + id),
 	}
-	res := session.Result()
-	t.snap.Store(&Snapshot{Seq: 0, Res: res, Routes: s.buildRoutes(nil, res, id)})
+	t.snap.Store(s.publish(nil, 0, session, id))
 	s.tenants[id] = t
 	s.tenantRefs[t.requests]++
 	rec.Counter("serve_tenants_created").Inc()
@@ -606,7 +613,7 @@ func (s *Service) Apply(id, op string, points []grid.Point) (Response, error) {
 		s.mu.RUnlock()
 		return Response{}, fmt.Errorf("%w: %q", ErrTenantNotFound, id)
 	}
-	topo := t.Snapshot().Res.Topo
+	topo := t.Snapshot().Frame.Topo
 	for _, p := range points {
 		if !topo.Contains(p) {
 			s.mu.RUnlock()
@@ -651,7 +658,13 @@ func (t *Tenant) Route(src, dst grid.Point, modelName, routerName string) (routi
 	if err != nil {
 		return nil, snap, err
 	}
-	g := routing.NewGraph(snap.Res, model)
+	if routerName == "indexed" && model == routing.ModelRegions {
+		// The index checks endpoints itself, with the same typed error
+		// the graph below returns, and reads no []bool plane.
+		path, err := snap.Routes.Route(src, dst)
+		return path, snap, err
+	}
+	g := routing.NewGraph(snap.Frame.Result(), model)
 	if err := g.CheckEndpoints(src, dst); err != nil {
 		return nil, snap, err
 	}
@@ -663,10 +676,7 @@ func (t *Tenant) Route(src, dst grid.Point, modelName, routerName string) (routi
 	case "", "detour":
 		path, err = routing.Detour{}.Route(g, src, dst)
 	case "indexed":
-		if model != routing.ModelRegions {
-			return nil, snap, fmt.Errorf("%w: the indexed router serves the regions model only (got %q)", ErrBadDelta, modelName)
-		}
-		path, err = snap.Routes.Route(src, dst)
+		return nil, snap, fmt.Errorf("%w: the indexed router serves the regions model only (got %q)", ErrBadDelta, modelName)
 	case "xy":
 		path, err = routing.XY{}.Route(g, src, dst)
 	case "bfs":
@@ -701,7 +711,7 @@ func (t *Tenant) RouteMany(qs []routeidx.Query, modelName, routerName string, pa
 		}
 		return snap.Routes.RouteMany(qs, routeidx.BatchOptions{Paths: paths}), snap, nil
 	case "detour":
-		g := routing.NewGraph(snap.Res, model)
+		g := routing.NewGraph(snap.Frame.Result(), model)
 		answers := make([]routeidx.Answer, len(qs))
 		var buf routing.Path
 		for i, q := range qs {
@@ -734,7 +744,7 @@ func (t *Tenant) DisjointPaths(src, dst grid.Point, k int, modelName string) (ro
 	if k < 1 || k > 8 {
 		return routing.DisjointResult{}, snap, fmt.Errorf("%w: k must be in [1, 8], got %d", ErrBadDelta, k)
 	}
-	out, err := routing.KDisjointPaths(routing.NewGraph(snap.Res, model), src, dst, k)
+	out, err := routing.KDisjointPaths(routing.NewGraph(snap.Frame.Result(), model), src, dst, k)
 	return out, snap, err
 }
 
@@ -912,8 +922,7 @@ func (s *Service) applyTenant(sh *shard, t *Tenant, reqs []request) {
 	// atomically at the new sequence number.
 	seq := t.seq
 	if mutated {
-		res := t.session.Result()
-		t.snap.Store(&Snapshot{Seq: seq, Res: res, Routes: s.buildRoutes(t.snap.Load(), res, t.id)})
+		t.snap.Store(s.publish(t.snap.Load(), seq, t.session, t.id))
 	}
 	dur := time.Since(start)
 	if mutated {

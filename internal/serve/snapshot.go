@@ -113,13 +113,14 @@ type TenantSnapshot struct {
 const snapshotVersion = 1
 
 // TakeSnapshot serializes the tenant's current published state.
-func (t *Tenant) TakeSnapshot() *TenantSnapshot {
-	snap := t.Snapshot()
-	res := snap.Res
-	pts := res.Faults.Points()
-	grid.SortPoints(pts)
-	faults := make([][2]int, len(pts))
-	for i, p := range pts {
+func (t *Tenant) TakeSnapshot() *TenantSnapshot { return t.serialize(t.Snapshot()) }
+
+// serialize encodes one published snapshot of the tenant. The planes
+// are the frame's own words, base64'd with no repacking.
+func (t *Tenant) serialize(snap *Snapshot) *TenantSnapshot {
+	fr := snap.Frame
+	faults := make([][2]int, len(fr.Faults))
+	for i, p := range fr.Faults {
 		faults[i] = [2]int{p.X, p.Y}
 	}
 	ts := &TenantSnapshot{
@@ -128,8 +129,8 @@ func (t *Tenant) TakeSnapshot() *TenantSnapshot {
 		Config:  t.tcfg,
 		Seq:     snap.Seq,
 		Faults:  faults,
-		Unsafe:  packPlane(res.Topo, res.Unsafe),
-		Enabled: packPlane(res.Topo, res.Enabled),
+		Unsafe:  encodeWords(fr.UnsafeWords()),
+		Enabled: encodeWords(fr.EnabledWords()),
 	}
 	ts.Checksum = ts.checksum()
 	return ts
@@ -204,20 +205,23 @@ func (ts *TenantSnapshot) checksum() string {
 	return fmt.Sprintf("fnv64a:%016x", h.Sum64())
 }
 
-// packPlane packs a row-major label vector into the BitGrid word layout
-// and encodes the words little-endian base64.
-func packPlane(topo *mesh.Topology, labels []bool) string {
-	bg := grid.NewBitGrid(topo.Width(), topo.Height())
-	bg.SetBools(labels)
-	words := bg.Words()
-	raw := make([]byte, 8*len(words))
-	for i, w := range words {
-		binary.LittleEndian.PutUint64(raw[8*i:], w)
+// encodeWords encodes a packed plane, given as consecutive word chunks
+// (core.Frame.UnsafeWords), little-endian base64.
+func encodeWords(chunks [][]uint64) string {
+	n := 0
+	for _, chunk := range chunks {
+		n += len(chunk)
+	}
+	raw := make([]byte, 0, 8*n)
+	for _, chunk := range chunks {
+		for _, w := range chunk {
+			raw = binary.LittleEndian.AppendUint64(raw, w)
+		}
 	}
 	return base64.StdEncoding.EncodeToString(raw)
 }
 
-// unpackPlane is the inverse of packPlane, validating the exact word
+// unpackPlane is the inverse of encodeWords, validating the exact word
 // count and the padding-bits-zero invariant.
 func unpackPlane(topo *mesh.Topology, s string) ([]bool, error) {
 	raw, err := base64.StdEncoding.DecodeString(s)

@@ -109,6 +109,10 @@ func (f *BitField) SetLive(i int, live bool) {
 	f.dirty.Add(wi)
 }
 
+// Labels returns the packed label plane itself. The caller must not
+// mutate it, and must copy what it keeps across later runs.
+func (f *BitField) Labels() *grid.BitGrid { return f.labels }
+
 // Bools appends the packed labels as a row-major []bool, see
 // grid.BitGrid.Bools.
 func (f *BitField) Bools(dst []bool) []bool { return f.labels.Bools(dst) }
