@@ -184,5 +184,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRegionOCP$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzServeDelta$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzRouteQuery$$' -fuzztime $(FUZZTIME) ./internal/routeidx
+	$(GO) test -run '^$$' -fuzz '^FuzzRegionRuns$$' -fuzztime $(FUZZTIME) ./internal/region
 
 check: build vet test race

@@ -138,7 +138,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		if !r.IsOrthogonallyConvex() {
 			convex = "NOT orthogonally convex (bug!)"
 		}
-		fmt.Fprintf(out, "  region %v  %d node(s), %d faulty — %s\n", r.Bounds(), r.Size(), r.Faults.Len(), convex)
+		fmt.Fprintf(out, "  region %v  %d node(s), %d faulty — %s\n", r.Bounds(), r.Size(), r.FaultCount(), convex)
 	}
 	if ratio, ok := res.EnabledRatio(); ok {
 		fmt.Fprintf(out, "reactivated %d of %d unsafe nonfaulty nodes (ratio %.3f)\n",

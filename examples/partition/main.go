@@ -35,8 +35,8 @@ func main() {
 
 	totalBefore, totalAfter := 0, 0
 	for i, r := range res.Regions {
-		cover := partition.Refine(r.Nodes, r.Faults)
-		before, after := r.NonfaultyCount(), cover.NonfaultyCount(r.Faults)
+		cover := partition.Refine(r.Nodes(), r.Faults())
+		before, after := r.NonfaultyCount(), cover.NonfaultyCount(r.Faults())
 		totalBefore += before
 		totalAfter += after
 		verdict := "already optimal under the canonical closure"
@@ -45,8 +45,8 @@ func main() {
 				before-after, len(cover.Polygons))
 		}
 		fmt.Printf("region %d: %d nodes, %d faulty, %d nonfaulty disabled — %s\n",
-			i, r.Size(), r.Faults.Len(), before, verdict)
-		if err := cover.Validate(r.Faults); err != nil {
+			i, r.Size(), r.FaultCount(), before, verdict)
+		if err := cover.Validate(r.Faults()); err != nil {
 			log.Fatalf("refined cover invalid: %v", err)
 		}
 	}

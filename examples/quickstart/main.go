@@ -38,7 +38,7 @@ func main() {
 	fmt.Printf("\nphase 2 (enabled/disabled, Definition 3): %d rounds\n", res.RoundsPhase2)
 	for i, r := range res.Regions {
 		fmt.Printf("  disabled region %d: %v — orthogonal convex: %t, corners all faulty: %t\n",
-			i, r.Nodes.Points(), r.IsOrthogonallyConvex(), len(r.Faults.Points()) > 0)
+			i, r.Nodes().Points(), r.IsOrthogonallyConvex(), len(r.Faults().Points()) > 0)
 	}
 
 	if ratio, ok := res.EnabledRatio(); ok {

@@ -339,7 +339,7 @@ func (r *Result) Validate(safety status.SafetyDef) error {
 		}
 		for i := 0; i < len(r.Blocks); i++ {
 			for j := i + 1; j < len(r.Blocks); j++ {
-				if d := torusSetDist(r.Topo, r.Blocks[i].Nodes, r.Blocks[j].Nodes); d < minDist {
+				if d := torusSetDist(r.Topo, r.Blocks[i].Nodes(), r.Blocks[j].Nodes()); d < minDist {
 					return fmt.Errorf("core: torus blocks %d and %d at distance %d < %d", i, j, d, minDist)
 				}
 			}

@@ -19,7 +19,7 @@ func ExampleForm() {
 	}
 	fmt.Printf("faulty block: %v\n", res.Blocks[0].Bounds())
 	for i, r := range res.Regions {
-		fmt.Printf("disabled region %d: %v\n", i, r.Nodes.Points())
+		fmt.Printf("disabled region %d: %v\n", i, r.Nodes().Points())
 	}
 	ratio, _ := res.EnabledRatio()
 	fmt.Printf("reactivated ratio: %.0f%%\n", 100*ratio)

@@ -111,8 +111,8 @@ func FuzzFormation(f *testing.F) {
 		}
 		covered := grid.NewPointSet()
 		for _, r := range res.Regions {
-			covered.Union(r.Faults)
-			for _, p := range r.Nodes.Points() {
+			covered.Union(r.Faults())
+			for _, p := range r.Nodes().Points() {
 				if !res.Unsafe[res.Topo.Index(p)] {
 					t.Fatalf("disabled node %v is safe", p)
 				}
@@ -179,7 +179,7 @@ func FuzzRegionOCP(f *testing.F) {
 			}
 			covered := grid.NewPointSet()
 			for _, r := range regs {
-				covered.Union(r.Faults)
+				covered.Union(r.Faults())
 			}
 			if !covered.Equal(res.Faults) {
 				t.Fatalf("conn=%v: regions cover %d of %d faults", conn, covered.Len(), res.Faults.Len())

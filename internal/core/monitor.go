@@ -112,7 +112,7 @@ func monitorForm(rec *obs.Recorder, fabric *costs.Fabric, engine string, res *Re
 		}
 		distinct := int64(0)
 		for _, blk := range res.Blocks {
-			blk.Nodes.Each(func(q grid.Point) {
+			blk.EachNode(func(q grid.Point) {
 				i := res.Topo.Index(q)
 				if tr[i] == 0 {
 					return
@@ -144,7 +144,7 @@ func monitorForm(rec *obs.Recorder, fabric *costs.Fabric, engine string, res *Re
 	for _, mp := range phases {
 		if tr := mp.pc.Tracker(); tr != nil && mp.clean {
 			for _, blk := range res.Blocks {
-				blk.Nodes.Each(func(q grid.Point) { tr[res.Topo.Index(q)] = 0 })
+				blk.EachNode(func(q grid.Point) { tr[res.Topo.Index(q)] = 0 })
 			}
 		}
 		mp.pc.Release(mp.clean)
@@ -169,7 +169,7 @@ func emitBlockConverge(rec *obs.Recorder, res *Result, pcs ...*costs.Phase) {
 				continue
 			}
 			last := int32(0)
-			blk.Nodes.Each(func(p grid.Point) {
+			blk.EachNode(func(p grid.Point) {
 				if r := tr[res.Topo.Index(p)]; r > last {
 					last = r
 				}

@@ -4,7 +4,7 @@
 // dirty frontier from the changed nodes and re-iterating only over the
 // frontier's closure (simnet.RunBitsetFrontier over persistent packed
 // label planes), then relabels only the touched faulty blocks and
-// disabled regions (region.UpdateRegions).
+// disabled regions (region.Builder.UpdateRegions).
 //
 // Correctness rests on two properties the repository's tests pin:
 //
@@ -99,19 +99,24 @@ type Field struct {
 
 	// Packed mirrors of unsafe/enabled plus per-lane liveness, kept in
 	// O(delta) sync with the []bool fields; deltas run the
-	// word-granularity frontier over them.
+	// word-granularity frontier over them. fbits is the fault plane, and
+	// rb floods blocks and regions over the planes.
 	ubits, ebits *simnet.BitField
+	fbits        *grid.BitGrid
+	rb           *region.Builder
 
 	// rounds of the initial full formation (reported by Session.Result
 	// until the first delta).
 	rounds1, rounds2 int
 
 	// Per-delta scratch reused across Add/Remove calls (a Field is
-	// single-threaded): the affected-area walk and the before-labels it
-	// is paired with, plus the frontier seed list.
-	areaPts    []grid.Point
-	areaBefore []bool
-	seed       []int
+	// single-threaded): the touched cells, the affected area, the area's
+	// node indexes and the before-labels they pair with, plus the
+	// frontier seed list.
+	touched, area []region.Run
+	areaIdx       []int
+	areaBefore    []bool
+	seed          []int
 }
 
 // New computes a full formation on topo for the given fault set and
@@ -194,8 +199,10 @@ func (f *Field) adopt(env *simnet.Env, unsafe, enabled []bool) error {
 		return err
 	}
 	f.unsafe, f.enabled = unsafe, enabled
-	f.blocks = region.FaultyBlocks(f.topo, f.faults, unsafe)
-	f.regions = region.DisabledRegions(f.topo, f.faults, enabled, f.cfg.Connectivity)
+	f.fbits = region.FaultPlane(f.topo, f.faults.Points())
+	f.rb = region.NewBuilder(f.topo, f.fbits)
+	f.blocks = f.rb.Build(f.ubits.Labels(), true, region.Conn4, nil)
+	f.regions = f.rb.Build(f.ebits.Labels(), false, f.cfg.Connectivity, nil)
 	return nil
 }
 
@@ -256,10 +263,23 @@ func (f *Field) setEnabled(i int, v bool) {
 }
 
 // setFault flips node i's liveness in both packed mirrors (faulty lanes
-// are pinned at their current label).
+// are pinned at their current label) and its bit in the fault plane.
 func (f *Field) setFault(i int, faulty bool) {
 	f.ubits.SetLive(i, !faulty)
 	f.ebits.SetLive(i, !faulty)
+	f.fbits.Set(i%f.topo.Width(), i/f.topo.Width(), faulty)
+}
+
+// cell returns p as a one-cell run.
+func cell(p grid.Point) region.Run { return region.Run{Y: p.Y, Lo: p.X, Hi: p.X} }
+
+// areaOf collects the runs of rs into the area scratch.
+func (f *Field) areaOf(rs []*region.Region) []region.Run {
+	f.area = f.area[:0]
+	for _, r := range rs {
+		f.area = append(f.area, r.Runs()...)
+	}
+	return f.area
 }
 
 // Topo returns the machine.
@@ -323,11 +343,11 @@ func (f *Field) Add(ps ...grid.Point) (Delta, error) {
 	// Phase 1: pin the new faults unsafe and propagate from their
 	// neighborhoods. Existing labels are the old fixpoint, which sits at
 	// or below the new one (the rule is monotone in the fault set).
-	touched1 := grid.NewPointSet()
+	touched := f.touched[:0]
 	seed := f.seed[:0]
 	for _, p := range added {
-		touched1.Add(p)
 		i := f.topo.Index(p)
+		touched = append(touched, cell(p))
 		if !f.unsafe[i] {
 			f.setUnsafe(i, true)
 			d.ChangedPhase1++
@@ -348,22 +368,25 @@ func (f *Field) Add(ps ...grid.Point) (Delta, error) {
 	d.RoundsPhase1 = fr1.Rounds
 	d.ChangedPhase1 += len(fr1.Changed)
 	for _, i := range fr1.Changed {
-		touched1.Add(f.topo.PointAt(i))
+		touched = append(touched, cell(f.topo.PointAt(i)))
 	}
+	f.touched = touched
 
 	// Phase 2: every enabled label the delta can affect lies in the
-	// footprints of the blocks the touched nodes now belong to. Reset
-	// those footprints to their initial labels (all footprint nodes are
-	// unsafe, hence initially disabled) and re-derive locally; the
-	// surrounding safe nodes are enabled and never change.
-	area := f.unsafeArea(touched1)
+	// footprints of the blocks the touched nodes now belong to — the
+	// fresh blocks of the block update. Reset those footprints to their
+	// initial labels (all footprint nodes are unsafe, hence initially
+	// disabled) and re-derive locally; the surrounding safe nodes are
+	// enabled and never change.
+	var fresh []*region.Region
+	f.blocks, fresh = f.rb.UpdateRegions(f.ubits.Labels(), true, region.Conn4, f.blocks, touched)
+	area := f.areaOf(fresh)
 	d.ChangedPhase2, d.RoundsPhase2, err = f.recomputeEnabled(area)
 	if err != nil {
 		return Delta{}, err
 	}
 
-	f.blocks = region.UpdateRegions(f.topo, f.faults, f.unsafe, true, region.Conn4, f.blocks, touched1)
-	f.regions = region.UpdateRegions(f.topo, f.faults, f.enabled, false, f.cfg.Connectivity, f.regions, area)
+	f.regions, _ = f.rb.UpdateRegions(f.ebits.Labels(), false, f.cfg.Connectivity, f.regions, area)
 	f.observe(d, start)
 	return d, nil
 }
@@ -391,8 +414,13 @@ func (f *Field) Remove(ps ...grid.Point) (Delta, error) {
 	start := f.startDelta()
 
 	// The affected area: the full footprints of the blocks the removed
-	// faults belong to, computed on the labels before the removal.
-	area := f.unsafeArea(grid.PointSetOf(removed...))
+	// faults belong to, flooded on the labels before the removal.
+	seeds := f.touched[:0]
+	for _, p := range removed {
+		seeds = append(seeds, cell(p))
+	}
+	f.touched = seeds
+	area := f.areaOf(f.rb.Build(f.ubits.Labels(), true, region.Conn4, seeds))
 	for _, p := range removed {
 		f.faults.Remove(p)
 		f.setFault(f.topo.Index(p), false)
@@ -403,17 +431,19 @@ func (f *Field) Remove(ps ...grid.Point) (Delta, error) {
 	// faults unsafe, everything else safe) and recompute the closure of
 	// the remaining faults inside.
 	seed := f.seed[:0]
-	area.Each(func(p grid.Point) {
-		i := f.topo.Index(p)
-		now := f.faults.Has(p)
-		if f.unsafe[i] != now {
-			f.setUnsafe(i, now)
-			d.ChangedPhase1++ // provisional; corrected after the fixpoint below
+	for _, r := range area {
+		for x := r.Lo; x <= r.Hi; x++ {
+			i := r.Y*f.topo.Width() + x
+			now := f.fbits.Get(x, r.Y)
+			if f.unsafe[i] != now {
+				f.setUnsafe(i, now)
+				d.ChangedPhase1++ // provisional; corrected after the fixpoint below
+			}
+			if !now {
+				seed = append(seed, i)
+			}
 		}
-		if !now {
-			seed = append(seed, i)
-		}
-	})
+	}
 	f.seed = seed
 	d.Frontier = len(seed)
 	fr1, err := f.runFrontier(env, status.UnsafeRule(f.cfg.Safety), f.unsafe, f.ubits, seed, "phase1")
@@ -430,64 +460,41 @@ func (f *Field) Remove(ps ...grid.Point) (Delta, error) {
 		return Delta{}, err
 	}
 
-	f.blocks = region.UpdateRegions(f.topo, f.faults, f.unsafe, true, region.Conn4, f.blocks, area)
-	f.regions = region.UpdateRegions(f.topo, f.faults, f.enabled, false, f.cfg.Connectivity, f.regions, area)
+	f.blocks, _ = f.rb.UpdateRegions(f.ubits.Labels(), true, region.Conn4, f.blocks, area)
+	f.regions, _ = f.rb.UpdateRegions(f.ebits.Labels(), false, f.cfg.Connectivity, f.regions, area)
 	f.observe(d, start)
 	return d, nil
-}
-
-// unsafeArea returns the union of the footprints of the unsafe
-// components (faulty blocks) the touched nodes belong to — every node
-// whose phase-2 label the delta could possibly affect, plus the touched
-// nodes themselves (some of which may have just turned safe).
-func (f *Field) unsafeArea(touched *grid.PointSet) *grid.PointSet {
-	area := grid.NewPointSet()
-	var queue, nbrs []grid.Point
-	for _, p := range touched.Points() {
-		if area.Add(p) && f.unsafe[f.topo.Index(p)] {
-			queue = append(queue, p)
-		}
-	}
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		nbrs = f.topo.AppendNeighbors(p, nbrs[:0])
-		for _, q := range nbrs {
-			if f.unsafe[f.topo.Index(q)] && area.Add(q) {
-				queue = append(queue, q)
-			}
-		}
-	}
-	return area
 }
 
 // recomputeEnabled resets the enabled labels of the given area to their
 // initial values (enabled iff safe) and re-derives the phase-2 fixpoint
 // inside it. It returns the number of labels that settled differently
 // than before the reset and the frontier rounds used.
-func (f *Field) recomputeEnabled(area *grid.PointSet) (changed, rounds int, err error) {
+func (f *Field) recomputeEnabled(area []region.Run) (changed, rounds int, err error) {
 	// The frontier engines canonicalize wave order internally, so the
-	// unordered area walk is fine; pts and before pair up by position.
-	pts := f.areaPts[:0]
+	// unordered area walk is fine; idx and before pair up by position.
+	idx := f.areaIdx[:0]
 	before := f.areaBefore[:0]
 	seed := f.seed[:0]
-	area.Each(func(p grid.Point) {
-		i := f.topo.Index(p)
-		pts = append(pts, p)
-		before = append(before, f.enabled[i])
-		f.setEnabled(i, !f.unsafe[i]) // init: safe => enabled (faulty nodes are unsafe)
-		if !f.faults.Has(p) {
-			seed = append(seed, i)
+	for _, r := range area {
+		for x := r.Lo; x <= r.Hi; x++ {
+			i := r.Y*f.topo.Width() + x
+			idx = append(idx, i)
+			before = append(before, f.enabled[i])
+			f.setEnabled(i, !f.unsafe[i]) // init: safe => enabled (faulty nodes are unsafe)
+			if !f.fbits.Get(x, r.Y) {
+				seed = append(seed, i)
+			}
 		}
-	})
-	f.areaPts, f.areaBefore, f.seed = pts, before, seed
+	}
+	f.areaIdx, f.areaBefore, f.seed = idx, before, seed
 	env := &simnet.Env{Topo: f.topo, Faulty: f.faults, Aux: f.unsafe}
 	fr, err := f.runFrontier(env, status.EnabledRule(), f.enabled, f.ebits, seed, "phase2")
 	if err != nil {
 		return 0, 0, fmt.Errorf("incremental: phase 2: %w", err)
 	}
-	for k, p := range pts {
-		if f.enabled[f.topo.Index(p)] != before[k] {
+	for k, i := range idx {
+		if f.enabled[i] != before[k] {
 			changed++
 		}
 	}

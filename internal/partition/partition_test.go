@@ -191,15 +191,15 @@ func TestRefineDisabledRegions(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range res.Regions {
-			cover := Refine(r.Nodes, r.Faults)
-			if err := cover.Validate(r.Faults); err != nil {
+			cover := Refine(r.Nodes(), r.Faults())
+			if err := cover.Validate(r.Faults()); err != nil {
 				t.Fatalf("trial %d: refined cover invalid: %v", trial, err)
 			}
 			before := r.NonfaultyCount()
-			after := cover.NonfaultyCount(r.Faults)
+			after := cover.NonfaultyCount(r.Faults())
 			if after > before {
 				t.Fatalf("trial %d: refinement regressed: %d -> %d (region %v)",
-					trial, before, after, r.Nodes.Points())
+					trial, before, after, r.Nodes().Points())
 			}
 			if after < before {
 				improved++
@@ -222,8 +222,8 @@ func TestRefineFigure2B(t *testing.T) {
 		t.Fatalf("regions = %d", len(res.Regions))
 	}
 	r := res.Regions[0]
-	cover := Refine(r.Nodes, r.Faults)
-	if got, want := cover.NonfaultyCount(r.Faults), r.NonfaultyCount(); got != want {
+	cover := Refine(r.Nodes(), r.Faults())
+	if got, want := cover.NonfaultyCount(r.Faults()), r.NonfaultyCount(); got != want {
 		t.Fatalf("figure2b refinement changed cost: %d vs %d", got, want)
 	}
 }

@@ -1,0 +1,212 @@
+package region
+
+import (
+	"math/bits"
+	"slices"
+	"sort"
+
+	"ocpmesh/internal/grid"
+	"ocpmesh/internal/mesh"
+)
+
+// Builder floods regions over the packed label planes of one machine,
+// a run at a time: it reads a row's runs a word at a time and joins the
+// runs of adjacent rows that overlap (within one column for Conn8),
+// wrapping across both seams on a torus. Its scratch plane (seen: the
+// runs flooded by the current call) is left clear by every call, so a
+// delta allocates only the regions it returns. Not safe for concurrent
+// use.
+type Builder struct {
+	topo   *mesh.Topology
+	faults *grid.BitGrid
+	seen   []uint64
+	queue  []Run
+
+	// The plane of the current call: its cells are the set bits of
+	// words, or the clear ones when flip is all ones, minus seen.
+	w, wpr       int
+	words        []uint64
+	flip, last   uint64
+	torus, conn8 bool
+}
+
+// NewBuilder returns a builder over topo whose regions take their faults
+// from the fault plane, read at build time.
+func NewBuilder(topo *mesh.Topology, faults *grid.BitGrid) *Builder {
+	return &Builder{
+		topo: topo, faults: faults, seen: make([]uint64, faults.WordsPerRow()*faults.Height()),
+		w: topo.Width(), wpr: faults.WordsPerRow(), last: faults.LastWordMask(), torus: topo.Kind() == mesh.Torus2D,
+	}
+}
+
+// word returns the unflooded cells of word k of row y.
+func (b *Builder) word(y, k int) uint64 {
+	w := (b.words[y*b.wpr+k] ^ b.flip) &^ b.seen[y*b.wpr+k]
+	if k == b.wpr-1 {
+		w &= b.last
+	}
+	return w
+}
+
+// next returns the first column >= x of row y that is a cell (inv 0) or
+// is not (inv all ones), searching the words up to column end; the
+// width when there is none.
+func (b *Builder) next(y, x, end int, inv uint64) int {
+	for k := x / 64; k <= end/64; k++ {
+		if w := (b.word(y, k) ^ inv) & lanes(k, x, b.w-1); w != 0 {
+			return k*64 + bits.TrailingZeros64(w)
+		}
+	}
+	return b.w
+}
+
+// nextRun returns the first unflooded run of row y reaching into columns
+// [x, hi].
+func (b *Builder) nextRun(y, x, hi int) (Run, bool) {
+	s := b.next(y, x, hi, 0)
+	if s > hi {
+		return Run{}, false
+	}
+	if s == x { // x may lie inside the run: walk back to its start
+		s = 0
+		for k := x / 64; k >= 0; k-- {
+			if w := ^b.word(y, k) & lanes(k, 0, x); w != 0 {
+				s = k*64 + 64 - bits.LeadingZeros64(w)
+				break
+			}
+		}
+	}
+	return Run{Y: y, Lo: s, Hi: b.next(y, s, b.w-1, ^uint64(0)) - 1}, true
+}
+
+// lanes returns the lanes of word k of a row that fall in columns
+// [lo, hi]; k must lie in [lo/64, hi/64].
+func lanes(k, lo, hi int) uint64 {
+	return ^uint64(0) << uint(max(lo-k*64, 0)) & (^uint64(0) >> uint(63-min(hi-k*64, 63)))
+}
+
+// toggle flips run r in seen: it marks an unflooded run and clears a
+// flooded one.
+func (b *Builder) toggle(r Run) {
+	for k := r.Lo / 64; k <= r.Hi/64; k++ {
+		b.seen[r.Y*b.wpr+k] ^= lanes(k, r.Lo, r.Hi)
+	}
+}
+
+// collect marks and queues the unflooded runs of row y reaching into
+// columns [lo, hi]: clipped to a mesh, wrapped across both seams of a
+// torus.
+func (b *Builder) collect(y, lo, hi int) {
+	h := b.topo.Height()
+	switch {
+	case !b.torus && (y < 0 || y >= h):
+		return
+	case !b.torus || hi-lo+1 >= b.w:
+		lo, hi = max(lo, 0), min(hi, b.w-1)
+	case lo < 0:
+		b.collect(y, lo+b.w, b.w-1)
+		lo = 0
+	case hi >= b.w:
+		b.collect(y, 0, hi-b.w)
+		hi = b.w - 1
+	}
+	y = (y + h) % h
+	for r, ok := b.nextRun(y, lo, hi); ok; r, ok = b.nextRun(y, r.Hi+1, hi) {
+		b.toggle(r)
+		b.queue = append(b.queue, r)
+	}
+}
+
+// region floods the component of the unflooded run seed, leaving its
+// runs marked, and returns it with its runs sorted row-major and its
+// faults read off the fault plane.
+func (b *Builder) region(seed Run) *Region {
+	d := 0
+	if b.conn8 {
+		d = 1
+	}
+	b.toggle(seed)
+	b.queue = append(b.queue[:0], seed)
+	for i := 0; i < len(b.queue); i++ {
+		r := b.queue[i]
+		b.collect(r.Y-1, r.Lo-d, r.Hi+d)
+		b.collect(r.Y+1, r.Lo-d, r.Hi+d)
+		if b.torus { // the x seam joins a row's ends
+			b.collect(r.Y, r.Lo-1, r.Lo-1)
+			b.collect(r.Y, r.Hi+1, r.Hi+1)
+		}
+	}
+	runs := slices.Clone(b.queue)
+	slices.SortFunc(runs, func(p, q Run) int { return (p.Y-q.Y)*b.w + p.Lo - q.Lo })
+	var faults []grid.Point
+	for _, r := range runs {
+		for k := r.Lo / 64; k <= r.Hi/64; k++ {
+			for m := b.faults.Words()[r.Y*b.wpr+k] & lanes(k, r.Lo, r.Hi); m != 0; m &= m - 1 {
+				faults = append(faults, grid.Pt(k*64+bits.TrailingZeros64(m), r.Y))
+			}
+		}
+	}
+	return newRegion(runs, faults)
+}
+
+// Build returns the regions of the plane — the components of its set
+// bits (want) or clear bits (!want) under conn — that have a cell in
+// seeds, or all of them when seeds is nil, in canonical order.
+func (b *Builder) Build(labels *grid.BitGrid, want bool, conn Connectivity, seeds []Run) []*Region {
+	if seeds == nil {
+		seeds = make([]Run, labels.Height())
+		for y := range seeds {
+			seeds[y] = Run{Y: y, Lo: 0, Hi: labels.Width() - 1}
+		}
+	}
+	out, _ := b.UpdateRegions(labels, want, conn, nil, seeds)
+	return out
+}
+
+// UpdateRegions incrementally updates a region list after a label delta.
+// touched must cover every cell whose label changed AND, for every
+// region affected by the delta, that region's full former footprint
+// (incremental formation guarantees this by resetting whole block
+// footprints). It re-floods only the components reaching into touched
+// cells (fresh, also returned), keeps every old region the delta could
+// not have reached under the same pointer, and returns the combined
+// list in the same canonical order as a full Build, bit for bit.
+func (b *Builder) UpdateRegions(labels *grid.BitGrid, want bool, conn Connectivity, old []*Region, touched []Run) (out, fresh []*Region) {
+	b.words, b.flip, b.conn8 = labels.Words(), 0, conn == Conn8
+	if !want {
+		b.flip = ^uint64(0)
+	}
+	for _, t := range touched {
+		for r, ok := b.nextRun(t.Y, t.Lo, t.Hi); ok; r, ok = b.nextRun(t.Y, r.Hi+1, t.Hi) {
+			fresh = append(fresh, b.region(r))
+		}
+	}
+	// old is in canonical order (this method's own postcondition) and a
+	// subsequence of a sorted list stays sorted, so only the fresh
+	// components need sorting and survivors merge in O(len(old)).
+	sort.Slice(fresh, func(i, j int) bool { return fresh[i].Canonical().Less(fresh[j].Canonical()) })
+	out = make([]*Region, 0, len(fresh)+len(old))
+	fi := 0
+	for _, r := range old {
+		// A survivor still carries the label and no fresh component
+		// reached it. An affected region lies wholly in touched, so its
+		// canonical node either lost the label or was flooded from
+		// there; an unaffected one keeps its label and no touched cell
+		// reaches it. One bit test of the canonical node decides.
+		p := r.Canonical()
+		if b.word(p.Y, p.X/64)>>(p.X%64)&1 == 0 {
+			continue
+		}
+		for fi < len(fresh) && fresh[fi].Canonical().Less(p) {
+			out = append(out, fresh[fi])
+			fi++
+		}
+		out = append(out, r)
+	}
+	for _, reg := range fresh {
+		for _, r := range reg.runs {
+			b.toggle(r)
+		}
+	}
+	return append(out, fresh[fi:]...), fresh
+}

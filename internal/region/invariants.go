@@ -12,7 +12,7 @@ import (
 // (3 under Definition 2a, 2 under Definition 2b).
 func CheckBlockInvariants(blocks []*Region, minDist int) error {
 	for i, b := range blocks {
-		if b.Faults.Len() == 0 {
+		if b.FaultCount() == 0 {
 			return fmt.Errorf("block %d (%v) contains no fault", i, b)
 		}
 		if !b.IsRectangle() {
@@ -44,27 +44,27 @@ func CheckBlockInvariants(blocks []*Region, minDist int) error {
 //     the closure of its own faults.
 func CheckDisabledRegionInvariants(regions []*Region) error {
 	for i, r := range regions {
-		if r.Faults.Len() == 0 {
+		if r.FaultCount() == 0 {
 			return fmt.Errorf("region %d (%v) contains no fault", i, r)
 		}
 		if !r.IsOrthogonallyConvex() {
 			return fmt.Errorf("region %d (%v) is not orthogonally convex", i, r)
 		}
-		for _, c := range geometry.CornerNodes(r.Nodes) {
-			if !r.Faults.Has(c) {
+		for _, c := range geometry.CornerNodes(r.Nodes()) {
+			if !r.Faults().Has(c) {
 				return fmt.Errorf("region %d (%v): corner node %v is not faulty", i, r, c)
 			}
 		}
-		closure := geometry.OrthogonalClosure(r.Faults)
+		closure := geometry.OrthogonalClosure(r.Faults())
 		if geometry.IsConnected(closure) {
-			if !closure.Equal(r.Nodes) {
+			if !closure.Equal(r.Nodes()) {
 				return fmt.Errorf("region %d (%v) differs from the closure of its faults (Theorem 2)", i, r)
 			}
 			continue
 		}
 		// Diagonal grouping: check each 4-connected piece separately.
-		for _, sub := range geometry.Components(r.Nodes) {
-			subFaults := sub.Clone().Intersect(r.Faults)
+		for _, sub := range geometry.Components(r.Nodes()) {
+			subFaults := sub.Clone().Intersect(r.Faults())
 			subClosure := geometry.OrthogonalClosure(subFaults)
 			if !subClosure.Equal(sub) {
 				return fmt.Errorf("region %d (%v): sub-region %v differs from the closure of its faults",
@@ -88,16 +88,16 @@ func CheckRegionsInsideBlocks(regions, blocks []*Region) error {
 	faultsPerBlock := make([]int, len(blocks))
 	for ri, r := range regions {
 		perBlock[owner[ri]] += r.NonfaultyCount()
-		faultsPerBlock[owner[ri]] += r.Faults.Len()
+		faultsPerBlock[owner[ri]] += r.FaultCount()
 	}
 	for bi, b := range blocks {
 		if perBlock[bi] > b.NonfaultyCount() {
 			return fmt.Errorf("block %d: regions capture %d nonfaulty nodes > block's %d",
 				bi, perBlock[bi], b.NonfaultyCount())
 		}
-		if faultsPerBlock[bi] != b.Faults.Len() {
+		if faultsPerBlock[bi] != b.FaultCount() {
 			return fmt.Errorf("block %d: regions cover %d faults, block has %d",
-				bi, faultsPerBlock[bi], b.Faults.Len())
+				bi, faultsPerBlock[bi], b.FaultCount())
 		}
 	}
 	return nil

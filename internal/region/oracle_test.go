@@ -1,0 +1,305 @@
+package region
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"ocpmesh/internal/grid"
+	"ocpmesh/internal/mesh"
+)
+
+// The cell-by-cell flood fill below is the builder's test oracle: it
+// groups cells over []bool labels with the topology's own adjacency, one
+// PointSet per region, exactly as the package did before regions became
+// run lists.
+
+// neighborsFunc returns the adjacency used to group cells: the
+// topology's own (so torus regions merge across the wraparound seam),
+// plus the diagonals for Conn8.
+func neighborsFunc(topo *mesh.Topology, conn Connectivity) func(grid.Point) []grid.Point {
+	return func(p grid.Point) []grid.Point {
+		out := topo.AppendNeighbors(p, nil)
+		if conn == Conn8 {
+			for _, d := range [4]grid.Point{{X: -1, Y: -1}, {X: 1, Y: -1}, {X: -1, Y: 1}, {X: 1, Y: 1}} {
+				q := topo.Wrap(p.Add(d))
+				if topo.Contains(q) {
+					out = append(out, q)
+				}
+			}
+		}
+		return out
+	}
+}
+
+// component floods the connected component of start among the cells with
+// label want, marking every visited cell in seen.
+func component(topo *mesh.Topology, labels []bool, want bool, neighbors func(grid.Point) []grid.Point, start grid.Point, seen *grid.PointSet) *grid.PointSet {
+	comp := grid.PointSetOf(start)
+	seen.Add(start)
+	for queue := []grid.Point{start}; len(queue) > 0; queue = queue[1:] {
+		for _, q := range neighbors(queue[0]) {
+			if labels[topo.Index(q)] == want && seen.Add(q) {
+				comp.Add(q)
+				queue = append(queue, q)
+			}
+		}
+	}
+	return comp
+}
+
+// extract groups the cells labeled want into regions in canonical order,
+// each carrying the faults it contains.
+func extract(topo *mesh.Topology, faults *grid.PointSet, labels []bool, want bool, conn Connectivity) []*Region {
+	neighbors := neighborsFunc(topo, conn)
+	seen := grid.NewPointSet()
+	var out []*Region
+	for i, l := range labels { // row-major starts => canonical order
+		start := topo.PointAt(i)
+		if l != want || seen.Has(start) {
+			continue
+		}
+		comp := component(topo, labels, want, neighbors, start, seen)
+		out = append(out, regionOf(comp, comp.Clone().Intersect(faults)))
+	}
+	return out
+}
+
+// sameRegions fails unless got and want hold the same node and fault
+// sets in the same order, and every run list is sorted row-major and
+// maximal.
+func sameRegions(t *testing.T, what string, got, want []*Region) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d regions, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if !g.Nodes.Equal(w.Nodes) || !g.Faults.Equal(w.Faults) || g.Canonical() != w.Canonical() {
+			t.Fatalf("%s: region %d = %v %v, want %v %v", what, i, g, g.Runs(), w, w.Runs())
+		}
+		if fmt.Sprint(g.Runs()) != fmt.Sprint(w.Runs()) || g.Size() != w.Size() ||
+			g.Bounds() != w.Bounds() || g.Diameter() != w.Nodes().Diameter() || g.FaultCount() != w.Faults().Len() {
+			t.Fatalf("%s: region %d runs %v (size %d, bounds %v, diameter %d), want %v",
+				what, i, g.Runs(), g.Size(), g.Bounds(), g.Diameter(), w.Runs())
+		}
+		w.EachNode(func(p grid.Point) {
+			if !g.Has(p) {
+				t.Fatalf("%s: region %d lacks %v", what, i, p)
+			}
+		})
+	}
+}
+
+// planes packs labels and faults the way a builder reads them.
+func planes(topo *mesh.Topology, faults *grid.PointSet, labels []bool) (*grid.BitGrid, *grid.BitGrid) {
+	return labelPlane(topo, labels), FaultPlane(topo, faults.Points())
+}
+
+// regionCase is one builder configuration the oracle test runs: a
+// machine, a grouping, which label value regions collect, and a
+// fixture of labeled cells to start from (random labels when nil).
+type regionCase struct {
+	name  string
+	w, h  int
+	kind  mesh.Kind
+	conn  Connectivity
+	want  bool
+	cells []grid.Point
+}
+
+func regionCases() []regionCase {
+	var cs []regionCase
+	for _, w := range []int{1, 7, 63, 64, 65, 130} {
+		for _, kind := range []mesh.Kind{mesh.Mesh2D, mesh.Torus2D} {
+			if kind == mesh.Torus2D && w < 3 {
+				continue
+			}
+			for _, conn := range []Connectivity{Conn8, Conn4} {
+				for _, want := range []bool{true, false} {
+					cs = append(cs, regionCase{name: fmt.Sprintf("%v/w=%d/%v/want=%t", kind, w, conn, want), w: w, h: 9, kind: kind, conn: conn, want: want})
+				}
+			}
+		}
+	}
+	// Hand-made shapes, each on mesh and torus under both groupings:
+	// diagonal pinches (inside a word and across the word boundary),
+	// regions straddling the x and y seams, and a region spanning every
+	// column.
+	fixtures := []struct {
+		name  string
+		w     int
+		cells []grid.Point
+	}{
+		{"pinch", 8, []grid.Point{{X: 2, Y: 2}, {X: 3, Y: 3}, {X: 4, Y: 2}, {X: 5, Y: 1}}},
+		{"pinch-word", 130, []grid.Point{{X: 63, Y: 2}, {X: 64, Y: 3}, {X: 127, Y: 3}, {X: 128, Y: 4}}},
+		{"seam-x", 65, []grid.Point{{X: 0, Y: 4}, {X: 1, Y: 4}, {X: 64, Y: 4}, {X: 63, Y: 4}, {X: 0, Y: 5}, {X: 64, Y: 3}}},
+		{"seam-y", 64, []grid.Point{{X: 10, Y: 0}, {X: 10, Y: 8}, {X: 11, Y: 8}, {X: 12, Y: 0}}},
+		{"seam-corner", 9, []grid.Point{{X: 0, Y: 0}, {X: 8, Y: 8}, {X: 8, Y: 0}, {X: 0, Y: 8}}},
+		{"full-row", 130, append(grid.NewRect(0, 4, 129, 4).Points(), grid.Pt(5, 6), grid.Pt(6, 3))},
+	}
+	for _, fx := range fixtures {
+		for _, kind := range []mesh.Kind{mesh.Mesh2D, mesh.Torus2D} {
+			for _, conn := range []Connectivity{Conn8, Conn4} {
+				cs = append(cs, regionCase{name: fmt.Sprintf("%s/%v/%v", fx.name, kind, conn), w: fx.w, h: 9, kind: kind, conn: conn, want: true, cells: fx.cells})
+			}
+		}
+	}
+	return cs
+}
+
+// checkChain builds the case's regions with Build, then applies steps
+// random rectangle perturbations through UpdateRegions, each step fed
+// the previous step's output. Every list must match the oracle, and
+// every old region the delta did not touch must survive as the same
+// pointer when its component is unchanged, and be dropped otherwise.
+func checkChain(t *testing.T, rng *rand.Rand, c regionCase, steps int) {
+	t.Helper()
+	topo := mesh.MustNew(c.w, c.h, c.kind)
+	labels := make([]bool, topo.Size())
+	faults := grid.NewPointSet()
+	for i := range labels {
+		labels[i] = !c.want
+		if c.cells == nil && rng.Intn(3) == 0 {
+			labels[i] = c.want
+		}
+	}
+	for _, p := range c.cells {
+		labels[topo.Index(p)] = c.want
+	}
+	for i, l := range labels {
+		if l == c.want && rng.Intn(2) == 0 {
+			faults.Add(topo.PointAt(i))
+		}
+	}
+	lp, fp := planes(topo, faults, labels)
+	b := NewBuilder(topo, fp)
+	got := b.Build(lp, c.want, c.conn, nil)
+	sameRegions(t, c.name+"/build", got, extract(topo, faults, labels, c.want, c.conn))
+
+	for step := 0; step < steps; step++ {
+		old := got
+		// Flip a random rectangle (wrapped on a torus) and touch it plus
+		// the full footprint of every old region it meets.
+		changed := grid.NewPointSet()
+		x0, y0 := rng.Intn(topo.Width()), rng.Intn(topo.Height())
+		for dx := 0; dx < 1+rng.Intn(4); dx++ {
+			for dy := 0; dy < 1+rng.Intn(4); dy++ {
+				p := topo.Wrap(grid.Pt(x0+dx, y0+dy))
+				if !topo.Contains(p) {
+					continue
+				}
+				labels[topo.Index(p)] = rng.Intn(2) == 0
+				changed.Add(p)
+			}
+		}
+		var touched []Run
+		changed.Each(func(p grid.Point) { touched = append(touched, Run{Y: p.Y, Lo: p.X, Hi: p.X}) })
+		hit := make(map[*Region]bool)
+		for _, r := range old {
+			r.EachNode(func(p grid.Point) { hit[r] = hit[r] || changed.Has(p) })
+			if hit[r] {
+				touched = append(touched, r.Runs()...)
+			}
+		}
+		lp.SetBools(labels)
+		var fresh []*Region
+		got, fresh = b.UpdateRegions(lp, c.want, c.conn, old, touched)
+		want := extract(topo, faults, labels, c.want, c.conn)
+		what := fmt.Sprintf("%s/step %d", c.name, step)
+		sameRegions(t, what, got, want)
+		survived := make(map[*Region]bool)
+		for _, r := range got {
+			survived[r] = true
+		}
+		for _, r := range fresh {
+			if !survived[r] {
+				t.Fatalf("%s: fresh region %v missing from the list", what, r)
+			}
+		}
+		for _, r := range old {
+			unchanged := false
+			for _, w := range want {
+				unchanged = unchanged || w.Nodes().Equal(r.Nodes())
+			}
+			if survived[r] != (!hit[r] && unchanged) {
+				t.Fatalf("%s: old region %v survived=%t, touched=%t, unchanged=%t", what, r, survived[r], hit[r], unchanged)
+			}
+		}
+		if len(got)-len(fresh) != countTrue(survived, old) {
+			t.Fatalf("%s: %d regions = %d fresh + %d survivors", what, len(got), len(fresh), countTrue(survived, old))
+		}
+	}
+}
+
+func countTrue(m map[*Region]bool, rs []*Region) int {
+	n := 0
+	for _, r := range rs {
+		if m[r] {
+			n++
+		}
+	}
+	return n
+}
+
+// TestUpdateRegionsMatchesExtract checks the run builder against the
+// cell-by-cell oracle: full builds, and UpdateRegions chains given a
+// touched set covering the changed cells and the full former footprint
+// of every affected region — same components, same faults, same
+// canonical order, and untouched regions kept by pointer.
+func TestUpdateRegionsMatchesExtract(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	for _, c := range regionCases() {
+		for trial := 0; trial < 3; trial++ {
+			checkChain(t, rng, c, 6)
+		}
+	}
+	// Random small machines, as the test always ran.
+	for trial := 0; trial < 40; trial++ {
+		c := regionCase{w: 7 + rng.Intn(8), h: 7 + rng.Intn(8), kind: mesh.Kind(trial % 2), conn: Connectivity(trial % 4 / 2), want: true}
+		c.name = fmt.Sprintf("random %d %v %dx%d %v", trial, c.kind, c.w, c.h, c.conn)
+		checkChain(t, rng, c, 4)
+	}
+}
+
+// TestBuildSeededMatchesOracle checks Build with seeds: exactly the
+// oracle's regions that have a seed cell, in canonical order.
+func TestBuildSeededMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for _, c := range regionCases() {
+		topo := mesh.MustNew(c.w, c.h, c.kind)
+		labels := make([]bool, topo.Size())
+		for i := range labels {
+			labels[i] = rng.Intn(2) == 0
+		}
+		lp, fp := planes(topo, grid.NewPointSet(), labels)
+		var seeds []Run
+		var want []*Region
+		for i := 0; i < 3; i++ {
+			p := topo.PointAt(rng.Intn(topo.Size()))
+			seeds = append(seeds, Run{Y: p.Y, Lo: p.X, Hi: min(p.X+rng.Intn(3), c.w-1)})
+		}
+		for _, r := range extract(topo, grid.NewPointSet(), labels, c.want, c.conn) {
+			for _, s := range seeds {
+				if r.Has(grid.Pt(s.Lo, s.Y)) || r.Has(grid.Pt(s.Hi, s.Y)) || s.Hi > s.Lo+1 && r.Has(grid.Pt(s.Lo+1, s.Y)) {
+					want = append(want, r)
+					break
+				}
+			}
+		}
+		sameRegions(t, c.name, NewBuilder(topo, fp).Build(lp, c.want, c.conn, seeds), want)
+	}
+}
+
+// FuzzRegionRuns drives random planes and delta chains on the machine
+// shapes the oracle test covers.
+func FuzzRegionRuns(f *testing.F) {
+	for i := 0; i < 8; i++ {
+		f.Add(int64(i), uint8(i*7), uint8(3))
+	}
+	cases := regionCases()
+	f.Fuzz(func(t *testing.T, seed int64, shape, steps uint8) {
+		c := cases[int(shape)%len(cases)]
+		checkChain(t, rand.New(rand.NewSource(seed)), c, int(steps%8))
+	})
+}

@@ -1,7 +1,9 @@
 // Package region extracts and analyzes the paper's two kinds of fault
-// regions from label vectors: the rectangular faulty blocks produced by
-// phase 1 (safe/unsafe) and the orthogonal-convex disabled regions
-// produced by phase 2 (enabled/disabled).
+// regions from packed label planes: the rectangular faulty blocks
+// produced by phase 1 (safe/unsafe) and the orthogonal-convex disabled
+// regions produced by phase 2 (enabled/disabled). A region is stored as
+// its row runs plus its sorted faults, flooded off the planes by one
+// Builder.
 //
 // It also provides the invariant checkers used throughout the test suite:
 // blocks must be disjoint rectangles at the definition-specific minimum
@@ -13,7 +15,9 @@ package region
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"sync"
 
 	"ocpmesh/internal/geometry"
 	"ocpmesh/internal/grid"
@@ -40,230 +44,148 @@ func (c Connectivity) String() string {
 	return "4-connected"
 }
 
-// Region is a connected group of nodes carrying the same label, together
-// with the faults it contains.
-type Region struct {
-	// Nodes is the full node set of the region.
-	Nodes *grid.PointSet
-	// Faults is the subset of Nodes that is faulty.
-	Faults *grid.PointSet
+// Run is one maximal interval of a region's cells within a row: columns
+// Lo..Hi (inclusive) of row Y, in machine (wrapped) coordinates.
+type Run struct{ Y, Lo, Hi int }
 
-	// min memoizes the canonical (row-major minimal) node. Regions are
-	// never mutated once built, so the scan runs at most once per region
-	// instead of once per UpdateRegions call that carries it along.
-	min    grid.Point
-	minSet bool
+// View is a lazily built, read-only PointSet view of a region's cells
+// or faults, built on the first call (once, safe for concurrent use).
+type View func() *grid.PointSet
+
+// Equal reports whether two views hold the same points.
+func (v View) Equal(o View) bool { return v().Equal(o()) }
+
+// Region is a connected group of nodes carrying the same label, together
+// with the faults it contains, stored as row runs. A disabled region
+// (Theorem 1) or a block has one run per row; a torus region crossing
+// the x seam or a fault cluster may have more. Regions are never
+// mutated once built.
+type Region struct {
+	// Nodes and Faults are views for the geometry checkers, sweeps and
+	// tools; the delta and serving paths read the runs.
+	Nodes, Faults View
+
+	runs   []Run        // sorted row-major
+	faults []grid.Point // sorted row-major
+
+	once              sync.Once
+	nodeSet, faultSet *grid.PointSet
+}
+
+func newRegion(runs []Run, faults []grid.Point) *Region {
+	r := &Region{runs: runs, faults: faults}
+	r.Nodes = func() *grid.PointSet { r.views(); return r.nodeSet }
+	r.Faults = func() *grid.PointSet { r.views(); return r.faultSet }
+	return r
+}
+
+func (r *Region) views() {
+	r.once.Do(func() {
+		r.nodeSet = grid.NewPointSetCap(r.Size())
+		r.EachNode(func(p grid.Point) { r.nodeSet.Add(p) })
+		r.faultSet = grid.PointSetOf(r.faults...)
+	})
+}
+
+// regionOf returns the region with the given nodes and faults.
+func regionOf(nodes, faults *grid.PointSet) *Region {
+	var runs []Run
+	for _, p := range nodes.Points() {
+		if n := len(runs); n > 0 && runs[n-1].Y == p.Y && runs[n-1].Hi == p.X-1 {
+			runs[n-1].Hi = p.X
+			continue
+		}
+		runs = append(runs, Run{Y: p.Y, Lo: p.X, Hi: p.X})
+	}
+	return newRegion(runs, faults.Points())
+}
+
+// Runs returns the region's row runs, sorted row-major. Read-only.
+func (r *Region) Runs() []Run { return r.runs }
+
+// EachNode calls fn for every node of the region in row-major order.
+func (r *Region) EachNode(fn func(grid.Point)) {
+	for _, run := range r.runs {
+		for x := run.Lo; x <= run.Hi; x++ {
+			fn(grid.Pt(x, run.Y))
+		}
+	}
 }
 
 // Canonical returns the row-major minimal node of the region, the key
-// region lists are ordered by. It is memoized on first use; extract and
-// UpdateRegions compute it for every region they return, so calls on a
-// published list only read.
-func (r *Region) Canonical() grid.Point {
-	if !r.minSet {
-		r.min = minNode(r)
-		r.minSet = true
-	}
-	return r.min
+// region lists are ordered by: the start of its first run.
+func (r *Region) Canonical() grid.Point { return grid.Pt(r.runs[0].Lo, r.runs[0].Y) }
+
+// Has reports whether p is a node of the region.
+func (r *Region) Has(p grid.Point) bool {
+	i := sort.Search(len(r.runs), func(i int) bool {
+		run := r.runs[i]
+		return run.Y > p.Y || run.Y == p.Y && run.Hi >= p.X
+	})
+	return i < len(r.runs) && r.runs[i].Y == p.Y && r.runs[i].Lo <= p.X
 }
 
 // Bounds returns the bounding rectangle of the region.
-func (r *Region) Bounds() grid.Rect { return r.Nodes.Bounds() }
+func (r *Region) Bounds() grid.Rect {
+	b := grid.Empty()
+	for _, run := range r.runs {
+		b = b.Include(grid.Pt(run.Lo, run.Y)).Include(grid.Pt(run.Hi, run.Y))
+	}
+	return b
+}
 
-// Diameter returns the L1 diameter d(B) of the region.
-func (r *Region) Diameter() int { return r.Nodes.Diameter() }
+// Diameter returns the L1 diameter d(B) of the region. It is realized on
+// the rotated coordinates u=x+y, v=x-y, whose extremes lie on run ends.
+func (r *Region) Diameter() int {
+	minU, maxU, minV, maxV := math.MaxInt, math.MinInt, math.MaxInt, math.MinInt
+	for _, run := range r.runs {
+		minU, maxU = min(minU, run.Lo+run.Y), max(maxU, run.Hi+run.Y)
+		minV, maxV = min(minV, run.Lo-run.Y), max(maxV, run.Hi-run.Y)
+	}
+	return max(maxU-minU, maxV-minV)
+}
 
 // Size returns the number of nodes in the region.
-func (r *Region) Size() int { return r.Nodes.Len() }
+func (r *Region) Size() int {
+	n := 0
+	for _, run := range r.runs {
+		n += run.Hi - run.Lo + 1
+	}
+	return n
+}
+
+// FaultCount returns the number of faulty nodes in the region.
+func (r *Region) FaultCount() int { return len(r.faults) }
 
 // NonfaultyCount returns the number of nonfaulty nodes captured by the
 // region — the quantity the paper's algorithm minimizes.
-func (r *Region) NonfaultyCount() int { return r.Nodes.Len() - r.Faults.Len() }
+func (r *Region) NonfaultyCount() int { return r.Size() - len(r.faults) }
 
 // IsRectangle reports whether the region fills its bounding rectangle.
-func (r *Region) IsRectangle() bool { return geometry.IsRectangle(r.Nodes) }
+func (r *Region) IsRectangle() bool { return geometry.IsRectangle(r.Nodes()) }
 
 // IsOrthogonallyConvex reports whether the region satisfies Definition 1.
-func (r *Region) IsOrthogonallyConvex() bool { return geometry.IsOrthogonallyConvex(r.Nodes) }
+func (r *Region) IsOrthogonallyConvex() bool { return geometry.IsOrthogonallyConvex(r.Nodes()) }
 
 // String summarizes the region.
 func (r *Region) String() string {
-	return fmt.Sprintf("region{%v, %d nodes, %d faulty}", r.Bounds(), r.Size(), r.Faults.Len())
+	return fmt.Sprintf("region{%v, %d nodes, %d faulty}", r.Bounds(), r.Size(), len(r.faults))
 }
 
-// neighborsFunc returns the adjacency used to group cells: the
-// topology's own (so torus regions merge across the wraparound seam),
-// plus the diagonals for Conn8.
-func neighborsFunc(topo *mesh.Topology, conn Connectivity) func(grid.Point) []grid.Point {
-	// One scratch slice per extraction: the flood fills below consume
-	// each result before asking for the next, so reusing the backing
-	// array is safe and spares an allocation per visited cell.
-	buf := make([]grid.Point, 0, 8)
-	return func(p grid.Point) []grid.Point {
-		out := topo.AppendNeighbors(p, buf[:0])
-		if conn == Conn8 {
-			for _, d := range [4]grid.Point{{X: -1, Y: -1}, {X: 1, Y: -1}, {X: -1, Y: 1}, {X: 1, Y: 1}} {
-				q := topo.Wrap(p.Add(d))
-				if topo.Contains(q) {
-					out = append(out, q)
-				}
-			}
-		}
-		buf = out
-		return out
+// FaultPlane packs faults into a plane over topo, the fault input of a
+// Builder.
+func FaultPlane(topo *mesh.Topology, faults []grid.Point) *grid.BitGrid {
+	g := grid.NewBitGrid(topo.Width(), topo.Height())
+	for _, p := range faults {
+		g.Set(p.X, p.Y, true)
 	}
+	return g
 }
 
-// component floods the connected component of start among the cells with
-// label want, marking every visited cell in seen. queue is scratch
-// storage for the BFS worklist (head-indexed, never shrunk); the
-// (possibly grown) slice is returned so callers can reuse it across
-// components instead of reallocating per flood.
-func component(topo *mesh.Topology, labels []bool, want bool, neighbors func(grid.Point) []grid.Point, start grid.Point, seen *grid.PointSet, queue []grid.Point) (*grid.PointSet, []grid.Point, grid.Rect) {
-	comp := grid.NewPointSet()
-	bounds := grid.Empty().Include(start)
-	queue = append(queue[:0], start)
-	seen.Add(start)
-	comp.Add(start)
-	for head := 0; head < len(queue); head++ {
-		p := queue[head]
-		for _, q := range neighbors(p) {
-			if labels[topo.Index(q)] == want && !seen.Has(q) {
-				seen.Add(q)
-				comp.Add(q)
-				bounds = bounds.Include(q)
-				queue = append(queue, q)
-			}
-		}
-	}
-	return comp, queue, bounds
-}
-
-// regionFaults returns the faulty subset of comp, iterating whichever
-// set is smaller rather than cloning the whole component.
-func regionFaults(comp, faults *grid.PointSet) *grid.PointSet {
-	small, other := comp, faults
-	if faults.Len() < comp.Len() {
-		small, other = faults, comp
-	}
-	out := grid.NewPointSetCap(small.Len())
-	small.Each(func(p grid.Point) {
-		if other.Has(p) {
-			out.Add(p)
-		}
-	})
-	return out
-}
-
-// extract groups the true-labeled cells of want into regions. The cell
-// count is known before any set is built, so the cell and seen sets are
-// sized up front and the flood fills share one worklist — region
-// extraction stays free of incremental map and slice growth, which
-// profiles showed dominating formation allocation churn.
-func extract(topo *mesh.Topology, faults *grid.PointSet, labels []bool, want bool, conn Connectivity) []*Region {
-	n := 0
-	for _, l := range labels {
-		if l == want {
-			n++
-		}
-	}
-	cells := grid.NewPointSetCap(n)
-	for i, l := range labels {
-		if l == want {
-			cells.Add(topo.PointAt(i))
-		}
-	}
-	neighbors := neighborsFunc(topo, conn)
-	seen := grid.NewPointSetCap(n)
-	queue := make([]grid.Point, 0, n)
-	var out []*Region
-	for _, start := range cells.Points() { // canonical order => deterministic output
-		if seen.Has(start) {
-			continue
-		}
-		var comp *grid.PointSet
-		comp, queue, _ = component(topo, labels, want, neighbors, start, seen, queue)
-		// Starts are visited in canonical order, so the first cell reached
-		// in each component is its minimal node.
-		out = append(out, &Region{Nodes: comp, Faults: regionFaults(comp, faults), min: start, minSet: true})
-	}
-	return out
-}
-
-// minNode returns the canonical (row-major minimal) node of the region,
-// the key extract orders its output by.
-func minNode(r *Region) grid.Point {
-	first := true
-	var best grid.Point
-	r.Nodes.Each(func(p grid.Point) {
-		if first || p.Less(best) {
-			best = p
-			first = false
-		}
-	})
-	return best
-}
-
-// UpdateRegions incrementally updates a region list after a label delta.
-// touched must cover every cell whose label changed AND, for every
-// region affected by the delta, that region's full former footprint
-// (incremental formation guarantees this by resetting whole block
-// footprints). The function re-extracts only the components reachable
-// from touched cells, keeps every old region the delta could not have
-// reached, and returns the combined list in the same canonical order as
-// a from-scratch extraction — bit for bit.
-func UpdateRegions(topo *mesh.Topology, faults *grid.PointSet, labels []bool, want bool, conn Connectivity, old []*Region, touched *grid.PointSet) []*Region {
-	neighbors := neighborsFunc(topo, conn)
-	// touched.Len() is only a lower bound on the re-extracted area (a
-	// fresh component may grow past the touched footprint), but it is the
-	// best O(perturbation) hint available without scanning all labels.
-	seen := grid.NewPointSetCap(touched.Len())
-	queue := make([]grid.Point, 0, touched.Len())
-	var fresh []*Region
-	// hot accumulates the bounding box of touched ∪ seen during walks
-	// that run anyway, so the survivor loop below can rule most regions
-	// out with a rectangle test instead of hashed map lookups.
-	hot := grid.Empty()
-	// Start order is immaterial: components are order-independent and
-	// fresh is sorted by canonical node below, so the unordered walk
-	// skips the Points() allocation and sort.
-	touched.Each(func(start grid.Point) {
-		hot = hot.Include(start)
-		if seen.Has(start) || labels[topo.Index(start)] != want {
-			return
-		}
-		var comp *grid.PointSet
-		var cb grid.Rect
-		comp, queue, cb = component(topo, labels, want, neighbors, start, seen, queue)
-		hot = hot.Include(grid.Pt(cb.MinX, cb.MinY)).Include(grid.Pt(cb.MaxX, cb.MaxY))
-		fresh = append(fresh, &Region{Nodes: comp, Faults: regionFaults(comp, faults)})
-	})
-	// Only the handful of fresh components need sorting: old is already
-	// in canonical order (this function's own postcondition), and a
-	// subsequence of a sorted list stays sorted, so survivors merge in
-	// O(len(old)) without re-keying and re-sorting the whole list.
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i].Canonical().Less(fresh[j].Canonical()) })
-	out := make([]*Region, 0, len(fresh)+len(old))
-	fi := 0
-	for _, r := range old {
-		// A surviving region is untouched and disjoint from every fresh
-		// component. touched covers an affected region's entire former
-		// footprint (the documented contract) and a fresh component
-		// overlapping any of its cells has necessarily swallowed all of
-		// them, so both conditions hold for every cell or for none — one
-		// representative-cell membership test decides survival in O(1)
-		// instead of a walk over the region's area.
-		p := r.Canonical()
-		if hot.Contains(p) && (touched.Has(p) || seen.Has(p)) {
-			continue
-		}
-		for fi < len(fresh) && fresh[fi].Canonical().Less(p) {
-			out = append(out, fresh[fi])
-			fi++
-		}
-		out = append(out, r)
-	}
-	return append(out, fresh[fi:]...)
+func labelPlane(topo *mesh.Topology, labels []bool) *grid.BitGrid {
+	g := grid.NewBitGrid(topo.Width(), topo.Height())
+	g.SetBools(labels)
+	return g
 }
 
 // FaultyBlocks groups the unsafe nodes (phase-1 labels, true = unsafe)
@@ -273,14 +195,14 @@ func UpdateRegions(topo *mesh.Topology, faults *grid.PointSet, labels []bool, wa
 // diagonal blocks never touch, so Conn4 is used and matches the paper's
 // "disjoint" claim).
 func FaultyBlocks(topo *mesh.Topology, faults *grid.PointSet, unsafe []bool) []*Region {
-	return extract(topo, faults, unsafe, true, Conn4)
+	return NewBuilder(topo, FaultPlane(topo, faults.Points())).Build(labelPlane(topo, unsafe), true, Conn4, nil)
 }
 
 // DisabledRegions groups the disabled nodes (phase-2 labels, true =
 // enabled, so regions collect the false entries) into disabled regions
 // using the given connectivity. The paper's convention is Conn8.
 func DisabledRegions(topo *mesh.Topology, faults *grid.PointSet, enabled []bool, conn Connectivity) []*Region {
-	return extract(topo, faults, enabled, false, conn)
+	return NewBuilder(topo, FaultPlane(topo, faults.Points())).Build(labelPlane(topo, enabled), false, conn, nil)
 }
 
 // AssignToBlocks maps each disabled region to the index of the faulty
@@ -292,7 +214,7 @@ func AssignToBlocks(regions, blocks []*Region) ([]int, error) {
 	for ri, r := range regions {
 		owner[ri] = -1
 		for bi, b := range blocks {
-			if r.Nodes.SubsetOf(b.Nodes) {
+			if r.Nodes().SubsetOf(b.Nodes()) {
 				owner[ri] = bi
 				break
 			}

@@ -60,7 +60,7 @@ func TestSectionThreeRegions(t *testing.T) {
 	if !b.IsRectangle() || b.Bounds() != grid.NewRect(1, 1, 3, 3) {
 		t.Fatalf("block = %v", b)
 	}
-	if b.Size() != 9 || b.Faults.Len() != 3 || b.NonfaultyCount() != 6 {
+	if b.Size() != 9 || b.Faults().Len() != 3 || b.NonfaultyCount() != 6 {
 		t.Fatalf("block counts wrong: %v", b)
 	}
 	if b.Diameter() != 4 {
@@ -73,11 +73,11 @@ func TestSectionThreeRegions(t *testing.T) {
 	if len(regions) != 2 {
 		t.Fatalf("disabled regions = %d, want 2", len(regions))
 	}
-	if !regions[0].Nodes.Equal(grid.PointSetOf(grid.Pt(2, 1), grid.Pt(3, 2))) {
-		t.Fatalf("region 0 = %v", regions[0].Nodes.Points())
+	if !regions[0].Nodes().Equal(grid.PointSetOf(grid.Pt(2, 1), grid.Pt(3, 2))) {
+		t.Fatalf("region 0 = %v", regions[0].Nodes().Points())
 	}
-	if !regions[1].Nodes.Equal(grid.PointSetOf(grid.Pt(1, 3))) {
-		t.Fatalf("region 1 = %v", regions[1].Nodes.Points())
+	if !regions[1].Nodes().Equal(grid.PointSetOf(grid.Pt(1, 3))) {
+		t.Fatalf("region 1 = %v", regions[1].Nodes().Points())
 	}
 
 	// Under plain 4-connectivity the diagonal pair splits: 3 regions.
@@ -120,11 +120,11 @@ func TestFigure1Regions(t *testing.T) {
 	if len(regions) != 2 {
 		t.Fatalf("regions = %v", regions)
 	}
-	if !regions[0].Nodes.Equal(grid.PointSetOf(grid.Pt(2, 2), grid.Pt(3, 3))) {
-		t.Fatalf("region 0 = %v", regions[0].Nodes.Points())
+	if !regions[0].Nodes().Equal(grid.PointSetOf(grid.Pt(2, 2), grid.Pt(3, 3))) {
+		t.Fatalf("region 0 = %v", regions[0].Nodes().Points())
 	}
-	if !regions[1].Nodes.Equal(grid.PointSetOf(grid.Pt(5, 3))) {
-		t.Fatalf("region 1 = %v", regions[1].Nodes.Points())
+	if !regions[1].Nodes().Equal(grid.PointSetOf(grid.Pt(5, 3))) {
+		t.Fatalf("region 1 = %v", regions[1].Nodes().Points())
 	}
 	if err := CheckDisabledRegionInvariants(regions); err != nil {
 		t.Fatal(err)
@@ -146,8 +146,8 @@ func TestFigure2ARegionIsBlockMinusHole(t *testing.T) {
 		t.Fatalf("regions = %v", regions)
 	}
 	want := grid.PointSetOf(fault.Figure2Block().Points()...).Subtract(fault.Figure2AHole())
-	if !regions[0].Nodes.Equal(want) {
-		t.Fatalf("region = %v", regions[0].Nodes.Points())
+	if !regions[0].Nodes().Equal(want) {
+		t.Fatalf("region = %v", regions[0].Nodes().Points())
 	}
 	if err := CheckDisabledRegionInvariants(regions); err != nil {
 		t.Fatal(err)
@@ -155,8 +155,8 @@ func TestFigure2ARegionIsBlockMinusHole(t *testing.T) {
 }
 
 func TestAssignToBlocksErrors(t *testing.T) {
-	stray := &Region{Nodes: grid.PointSetOf(grid.Pt(9, 9)), Faults: grid.PointSetOf(grid.Pt(9, 9))}
-	block := &Region{Nodes: grid.PointSetOf(grid.Pt(0, 0)), Faults: grid.PointSetOf(grid.Pt(0, 0))}
+	stray := regionOf(grid.PointSetOf(grid.Pt(9, 9)), grid.PointSetOf(grid.Pt(9, 9)))
+	block := regionOf(grid.PointSetOf(grid.Pt(0, 0)), grid.PointSetOf(grid.Pt(0, 0)))
 	if _, err := AssignToBlocks([]*Region{stray}, []*Region{block}); err == nil {
 		t.Fatal("stray region must be rejected")
 	}
@@ -167,19 +167,19 @@ func TestAssignToBlocksErrors(t *testing.T) {
 }
 
 func TestCheckBlockInvariantsRejects(t *testing.T) {
-	l := &Region{
-		Nodes:  grid.PointSetOf(grid.Pt(0, 0), grid.Pt(1, 0), grid.Pt(0, 1)),
-		Faults: grid.PointSetOf(grid.Pt(0, 0)),
-	}
+	l := regionOf(
+		grid.PointSetOf(grid.Pt(0, 0), grid.Pt(1, 0), grid.Pt(0, 1)),
+		grid.PointSetOf(grid.Pt(0, 0)),
+	)
 	if err := CheckBlockInvariants([]*Region{l}, 2); err == nil {
 		t.Fatal("non-rectangle block must be rejected")
 	}
-	empty := &Region{Nodes: grid.PointSetOf(grid.Pt(0, 0)), Faults: grid.NewPointSet()}
+	empty := regionOf(grid.PointSetOf(grid.Pt(0, 0)), grid.NewPointSet())
 	if err := CheckBlockInvariants([]*Region{empty}, 2); err == nil {
 		t.Fatal("faultless block must be rejected")
 	}
-	a := &Region{Nodes: grid.PointSetOf(grid.Pt(0, 0)), Faults: grid.PointSetOf(grid.Pt(0, 0))}
-	b := &Region{Nodes: grid.PointSetOf(grid.Pt(1, 1)), Faults: grid.PointSetOf(grid.Pt(1, 1))}
+	a := regionOf(grid.PointSetOf(grid.Pt(0, 0)), grid.PointSetOf(grid.Pt(0, 0)))
+	b := regionOf(grid.PointSetOf(grid.Pt(1, 1)), grid.PointSetOf(grid.Pt(1, 1)))
 	if err := CheckBlockInvariants([]*Region{a, b}, 3); err == nil {
 		t.Fatal("too-close blocks must be rejected")
 	}
@@ -189,21 +189,21 @@ func TestCheckBlockInvariantsRejects(t *testing.T) {
 }
 
 func TestCheckDisabledRegionInvariantsRejects(t *testing.T) {
-	u := &Region{
-		Nodes: grid.PointSetOf(
+	u := regionOf(
+		grid.PointSetOf(
 			grid.Pt(0, 0), grid.Pt(1, 0), grid.Pt(2, 0),
 			grid.Pt(0, 1), grid.Pt(2, 1),
 		),
-		Faults: grid.PointSetOf(grid.Pt(0, 0), grid.Pt(1, 0), grid.Pt(2, 0), grid.Pt(0, 1), grid.Pt(2, 1)),
-	}
+		grid.PointSetOf(grid.Pt(0, 0), grid.Pt(1, 0), grid.Pt(2, 0), grid.Pt(0, 1), grid.Pt(2, 1)),
+	)
 	if err := CheckDisabledRegionInvariants([]*Region{u}); err == nil {
 		t.Fatal("U-shaped region must be rejected (not orthogonally convex)")
 	}
 	// Nonfaulty corner violates Lemma 1.
-	sq := &Region{
-		Nodes:  grid.PointSetOf(grid.NewRect(0, 0, 1, 1).Points()...),
-		Faults: grid.PointSetOf(grid.Pt(0, 0), grid.Pt(1, 1)),
-	}
+	sq := regionOf(
+		grid.PointSetOf(grid.NewRect(0, 0, 1, 1).Points()...),
+		grid.PointSetOf(grid.Pt(0, 0), grid.Pt(1, 1)),
+	)
 	if err := CheckDisabledRegionInvariants([]*Region{sq}); err == nil {
 		t.Fatal("region with nonfaulty corner must be rejected")
 	}
@@ -262,8 +262,8 @@ func TestPipelineInvariantsRandom(t *testing.T) {
 			// hold on every topology.
 			covered := grid.NewPointSet()
 			for _, r := range regions {
-				covered.Union(r.Faults)
-				for _, p := range r.Nodes.Points() {
+				covered.Union(r.Faults())
+				for _, p := range r.Nodes().Points() {
 					if !unsafe[topo.Index(p)] {
 						t.Fatalf("trial %d: disabled node %v is safe", trial, p)
 					}
@@ -295,20 +295,20 @@ func TestCorollaryAgainstCandidatePolygons(t *testing.T) {
 			disabledUnion := grid.NewPointSet()
 			for ri, r := range regions {
 				if owner[ri] == bi {
-					disabledUnion.Union(r.Nodes)
+					disabledUnion.Union(r.Nodes())
 				}
 			}
 			// Candidate B2: the canonical connected orthogonal convex
 			// closure of the block's faults.
-			b2 := geometry.ConnectedOrthogonalClosure(b.Faults)
+			b2 := geometry.ConnectedOrthogonalClosure(b.Faults())
 			if !disabledUnion.SubsetOf(b2) {
 				t.Fatalf("trial %d: disabled union %v not inside candidate OCP %v (faults %v)",
-					trial, disabledUnion.Points(), b2.Points(), b.Faults.Points())
+					trial, disabledUnion.Points(), b2.Points(), b.Faults().Points())
 			}
 			// Corollary: nonfaulty nodes kept disabled <= nonfaulty nodes
 			// of the candidate polygon.
-			disabledNonfaulty := disabledUnion.Len() - b.Faults.Len()
-			b2Nonfaulty := b2.Len() - b.Faults.Len()
+			disabledNonfaulty := disabledUnion.Len() - b.Faults().Len()
+			b2Nonfaulty := b2.Len() - b.Faults().Len()
 			if disabledNonfaulty > b2Nonfaulty {
 				t.Fatalf("trial %d: corollary violated: %d > %d", trial, disabledNonfaulty, b2Nonfaulty)
 			}
@@ -317,7 +317,7 @@ func TestCorollaryAgainstCandidatePolygons(t *testing.T) {
 }
 
 func TestRegionString(t *testing.T) {
-	r := &Region{Nodes: grid.PointSetOf(grid.Pt(1, 1)), Faults: grid.PointSetOf(grid.Pt(1, 1))}
+	r := regionOf(grid.PointSetOf(grid.Pt(1, 1)), grid.PointSetOf(grid.Pt(1, 1)))
 	if s := r.String(); s != "region{[1..1]x[1..1], 1 nodes, 1 faulty}" {
 		t.Fatalf("String = %q", s)
 	}
@@ -333,79 +333,12 @@ func TestDisabledRegionPerimeterLaw(t *testing.T) {
 		faults := fault.Clustered{Count: 8 + rng.Intn(12), Clusters: 2, Spread: 2}.Generate(topo, rng)
 		_, enabled := label(t, topo, faults, status.Def2b)
 		for _, r := range DisabledRegions(topo, faults, enabled, Conn8) {
-			for _, sub := range geometry.Components(r.Nodes) {
+			for _, sub := range geometry.Components(r.Nodes()) {
 				b := sub.Bounds()
 				if got, want := geometry.Perimeter(sub), 2*(b.Width()+b.Height()); got != want {
 					t.Fatalf("trial %d: sub-region perimeter %d != %d (bounds %v): %v",
 						trial, got, want, b, sub.Points())
 				}
-			}
-		}
-	}
-}
-
-// TestUpdateRegionsMatchesExtract perturbs random label fields and
-// checks that UpdateRegions, given a touched set covering the changed
-// cells and the full former footprint of every affected region, returns
-// exactly what a from-scratch extraction returns — same components,
-// same canonical order.
-func TestUpdateRegionsMatchesExtract(t *testing.T) {
-	rng := rand.New(rand.NewSource(59))
-	for trial := 0; trial < 40; trial++ {
-		kind := mesh.Mesh2D
-		if trial%2 == 1 {
-			kind = mesh.Torus2D
-		}
-		topo := mesh.MustNew(7+rng.Intn(8), 7+rng.Intn(8), kind)
-		conn := Conn8
-		if trial%4 >= 2 {
-			conn = Conn4
-		}
-		labels := make([]bool, topo.Size())
-		faults := grid.NewPointSet()
-		for i := range labels {
-			labels[i] = rng.Intn(3) == 0
-			if labels[i] && rng.Intn(2) == 0 {
-				faults.Add(topo.PointAt(i))
-			}
-		}
-		old := extract(topo, faults, labels, true, conn)
-
-		// Perturb: flip the labels of a random rectangle, and build the
-		// touched set as the rectangle plus the full footprint of every
-		// old region it intersects (the contract UpdateRegions documents).
-		x0, y0 := rng.Intn(topo.Width()), rng.Intn(topo.Height())
-		touched := grid.NewPointSet()
-		for dx := 0; dx < 1+rng.Intn(4); dx++ {
-			for dy := 0; dy < 1+rng.Intn(4); dy++ {
-				p := grid.Pt(x0+dx, y0+dy)
-				if !topo.Contains(p) {
-					continue
-				}
-				labels[topo.Index(p)] = rng.Intn(2) == 0
-				touched.Add(p)
-			}
-		}
-		for _, r := range old {
-			hit := false
-			r.Nodes.Each(func(p grid.Point) {
-				if touched.Has(p) {
-					hit = true
-				}
-			})
-			if hit {
-				r.Nodes.Each(func(p grid.Point) { touched.Add(p) })
-			}
-		}
-
-		got := UpdateRegions(topo, faults, labels, true, conn, old, touched)
-		want := extract(topo, faults, labels, true, conn)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d regions, want %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if !got[i].Nodes.Equal(want[i].Nodes) || !got[i].Faults.Equal(want[i].Faults) {
-				t.Fatalf("trial %d: region %d = %v, want %v", trial, i, got[i], want[i])
 			}
 		}
 	}

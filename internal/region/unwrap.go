@@ -1,82 +1,52 @@
 package region
 
 import (
+	"slices"
+
 	"ocpmesh/internal/grid"
 	"ocpmesh/internal/mesh"
 )
 
-// seamShift finds, for a node set on a torus, an empty column and an
-// empty row to route the wraparound seam through, returning the
-// translation that maps the set into seam-free flat coordinates. ok is
-// false when the set occupies every column or every row — it then wraps a
-// full ring and has no planar embedding, so the planar geometry checks do
-// not apply (a ring-wrapping region has no boundary in that dimension and
-// "corner node" loses its meaning).
-func seamShift(topo *mesh.Topology, nodes *grid.PointSet) (shift func(grid.Point) grid.Point, ok bool) {
-	colUsed := make([]bool, topo.Width())
-	rowUsed := make([]bool, topo.Height())
-	nodes.Each(func(p grid.Point) {
-		colUsed[p.X] = true
-		rowUsed[p.Y] = true
-	})
-	freeCol, freeRow := -1, -1
-	for x, used := range colUsed {
-		if !used {
-			freeCol = x
-			break
-		}
-	}
-	for y, used := range rowUsed {
-		if !used {
-			freeRow = y
-			break
-		}
-	}
-	if freeCol == -1 || freeRow == -1 {
-		return nil, false
-	}
-	return func(p grid.Point) grid.Point {
-		p.X = mod(p.X-freeCol-1, topo.Width())
-		p.Y = mod(p.Y-freeRow-1, topo.Height())
-		return p
-	}, true
-}
-
-func shiftSet(s *grid.PointSet, shift func(grid.Point) grid.Point) *grid.PointSet {
-	out := grid.NewPointSet()
-	s.Each(func(p grid.Point) { out.Add(shift(p)) })
-	return out
-}
-
-// Unwrap translates a node set of a torus into flat coordinates so the
-// planar geometry checks apply: coordinates are rotated so the
-// wraparound seam passes through an empty column and an empty row. It
-// reports ok=false when the set wraps a full ring (occupies every column
-// or every row), in which case no seam-free translation exists. For a
-// bounded mesh the set is returned unchanged.
+// Unwrap is UnwrapRegion for a bare node set. A set on a bounded mesh,
+// or an empty one, comes back unchanged.
 func Unwrap(topo *mesh.Topology, nodes *grid.PointSet) (*grid.PointSet, bool) {
 	if topo.Kind() != mesh.Torus2D || nodes.Len() == 0 {
 		return nodes, true
 	}
-	shift, ok := seamShift(topo, nodes)
+	flat, ok := UnwrapRegion(topo, regionOf(nodes, grid.NewPointSet()))
 	if !ok {
 		return nil, false
 	}
-	return shiftSet(nodes, shift), true
+	return flat.Nodes(), true
 }
 
-// UnwrapRegion returns a copy of r translated by the same seam-avoiding
-// shift (nodes and faults moved consistently), with ok=false when the
-// region wraps a full ring in either dimension.
+// UnwrapRegion translates a torus region into flat coordinates so the
+// planar geometry checks apply: nodes and faults are rotated so the
+// wraparound seam passes through an empty column and an empty row. It
+// reports ok=false when the region wraps a full ring (occupies every
+// column or every row): it then has no planar embedding, so the planar
+// checks do not apply (a ring-wrapping region has no boundary in that
+// dimension and "corner node" loses its meaning). On a bounded mesh r
+// is returned unchanged.
 func UnwrapRegion(topo *mesh.Topology, r *Region) (*Region, bool) {
 	if topo.Kind() != mesh.Torus2D {
 		return r, true
 	}
-	shift, ok := seamShift(topo, r.Nodes)
-	if !ok {
+	cols, rows := make([]bool, topo.Width()), make([]bool, topo.Height())
+	r.EachNode(func(p grid.Point) { cols[p.X], rows[p.Y] = true, true })
+	freeCol, freeRow := slices.Index(cols, false), slices.Index(rows, false)
+	if freeCol < 0 || freeRow < 0 {
 		return nil, false
 	}
-	return &Region{Nodes: shiftSet(r.Nodes, shift), Faults: shiftSet(r.Faults, shift)}, true
+	nodes, faults := grid.NewPointSet(), grid.NewPointSet()
+	shift := func(p grid.Point) grid.Point {
+		return grid.Pt(mod(p.X-freeCol-1, topo.Width()), mod(p.Y-freeRow-1, topo.Height()))
+	}
+	r.EachNode(func(p grid.Point) { nodes.Add(shift(p)) })
+	for _, p := range r.faults {
+		faults.Add(shift(p))
+	}
+	return regionOf(nodes, faults), true
 }
 
 func mod(v, m int) int {

@@ -90,22 +90,22 @@ func TestUnwrapPreservesStructure(t *testing.T) {
 
 func TestUnwrapRegionConsistency(t *testing.T) {
 	topo := mesh.MustNew(8, 8, mesh.Torus2D)
-	r := &Region{
-		Nodes:  grid.PointSetOf(grid.Pt(7, 0), grid.Pt(0, 0), grid.Pt(7, 7), grid.Pt(0, 7)),
-		Faults: grid.PointSetOf(grid.Pt(0, 0), grid.Pt(7, 7)),
-	}
+	r := regionOf(
+		grid.PointSetOf(grid.Pt(7, 0), grid.Pt(0, 0), grid.Pt(7, 7), grid.Pt(0, 7)),
+		grid.PointSetOf(grid.Pt(0, 0), grid.Pt(7, 7)),
+	)
 	flat, ok := UnwrapRegion(topo, r)
 	if !ok {
 		t.Fatal("region must unwrap")
 	}
-	if flat.Nodes.Len() != 4 || flat.Faults.Len() != 2 {
+	if flat.Nodes().Len() != 4 || flat.Faults().Len() != 2 {
 		t.Fatal("unwrap lost nodes or faults")
 	}
-	if !flat.Faults.SubsetOf(flat.Nodes) {
+	if !flat.Faults().SubsetOf(flat.Nodes()) {
 		t.Fatal("faults must stay inside the region after unwrap")
 	}
 	if !flat.IsRectangle() {
-		t.Fatalf("unwrapped region not a rectangle: %v", flat.Nodes.Points())
+		t.Fatalf("unwrapped region not a rectangle: %v", flat.Nodes().Points())
 	}
 }
 
@@ -134,7 +134,7 @@ func TestTorusPipelineInvariants(t *testing.T) {
 			}
 			if !flat.IsRectangle() {
 				t.Fatalf("trial %d: torus block not a rectangle after unwrap: %v",
-					trial, flat.Nodes.Points())
+					trial, flat.Nodes().Points())
 			}
 		}
 		regions := DisabledRegions(topo, faults, enabled, Conn8)

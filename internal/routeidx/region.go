@@ -1,11 +1,11 @@
 package routeidx
 
 import (
-	"cmp"
 	"slices"
 
 	"ocpmesh/internal/grid"
 	"ocpmesh/internal/mesh"
+	"ocpmesh/internal/region"
 	"ocpmesh/internal/routing"
 )
 
@@ -53,42 +53,24 @@ type regionIdx struct {
 	pos   map[ringStep]ringPos
 }
 
-// compileRegion builds the compiled form of one obstacle.
-func compileRegion(topo *mesh.Topology, cells *grid.PointSet) *regionIdx {
-	r := &regionIdx{
-		bounds: cells.Bounds(),
-		size:   cells.Len(),
-	}
-	pts := cells.Points()
-	grid.SortPoints(pts) // row-major: y, then x
-
+// compileRegion builds the compiled form of one obstacle: its row runs
+// are the region's own, and one row-major pass over its cells extends
+// or opens the column runs.
+func compileRegion(topo *mesh.Topology, reg *region.Region) *regionIdx {
+	r := &regionIdx{bounds: reg.Bounds(), size: reg.Size()}
 	r.rowRuns = make([][]xrun, r.bounds.MaxY-r.bounds.MinY+1)
-	for i := 0; i < len(pts); {
-		j := i + 1
-		for j < len(pts) && pts[j].Y == pts[i].Y && pts[j].X == pts[j-1].X+1 {
-			j++
-		}
-		y := pts[i].Y - r.bounds.MinY
-		r.rowRuns[y] = append(r.rowRuns[y], xrun{lo: int32(pts[i].X), hi: int32(pts[j-1].X)})
-		i = j
-	}
-
-	colPts := slices.Clone(pts)
-	slices.SortFunc(colPts, func(a, b grid.Point) int {
-		if c := cmp.Compare(a.X, b.X); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Y, b.Y)
-	})
 	r.colRuns = make([][]xrun, r.bounds.MaxX-r.bounds.MinX+1)
-	for i := 0; i < len(colPts); {
-		j := i + 1
-		for j < len(colPts) && colPts[j].X == colPts[i].X && colPts[j].Y == colPts[j-1].Y+1 {
-			j++
+	for _, run := range reg.Runs() {
+		row := &r.rowRuns[run.Y-r.bounds.MinY]
+		*row = append(*row, xrun{lo: int32(run.Lo), hi: int32(run.Hi)})
+		for x := run.Lo; x <= run.Hi; x++ {
+			col := r.colRuns[x-r.bounds.MinX]
+			if n := len(col); n > 0 && col[n-1].hi == int32(run.Y-1) {
+				col[n-1].hi++
+			} else {
+				r.colRuns[x-r.bounds.MinX] = append(col, xrun{lo: int32(run.Y), hi: int32(run.Y)})
+			}
 		}
-		x := colPts[i].X - r.bounds.MinX
-		r.colRuns[x] = append(r.colRuns[x], xrun{lo: int32(colPts[i].Y), hi: int32(colPts[j-1].Y)})
-		i = j
 	}
 
 	// Trace the wall-following contour from every possible wall-entry
@@ -98,7 +80,7 @@ func compileRegion(topo *mesh.Topology, cells *grid.PointSet) *regionIdx {
 	// follow it (Detour does the same), so the budget covers the border
 	// circumference as well as the region shell.
 	budget := 8*r.size + 8*(topo.Width()+topo.Height()) + 64
-	for _, b := range pts {
+	reg.EachNode(func(b grid.Point) {
 		for _, d := range mesh.Directions {
 			c, ok := topo.NeighborIn(b, d)
 			if !ok || r.has(c) {
@@ -107,7 +89,7 @@ func compileRegion(topo *mesh.Topology, cells *grid.PointSet) *regionIdx {
 			blocked := d.Opposite() // the greedy step c -> b that got blocked
 			r.trace(topo, ringStep{p: c, h: routing.TurnLeft(blocked)}, budget)
 		}
-	}
+	})
 
 	for _, ring := range r.rings {
 		for i, s := range ring {

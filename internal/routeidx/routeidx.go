@@ -40,7 +40,7 @@
 // Indexes are immutable once built and are published with snapshots
 // (atomic.Pointer, same discipline as internal/serve). Rebuild reuses
 // the per-region compilation of every region whose *region.Region
-// pointer survived the delta — region.UpdateRegions keeps survivor
+// pointer survived the delta — the region builder keeps survivor
 // pointers in canonical order, so one merge over the two obstacle lists
 // finds them, and a region's compilation depends only on its own cells.
 // The tables and the bit plane are edited copy-on-write, so steady-state
@@ -126,7 +126,6 @@ type formation struct {
 // met by *grid.PointSet (Result) and core.FaultList (Frame).
 type faultSet interface {
 	Points() []grid.Point
-	Has(grid.Point) bool
 }
 
 func ofResult(res *core.Result) formation {
@@ -204,9 +203,10 @@ func build(prev *Index, src formation, model routing.Model, opt Options) *Index 
 	}
 
 	// Both obstacle lists are in canonical order and a delta keeps its
-	// survivors in order (region.UpdateRegions), so one merge finds every
-	// survivor by pointer: a previous obstacle passed over, or met at the
-	// same canonical node under another pointer, did not survive.
+	// survivors in order (region.Builder.UpdateRegions), so one merge
+	// finds every survivor by pointer: a previous obstacle passed over,
+	// or met at the same canonical node under another pointer, did not
+	// survive.
 	stable := model != routing.ModelFaultsOnly
 	ix.srcs = obstaclesOf(src, model)
 	ix.regs = make([]*regionIdx, len(ix.srcs))
@@ -224,7 +224,7 @@ func build(prev *Index, src formation, model routing.Model, opt Options) *Index 
 				continue
 			}
 		}
-		ix.regs[i] = compileRegion(topo, r.Nodes)
+		ix.regs[i] = compileRegion(topo, r)
 		added = append(added, ix.regs[i])
 	}
 	if prev != nil {
@@ -290,8 +290,8 @@ func (ix *Index) buildTables(prev *Index, added, dropped []*regionIdx) {
 // canonical order; their cells partition the cells the model forbids.
 // For ModelRegions and ModelBlocks these are the formation's own region
 // structures, whose pointers are stable across deltas for unchanged
-// components; for ModelFaultsOnly they are 8-connected fault components
-// synthesized here, fresh on every build.
+// components; for ModelFaultsOnly they are the 8-connected components
+// of the fault plane, fresh on every build.
 func obstaclesOf(src formation, model routing.Model) []*region.Region {
 	switch model {
 	case routing.ModelRegions:
@@ -299,48 +299,8 @@ func obstaclesOf(src formation, model routing.Model) []*region.Region {
 	case routing.ModelBlocks:
 		return src.blocks
 	}
-	comps := conn8Components(src.topo, src.faults)
-	out := make([]*region.Region, len(comps))
-	for i, c := range comps {
-		out[i] = &region.Region{Nodes: c, Faults: c}
-	}
-	return out
-}
-
-// conn8Components splits the fault set into 8-connected components
-// (wrap-aware on tori), in deterministic order.
-func conn8Components(topo *mesh.Topology, faults faultSet) []*grid.PointSet {
-	pts := faults.Points()
-	grid.SortPoints(pts)
-	seen := make(map[grid.Point]bool, len(pts))
-	var comps []*grid.PointSet
-	for _, p := range pts {
-		if seen[p] {
-			continue
-		}
-		comp := grid.NewPointSet()
-		queue := []grid.Point{p}
-		seen[p] = true
-		for len(queue) > 0 {
-			q := queue[0]
-			queue = queue[1:]
-			comp.Add(q)
-			for dx := -1; dx <= 1; dx++ {
-				for dy := -1; dy <= 1; dy++ {
-					if dx == 0 && dy == 0 {
-						continue
-					}
-					n := topo.Wrap(grid.Pt(q.X+dx, q.Y+dy))
-					if topo.Contains(n) && faults.Has(n) && !seen[n] {
-						seen[n] = true
-						queue = append(queue, n)
-					}
-				}
-			}
-		}
-		comps = append(comps, comp)
-	}
-	return comps
+	faults := region.FaultPlane(src.topo, src.faults.Points())
+	return region.NewBuilder(src.topo, faults).Build(faults, true, region.Conn8, nil)
 }
 
 // Fingerprint serializes the index's complete content deterministically:

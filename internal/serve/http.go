@@ -428,15 +428,12 @@ func regionJSON(rs []*region.Region, withNodes bool) []RegionJSON {
 			Min:    [2]int{b.MinX, b.MinY},
 			Max:    [2]int{b.MaxX, b.MaxY},
 			Size:   reg.Size(),
-			Faults: reg.Faults.Len(),
+			Faults: reg.FaultCount(),
 		}
 		if withNodes {
-			pts := reg.Nodes.Points()
-			grid.SortPoints(pts)
-			nodes := make([][2]int, len(pts))
-			for k, p := range pts {
-				nodes[k] = [2]int{p.X, p.Y}
-			}
+			// The runs are row-major, so the nodes come out sorted.
+			nodes := make([][2]int, 0, out[i].Size)
+			reg.EachNode(func(p grid.Point) { nodes = append(nodes, [2]int{p.X, p.Y}) })
 			out[i].Nodes = nodes
 		}
 	}

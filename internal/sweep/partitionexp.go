@@ -58,9 +58,9 @@ func (r *Runner) PartitionRecovery() ([]*stats.Series, error) {
 			}
 			totalBefore, totalAfter := 0, 0
 			for _, reg := range res.Regions {
-				cover := partition.Refine(reg.Nodes, reg.Faults)
+				cover := partition.Refine(reg.Nodes(), reg.Faults())
 				totalBefore += reg.NonfaultyCount()
-				totalAfter += cover.NonfaultyCount(reg.Faults)
+				totalAfter += cover.NonfaultyCount(reg.Faults())
 			}
 			sBefore.Add(float64(totalBefore))
 			sAfter.Add(float64(totalAfter))
