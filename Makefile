@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 20s
 
-.PHONY: build vet test race bench churn-bench bitset-bench bench-check overhead-bench overhead-gate latency-overhead converge-demo serve-demo serve-bench route-bench route-gate fuzz check
+.PHONY: build vet fmt-check loc test race bench churn-bench bitset-bench bench-check overhead-bench overhead-gate latency-overhead converge-demo serve-demo serve-bench route-bench route-gate fuzz check
 
 # serve-demo smoke-tests the live telemetry side-car: it starts a real
 # sweep with -serve, scrapes /healthz, /runz and /metrics while the
@@ -33,6 +33,18 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# fmt-check fails when any Go file is not gofmt-formatted, listing the
+# offenders.
+fmt-check:
+	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt needed:"; echo "$$out"; exit 1; }
+
+# loc prints the non-test and test Go line counts of the module,
+# excluding the separate bench/ module: the LOC figures each change
+# reports.
+loc:
+	@find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l | xargs printf 'non-test %s\n'
+	@find . -name '*.go' -not -path './bench/*' -name '*_test.go' -print0 | xargs -0 cat | wc -l | xargs printf 'test     %s\n'
 
 # The race target includes the traced channel-engine test, so the
 # tracer/metrics layer is exercised under the race detector.

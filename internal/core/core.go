@@ -240,6 +240,9 @@ func runPhase(rec *obs.Recorder, cfg Config, eng simnet.Engine, env *simnet.Env,
 	return res, nil
 }
 
+// Topology returns the machine.
+func (r *Result) Topology() *mesh.Topology { return r.Topo }
+
 // IsFaulty reports whether p is faulty.
 func (r *Result) IsFaulty(p grid.Point) bool { return r.Faults.Has(p) }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"ocpmesh/internal/grid"
 	"ocpmesh/internal/mesh"
@@ -15,9 +14,9 @@ import (
 // the region structures, and frozen copies of both label planes as
 // 64-lane words (the grid.BitGrid layout). Label tests are bit tests and
 // counts are popcounts, so publishing and reading a frame never touches
-// a []bool plane. Result materializes the []bool form on first use, for
-// the consumers that walk labels cell by cell (the walk-based routers,
-// disjoint paths). A Frame is immutable and safe for concurrent use.
+// a []bool plane; the walk-based routers and disjoint paths read it
+// directly through the same IsFaulty/IsUnsafe/IsEnabled tests a Result
+// offers. A Frame is immutable and safe for concurrent use.
 //
 // The planes are stored in fixed-size word chunks, and a session's
 // consecutive frames share every chunk whose words did not change, so a
@@ -37,9 +36,6 @@ type Frame struct {
 	RoundsPhase1, RoundsPhase2 int
 
 	unsafe, enabled plane
-
-	once sync.Once
-	res  *Result
 }
 
 // chunkWords is the number of plane words per shared chunk: 4 KB, 64
@@ -108,16 +104,6 @@ func (pl plane) count() int {
 		}
 	}
 	return n
-}
-
-// bools unpacks a plane over topo into a row-major []bool.
-func (pl plane) bools(topo *mesh.Topology) []bool {
-	g := grid.NewBitGrid(topo.Width(), topo.Height())
-	words := g.Words()
-	for c, chunk := range pl {
-		copy(words[c*chunkWords:], chunk)
-	}
-	return g.Bools(nil)
 }
 
 // FaultList is a fault set as a row-major sorted point list: the
@@ -192,6 +178,9 @@ func comparePoints(a, b grid.Point) int {
 	return 0
 }
 
+// Topology returns the machine.
+func (f *Frame) Topology() *mesh.Topology { return f.Topo }
+
 // IsFaulty reports whether p is faulty.
 func (f *Frame) IsFaulty(p grid.Point) bool { return f.Faults.Has(p) }
 
@@ -219,22 +208,3 @@ func (f *Frame) DisabledNonfaultyCount() int {
 // consecutive chunks: concatenated, they are the plane. Read-only.
 func (f *Frame) UnsafeWords() [][]uint64  { return f.unsafe }
 func (f *Frame) EnabledWords() [][]uint64 { return f.enabled }
-
-// Result returns the frame as a Result with []bool label planes and a
-// PointSet fault set, unpacked on the first call and shared by every
-// later one. The region structures are the frame's own.
-func (f *Frame) Result() *Result {
-	f.once.Do(func() {
-		f.res = &Result{
-			Topo:         f.Topo,
-			Faults:       f.Faults.Set(),
-			Unsafe:       f.unsafe.bools(f.Topo),
-			Enabled:      f.enabled.bools(f.Topo),
-			Blocks:       f.Blocks,
-			Regions:      f.Regions,
-			RoundsPhase1: f.RoundsPhase1,
-			RoundsPhase2: f.RoundsPhase2,
-		}
-	})
-	return f.res
-}

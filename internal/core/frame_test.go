@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"ocpmesh/internal/grid"
@@ -15,10 +14,8 @@ import (
 // word boundary and on a torus, and after every delta pins the packed
 // Frame to the []bool Result: bit tests, popcounts and the disabled
 // count cell for cell, the frame's words equal to packing the Result's
-// planes, and the lazily materialized Result equal to Session.Result
-// (the same region pointers, one materialization shared by concurrent
-// callers). A frame held from the start must not change under the
-// later deltas.
+// planes, and the same region pointers and rounds. A frame held from
+// the start must not change under the later deltas.
 func TestFrameMatchesResult(t *testing.T) {
 	for _, shape := range []struct {
 		w, h int
@@ -99,32 +96,11 @@ func checkFrame(t *testing.T, tag string, fr *Frame, want *Result) {
 	if !slices.Equal(slices.Concat(fr.EnabledWords()...), packed.Words()) {
 		t.Fatalf("%s: enabled words differ from the packed Result plane", tag)
 	}
-
-	// Concurrent first calls share one materialization.
-	results := make([]*Result, 4)
-	var wg sync.WaitGroup
-	for i := range results {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = fr.Result()
-		}(i)
+	if fr.Topology() != want.Topology() || !slices.Equal(fr.Blocks, want.Blocks) || !slices.Equal(fr.Regions, want.Regions) {
+		t.Fatalf("%s: frame does not share the session's topology and region pointers", tag)
 	}
-	wg.Wait()
-	got := results[0]
-	for _, r := range results[1:] {
-		if r != got {
-			t.Fatalf("%s: Frame.Result materialized more than once", tag)
-		}
-	}
-	if got.Topo != want.Topo || !got.Faults.Equal(want.Faults) || !slices.Equal(got.Unsafe, want.Unsafe) || !slices.Equal(got.Enabled, want.Enabled) {
-		t.Fatalf("%s: materialized Result differs from Session.Result", tag)
-	}
-	if !slices.Equal(got.Blocks, want.Blocks) || !slices.Equal(got.Regions, want.Regions) {
-		t.Fatalf("%s: materialized Result does not share the session's region pointers", tag)
-	}
-	if got.RoundsPhase1 != want.RoundsPhase1 || got.RoundsPhase2 != want.RoundsPhase2 {
-		t.Fatalf("%s: rounds %d/%d, want %d/%d", tag, got.RoundsPhase1, got.RoundsPhase2, want.RoundsPhase1, want.RoundsPhase2)
+	if fr.RoundsPhase1 != want.RoundsPhase1 || fr.RoundsPhase2 != want.RoundsPhase2 {
+		t.Fatalf("%s: rounds %d/%d, want %d/%d", tag, fr.RoundsPhase1, fr.RoundsPhase2, want.RoundsPhase1, want.RoundsPhase2)
 	}
 }
 

@@ -55,14 +55,14 @@ func NewSessionOn(cfg Config, topo *mesh.Topology, faults *grid.PointSet) (*Sess
 }
 
 // RestoreSession rebuilds a session from a previously snapshotted
-// fixpoint — the fault set plus both label planes — without re-running
-// the formation: the labels are validated and adopted directly
-// (incremental.Load), so restoring costs O(n) region extraction instead
-// of the full fixpoint iteration. topo, faults and the label slices are
-// cloned or treated read-only by the callee; the session is
-// indistinguishable from one that computed the labels itself, which the
-// serving differential tests pin against a fresh formation.
-func RestoreSession(cfg Config, topo *mesh.Topology, faults *grid.PointSet, unsafe, enabled []bool) (*Session, error) {
+// fixpoint — the fault set plus both packed label planes — without
+// re-running the formation: the planes are validated and adopted
+// directly (incremental.Load), so restoring costs O(n) region
+// extraction instead of the full fixpoint iteration. topo, faults and
+// the planes are cloned or treated read-only by the callee; the session
+// is indistinguishable from one that computed the labels itself, which
+// the serving differential tests pin against a fresh formation.
+func RestoreSession(cfg Config, topo *mesh.Topology, faults *grid.PointSet, unsafe, enabled *grid.BitGrid) (*Session, error) {
 	field, err := incremental.Load(topo, faults, fieldConfig(cfg), unsafe, enabled)
 	if err != nil {
 		return nil, fmt.Errorf("core: session: %w", err)
@@ -115,13 +115,13 @@ func (s *Session) syncFaults(ps []grid.Point, add bool, d Delta, err error) {
 
 // Result snapshots the current formation as a Result, interchangeable
 // with the output of a from-scratch Form on the same fault set. The
-// fault set and label slices are copied, so the snapshot stays valid
-// across later deltas; the region structures are shared (they are
-// replaced, never mutated, by deltas). Region and block pointers are
-// stable across deltas for components whose label sets did not change —
-// region.Builder.UpdateRegions keeps survivor pointers — which is the
-// dirty information internal/routeidx uses for O(changed-regions)
-// incremental index rebuilds. RoundsPhase1/RoundsPhase2 report the
+// fault set is copied and the label slices are unpacked from the packed
+// planes, so the snapshot stays valid across later deltas; the region
+// structures are shared (they are replaced, never mutated, by deltas).
+// Region and block pointers are stable across deltas for components
+// whose label sets did not change — region.Builder.UpdateRegions keeps
+// survivor pointers — which is the dirty information internal/routeidx
+// uses for O(changed-regions) incremental index rebuilds. RoundsPhase1/RoundsPhase2 report the
 // initial full formation's rounds — per-delta restabilization rounds
 // are on the Delta values the mutating calls return.
 func (s *Session) Result() *Result {
@@ -129,8 +129,8 @@ func (s *Session) Result() *Result {
 	return &Result{
 		Topo:         f.Topo(),
 		Faults:       f.Faults().Clone(),
-		Unsafe:       append([]bool(nil), f.Unsafe()...),
-		Enabled:      append([]bool(nil), f.Enabled()...),
+		Unsafe:       f.UnsafeBits().Bools(nil),
+		Enabled:      f.EnabledBits().Bools(nil),
 		Blocks:       f.Blocks(),
 		Regions:      f.Regions(),
 		RoundsPhase1: initialRounds1(f),
@@ -142,9 +142,9 @@ func (s *Session) Result() *Result {
 // frozen word chunks of both label planes and the sorted fault list,
 // with the region structures shared exactly as in Result. Chunks whose
 // words are unchanged since the previous Frame are shared with it, so
-// it compares O(plane words), allocates O(changed chunks), and never
-// touches the []bool label mirrors; this is what a server publishes per
-// batch. Frame().Result() equals Result().
+// it compares O(plane words) and allocates O(changed chunks); this is
+// what a server publishes per batch. Its labels, counts and region
+// lists equal Result's.
 func (s *Session) Frame() *Frame {
 	f := s.field
 	var lastUnsafe, lastEnabled plane

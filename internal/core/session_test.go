@@ -128,8 +128,7 @@ func TestSessionsHoldNoGoroutines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := s.Result()
-		r, err := RestoreSession(cfg, res.Topo, res.Faults, res.Unsafe, res.Enabled)
+		r, err := RestoreSession(cfg, s.Topo(), s.Faults(), s.field.UnsafeBits(), s.field.EnabledBits())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,6 +28,7 @@ package incremental
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ocpmesh/internal/grid"
 	"ocpmesh/internal/mesh"
@@ -88,19 +89,15 @@ func (d Delta) Rounds() int { return d.RoundsPhase1 + d.RoundsPhase2 }
 
 // Field holds a formation result kept current under fault churn.
 type Field struct {
-	cfg    Config
-	topo   *mesh.Topology
-	faults *grid.PointSet
-
-	unsafe  []bool
-	enabled []bool
+	cfg     Config
+	topo    *mesh.Topology
+	faults  *grid.PointSet
 	blocks  []*region.Region
 	regions []*region.Region
 
-	// Packed mirrors of unsafe/enabled plus per-lane liveness, kept in
-	// O(delta) sync with the []bool fields; deltas run the
-	// word-granularity frontier over them. fbits is the fault plane, and
-	// rb floods blocks and regions over the planes.
+	// The packed unsafe and enabled label planes plus per-lane liveness;
+	// deltas run the word-granularity frontier over them. fbits is the
+	// fault plane, and rb floods blocks and regions over the planes.
 	ubits, ebits *simnet.BitField
 	fbits        *grid.BitGrid
 	rb           *region.Builder
@@ -143,54 +140,66 @@ func New(topo *mesh.Topology, faults *grid.PointSet, cfg Config) (*Field, error)
 		return nil, fmt.Errorf("incremental: phase 2: %w", err)
 	}
 	f.rounds1, f.rounds2 = p1.Rounds, p2.Rounds
-	if err := f.adopt(env, p1.Labels, p2.Labels); err != nil {
+	if err := f.adopt(env, pack(topo, p1.Labels), pack(topo, p2.Labels)); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
+// pack returns a row-major label vector as a packed plane.
+func pack(topo *mesh.Topology, labels []bool) *grid.BitGrid {
+	g := grid.NewBitGrid(topo.Width(), topo.Height())
+	g.SetBools(labels)
+	return g
+}
+
 // Load returns a Field wrapped around an already-computed fixpoint:
-// the label vectors of a finished formation (a Session snapshot, a
-// serialized tenant) are adopted as-is instead of re-running both
-// fixpoints, so restoring a large session costs one O(n) validation and
-// region extraction rather than a full formation. The labels must be
-// the fixpoint of a formation on exactly the given fault set; Load
-// rejects label vectors that violate the cheap structural invariants
-// (faulty nodes must be unsafe and disabled, safe nodes enabled), and
-// the serving differential tests pin the rest byte-for-byte. faults and
-// both label slices are cloned, not retained. The initial round counts
-// are unknown to a restored field and report as zero.
-func Load(topo *mesh.Topology, faults *grid.PointSet, cfg Config, unsafe, enabled []bool) (*Field, error) {
+// the packed label planes of a finished formation (a Session snapshot,
+// a serialized tenant) are adopted as-is instead of re-running both
+// fixpoints, so restoring a large session costs one word pass of
+// validation and region extraction rather than a full formation. The
+// planes must be the fixpoint of a formation on exactly the given fault
+// set; Load rejects planes that violate the cheap structural invariants
+// (faulty nodes unsafe and disabled, safe nodes enabled), and the
+// serving differential tests pin the rest byte-for-byte. faults and both planes are cloned, not retained. The
+// initial round counts are unknown to a restored field and report as
+// zero.
+func Load(topo *mesh.Topology, faults *grid.PointSet, cfg Config, unsafe, enabled *grid.BitGrid) (*Field, error) {
 	if faults == nil {
 		faults = grid.NewPointSet()
 	}
-	if len(unsafe) != topo.Size() || len(enabled) != topo.Size() {
-		return nil, fmt.Errorf("incremental: load: label lengths %d/%d, want %d", len(unsafe), len(enabled), topo.Size())
+	for _, g := range []*grid.BitGrid{unsafe, enabled} {
+		if g.Width() != topo.Width() || g.Height() != topo.Height() {
+			return nil, fmt.Errorf("incremental: load: label plane is %dx%d, want %dx%d", g.Width(), g.Height(), topo.Width(), topo.Height())
+		}
 	}
 	env, err := simnet.NewEnv(topo, faults.Clone(), nil)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < topo.Size(); i++ {
-		p := topo.PointAt(i)
-		switch {
-		case env.Faulty.Has(p) && (!unsafe[i] || enabled[i]):
+	u, e, wpr := unsafe.Words(), enabled.Words(), unsafe.WordsPerRow()
+	for wi := range u {
+		if bad := ^(u[wi] | e[wi]) & unsafe.WordMask(wi%wpr); bad != 0 {
+			x := 64*(wi%wpr) + bits.TrailingZeros64(bad)
+			return nil, fmt.Errorf("incremental: load: safe node %v must be enabled", grid.Pt(x, wi/wpr))
+		}
+	}
+	for _, p := range env.Faulty.Points() {
+		if !unsafe.Get(p.X, p.Y) || enabled.Get(p.X, p.Y) {
 			return nil, fmt.Errorf("incremental: load: faulty node %v must be unsafe and disabled", p)
-		case !unsafe[i] && !enabled[i]:
-			return nil, fmt.Errorf("incremental: load: safe node %v must be enabled", p)
 		}
 	}
 	f := &Field{cfg: cfg, topo: topo, faults: env.Faulty}
-	if err := f.adopt(env, append([]bool(nil), unsafe...), append([]bool(nil), enabled...)); err != nil {
+	if err := f.adopt(env, unsafe.Clone(), enabled.Clone()); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-// adopt installs a finished fixpoint as the field's state: both label
-// fields (retained), their packed mirrors, and the extracted blocks and
-// regions. env carries the field's fault set.
-func (f *Field) adopt(env *simnet.Env, unsafe, enabled []bool) error {
+// adopt installs a finished fixpoint as the field's state: both packed
+// label planes (retained) and the extracted blocks and regions. env
+// carries the field's fault set.
+func (f *Field) adopt(env *simnet.Env, unsafe, enabled *grid.BitGrid) error {
 	var err error
 	if f.ubits, err = simnet.NewBitField(env, unsafe); err != nil {
 		return err
@@ -198,11 +207,10 @@ func (f *Field) adopt(env *simnet.Env, unsafe, enabled []bool) error {
 	if f.ebits, err = simnet.NewBitField(env, enabled); err != nil {
 		return err
 	}
-	f.unsafe, f.enabled = unsafe, enabled
 	f.fbits = region.FaultPlane(f.topo, f.faults.Points())
 	f.rb = region.NewBuilder(f.topo, f.fbits)
-	f.blocks = f.rb.Build(f.ubits.Labels(), true, region.Conn4, nil)
-	f.regions = f.rb.Build(f.ebits.Labels(), false, f.cfg.Connectivity, nil)
+	f.blocks = f.rb.Build(unsafe, true, region.Conn4, nil)
+	f.regions = f.rb.Build(enabled, false, f.cfg.Connectivity, nil)
 	return nil
 }
 
@@ -230,17 +238,12 @@ func (f *Field) runFull(env *simnet.Env, rule simnet.Rule, phase string) (*simne
 }
 
 // runFrontier restabilizes the packed labels bits from the given seed
-// over the word-granularity frontier, then re-syncs the []bool mirror
-// labels from the changed set, keeping both views identical in
-// O(changed).
-func (f *Field) runFrontier(env *simnet.Env, rule simnet.Rule, labels []bool, bits *simnet.BitField, seed []int, phase string) (*simnet.FrontierResult, error) {
+// over the word-granularity frontier.
+func (f *Field) runFrontier(env *simnet.Env, rule simnet.Rule, bits *simnet.BitField, seed []int, phase string) (*simnet.FrontierResult, error) {
 	pc := f.newPhase(phase)
 	res, err := simnet.RunBitsetFrontier(env, rule, bits, seed, f.genericOpts(phase, pc))
 	if err != nil {
 		return nil, err
-	}
-	for _, i := range res.Changed {
-		labels[i] = bits.Label(i)
 	}
 	pc.Finish()
 	if f.cfg.Strict && pc.Violations() > 0 {
@@ -249,20 +252,7 @@ func (f *Field) runFrontier(env *simnet.Env, rule simnet.Rule, labels []bool, bi
 	return res, nil
 }
 
-// setUnsafe / setEnabled write one label to the []bool field and its
-// packed mirror (which also lands the word in the mirror's dirty set for
-// the next run's worklist).
-func (f *Field) setUnsafe(i int, v bool) {
-	f.unsafe[i] = v
-	f.ubits.SetLabel(i, v)
-}
-
-func (f *Field) setEnabled(i int, v bool) {
-	f.enabled[i] = v
-	f.ebits.SetLabel(i, v)
-}
-
-// setFault flips node i's liveness in both packed mirrors (faulty lanes
+// setFault flips node i's liveness in both packed planes (faulty lanes
 // are pinned at their current label) and its bit in the fault plane.
 func (f *Field) setFault(i int, faulty bool) {
 	f.ubits.SetLive(i, !faulty)
@@ -291,15 +281,9 @@ func (f *Field) Config() Config { return f.cfg }
 // Faults returns the current fault set. The caller must not mutate it.
 func (f *Field) Faults() *grid.PointSet { return f.faults }
 
-// Unsafe returns the current phase-1 label field. Read-only.
-func (f *Field) Unsafe() []bool { return f.unsafe }
-
-// Enabled returns the current phase-2 label field. Read-only.
-func (f *Field) Enabled() []bool { return f.enabled }
-
-// UnsafeBits and EnabledBits return the packed mirrors of Unsafe and
-// Enabled (padding bits zero). Read-only, and mutated in place by the
-// next delta: publishers copy what they keep.
+// UnsafeBits and EnabledBits return the packed phase-1 and phase-2
+// label planes (padding bits zero). Read-only, and mutated in place by
+// the next delta: publishers copy what they keep.
 func (f *Field) UnsafeBits() *grid.BitGrid  { return f.ubits.Labels() }
 func (f *Field) EnabledBits() *grid.BitGrid { return f.ebits.Labels() }
 
@@ -348,8 +332,8 @@ func (f *Field) Add(ps ...grid.Point) (Delta, error) {
 	for _, p := range added {
 		i := f.topo.Index(p)
 		touched = append(touched, cell(p))
-		if !f.unsafe[i] {
-			f.setUnsafe(i, true)
+		if !f.UnsafeBits().Get(p.X, p.Y) {
+			f.ubits.SetLabel(i, true)
 			d.ChangedPhase1++
 		}
 		f.setFault(i, true)
@@ -361,7 +345,7 @@ func (f *Field) Add(ps ...grid.Point) (Delta, error) {
 	}
 	f.seed = seed
 	d.Frontier = len(seed)
-	fr1, err := f.runFrontier(env, status.UnsafeRule(f.cfg.Safety), f.unsafe, f.ubits, seed, "phase1")
+	fr1, err := f.runFrontier(env, status.UnsafeRule(f.cfg.Safety), f.ubits, seed, "phase1")
 	if err != nil {
 		return Delta{}, fmt.Errorf("incremental: phase 1: %w", err)
 	}
@@ -435,8 +419,8 @@ func (f *Field) Remove(ps ...grid.Point) (Delta, error) {
 		for x := r.Lo; x <= r.Hi; x++ {
 			i := r.Y*f.topo.Width() + x
 			now := f.fbits.Get(x, r.Y)
-			if f.unsafe[i] != now {
-				f.setUnsafe(i, now)
+			if f.UnsafeBits().Get(x, r.Y) != now {
+				f.ubits.SetLabel(i, now)
 				d.ChangedPhase1++ // provisional; corrected after the fixpoint below
 			}
 			if !now {
@@ -446,7 +430,7 @@ func (f *Field) Remove(ps ...grid.Point) (Delta, error) {
 	}
 	f.seed = seed
 	d.Frontier = len(seed)
-	fr1, err := f.runFrontier(env, status.UnsafeRule(f.cfg.Safety), f.unsafe, f.ubits, seed, "phase1")
+	fr1, err := f.runFrontier(env, status.UnsafeRule(f.cfg.Safety), f.ubits, seed, "phase1")
 	if err != nil {
 		return Delta{}, fmt.Errorf("incremental: phase 1: %w", err)
 	}
@@ -480,21 +464,21 @@ func (f *Field) recomputeEnabled(area []region.Run) (changed, rounds int, err er
 		for x := r.Lo; x <= r.Hi; x++ {
 			i := r.Y*f.topo.Width() + x
 			idx = append(idx, i)
-			before = append(before, f.enabled[i])
-			f.setEnabled(i, !f.unsafe[i]) // init: safe => enabled (faulty nodes are unsafe)
+			before = append(before, f.EnabledBits().Get(x, r.Y))
+			f.ebits.SetLabel(i, !f.UnsafeBits().Get(x, r.Y)) // init: safe => enabled (faulty nodes are unsafe)
 			if !f.fbits.Get(x, r.Y) {
 				seed = append(seed, i)
 			}
 		}
 	}
 	f.areaIdx, f.areaBefore, f.seed = idx, before, seed
-	env := &simnet.Env{Topo: f.topo, Faulty: f.faults, Aux: f.unsafe}
-	fr, err := f.runFrontier(env, status.EnabledRule(), f.enabled, f.ebits, seed, "phase2")
+	env := &simnet.Env{Topo: f.topo, Faulty: f.faults}
+	fr, err := f.runFrontier(env, status.EnabledRule(), f.ebits, seed, "phase2")
 	if err != nil {
 		return 0, 0, fmt.Errorf("incremental: phase 2: %w", err)
 	}
 	for k, i := range idx {
-		if f.enabled[i] != before[k] {
+		if f.ebits.Label(i) != before[k] {
 			changed++
 		}
 	}

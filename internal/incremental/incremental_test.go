@@ -31,14 +31,15 @@ func assertMatchesFromScratch(t *testing.T, f *incremental.Field, ctx string) *c
 	if !f.Faults().Equal(want.Faults) {
 		t.Fatalf("%s: fault sets differ: %v vs %v", ctx, f.Faults(), want.Faults)
 	}
+	unsafe, enabled := f.UnsafeBits().Bools(nil), f.EnabledBits().Bools(nil)
 	for i := range want.Unsafe {
-		if f.Unsafe()[i] != want.Unsafe[i] {
-			t.Fatalf("%s: unsafe[%d] = %t, want %t", ctx, i, f.Unsafe()[i], want.Unsafe[i])
+		if unsafe[i] != want.Unsafe[i] {
+			t.Fatalf("%s: unsafe[%d] = %t, want %t", ctx, i, unsafe[i], want.Unsafe[i])
 		}
 	}
 	for i := range want.Enabled {
-		if f.Enabled()[i] != want.Enabled[i] {
-			t.Fatalf("%s: enabled[%d] = %t, want %t", ctx, i, f.Enabled()[i], want.Enabled[i])
+		if enabled[i] != want.Enabled[i] {
+			t.Fatalf("%s: enabled[%d] = %t, want %t", ctx, i, enabled[i], want.Enabled[i])
 		}
 	}
 	assertRegionsEqual(t, ctx, "blocks", f.Blocks(), want.Blocks)
@@ -198,8 +199,8 @@ func TestAddRemoveIdempotence(t *testing.T) {
 			t.Fatal(err)
 		}
 		beforeFaults := f.Faults().Clone()
-		beforeUnsafe := append([]bool(nil), f.Unsafe()...)
-		beforeEnabled := append([]bool(nil), f.Enabled()...)
+		beforeUnsafe := f.UnsafeBits().Clone()
+		beforeEnabled := f.EnabledBits().Clone()
 		beforeBlocks := append([]*region.Region(nil), f.Blocks()...)
 		beforeRegions := append([]*region.Region(nil), f.Regions()...)
 
@@ -220,10 +221,8 @@ func TestAddRemoveIdempotence(t *testing.T) {
 		if !f.Faults().Equal(beforeFaults) {
 			t.Fatalf("trial %d: fault set not restored", trial)
 		}
-		for i := range beforeUnsafe {
-			if f.Unsafe()[i] != beforeUnsafe[i] || f.Enabled()[i] != beforeEnabled[i] {
-				t.Fatalf("trial %d: label %d not restored", trial, i)
-			}
+		if !f.UnsafeBits().Equal(beforeUnsafe) || !f.EnabledBits().Equal(beforeEnabled) {
+			t.Fatalf("trial %d: labels not restored", trial)
 		}
 		assertRegionsEqual(t, "idempotence", "blocks", f.Blocks(), beforeBlocks)
 		assertRegionsEqual(t, "idempotence", "regions", f.Regions(), beforeRegions)
@@ -284,5 +283,48 @@ func TestDeltaObservability(t *testing.T) {
 	}
 	if got := reg.Counter("incremental_deltas").Value(); got != 2 {
 		t.Fatalf("incremental_deltas = %d, want 2", got)
+	}
+}
+
+// TestLoadRoundTripsAndRejects adopts a field's own planes into a new
+// field, which must match a from-scratch formation and keep churning
+// like one, and refuses planes of the wrong size, with a disabled safe
+// node, or with a safe or enabled fault.
+func TestLoadRoundTripsAndRejects(t *testing.T) {
+	topo := mesh.MustNew(70, 5, mesh.Mesh2D)
+	faults := grid.PointSetOf(grid.Pt(10, 2), grid.Pt(11, 3), grid.Pt(66, 1))
+	f, err := incremental.New(topo, faults, incremental.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := f.UnsafeBits().Clone()
+	g, err := incremental.Load(topo, faults, incremental.Config{}, f.UnsafeBits(), f.EnabledBits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesFromScratch(t, g, "loaded")
+	if _, err := g.Add(grid.Pt(12, 2)); err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesFromScratch(t, g, "loaded+add")
+	if !f.UnsafeBits().Equal(before) {
+		t.Fatal("a delta on the loaded field reached the planes Load was given")
+	}
+
+	cases := map[string]func(u, e *grid.BitGrid) (*grid.BitGrid, *grid.BitGrid){
+		"size":           func(u, e *grid.BitGrid) (*grid.BitGrid, *grid.BitGrid) { return grid.NewBitGrid(70, 4), e },
+		"safe-disabled":  func(u, e *grid.BitGrid) (*grid.BitGrid, *grid.BitGrid) { e.Set(40, 4, false); return u, e },
+		"faulty-enabled": func(u, e *grid.BitGrid) (*grid.BitGrid, *grid.BitGrid) { e.Set(66, 1, true); return u, e },
+		"faulty-safe": func(u, e *grid.BitGrid) (*grid.BitGrid, *grid.BitGrid) {
+			u.Set(10, 2, false)
+			e.Set(10, 2, true)
+			return u, e
+		},
+	}
+	for name, corrupt := range cases {
+		u, e := corrupt(f.UnsafeBits().Clone(), f.EnabledBits().Clone())
+		if _, err := incremental.Load(topo, faults, incremental.Config{}, u, e); err == nil {
+			t.Errorf("%s: invalid planes loaded without error", name)
+		}
 	}
 }

@@ -104,17 +104,17 @@ type DeltaStat struct {
 
 // Report is the offline summary of one trace.
 type Report struct {
-	Run    *obs.Run         `json:"run,omitempty"`
-	Events int              `json:"events"`
-	WallNS int64            `json:"wall_ns"`
-	Types  map[string]int   `json:"types"`
-	Phases []PhaseStat      `json:"phases,omitempty"`
-	Spans  []SpanStat       `json:"spans,omitempty"`
-	Figures []FigureStat    `json:"figures,omitempty"`
-	Sweep  SweepStat        `json:"sweep"`
-	Routes RouteStat        `json:"routes"`
-	Deltas DeltaStat        `json:"deltas"`
-	Errors int              `json:"errors"`
+	Run     *obs.Run       `json:"run,omitempty"`
+	Events  int            `json:"events"`
+	WallNS  int64          `json:"wall_ns"`
+	Types   map[string]int `json:"types"`
+	Phases  []PhaseStat    `json:"phases,omitempty"`
+	Spans   []SpanStat     `json:"spans,omitempty"`
+	Figures []FigureStat   `json:"figures,omitempty"`
+	Sweep   SweepStat      `json:"sweep"`
+	Routes  RouteStat      `json:"routes"`
+	Deltas  DeltaStat      `json:"deltas"`
+	Errors  int            `json:"errors"`
 }
 
 // Summarize folds a trace into its Report. phase_end events are matched

@@ -101,8 +101,10 @@ func (b *Builder) collect(y, lo, hi int) {
 	switch {
 	case !b.torus && (y < 0 || y >= h):
 		return
-	case !b.torus || hi-lo+1 >= b.w:
+	case !b.torus:
 		lo, hi = max(lo, 0), min(hi, b.w-1)
+	case hi-lo+1 >= b.w: // wraps onto every column
+		lo, hi = 0, b.w-1
 	case lo < 0:
 		b.collect(y, lo+b.w, b.w-1)
 		lo = 0

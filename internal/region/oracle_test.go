@@ -137,6 +137,10 @@ func regionCases() []regionCase {
 		{"seam-y", 64, []grid.Point{{X: 10, Y: 0}, {X: 10, Y: 8}, {X: 11, Y: 8}, {X: 12, Y: 0}}},
 		{"seam-corner", 9, []grid.Point{{X: 0, Y: 0}, {X: 8, Y: 8}, {X: 8, Y: 0}, {X: 0, Y: 8}}},
 		{"full-row", 130, append(grid.NewRect(0, 4, 129, 4).Points(), grid.Pt(5, 6), grid.Pt(6, 3))},
+		// A run two columns short of the row, ending at the x seam:
+		// its Conn8 reach in the next row spans exactly the width and
+		// wraps onto column 0.
+		{"seam-diagonal", 7, append(grid.NewRect(2, 4, 6, 4).Points(), grid.Pt(0, 5))},
 	}
 	for _, fx := range fixtures {
 		for _, kind := range []mesh.Kind{mesh.Mesh2D, mesh.Torus2D} {

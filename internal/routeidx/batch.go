@@ -102,7 +102,7 @@ type idxRouter struct {
 
 // AsRouter returns the index as a routing.Router named "indexed", for
 // the simulation and CLI harnesses that select routers by interface.
-// The graph passed to Route must view the same formation result and
+// The graph passed to Route must view the same Result or Frame and
 // fault model the index was compiled for.
 func (ix *Index) AsRouter() routing.Router {
 	return idxRouter{ix: ix}
@@ -113,7 +113,7 @@ func (idxRouter) Name() string { return "indexed" }
 
 // Route implements routing.Router.
 func (r idxRouter) Route(g *routing.Graph, src, dst grid.Point) (routing.Path, error) {
-	if g.Result() != r.ix.Result() || g.Model() != r.ix.model {
+	if g.Labels() != r.ix.src.view || g.Model() != r.ix.model {
 		return nil, fmt.Errorf("routeidx: router compiled for a different snapshot or model than the graph")
 	}
 	return r.ix.Route(src, dst)

@@ -111,15 +111,14 @@ type Index struct {
 }
 
 // formation is what an index is compiled from: the topology, fault set
-// and obstacle lists core.Result and core.Frame share, plus whichever of
-// the two it came from (Result and Frame hand it back). No label plane
-// is read: the obstacles are exactly the forbidden cells.
+// and obstacle lists core.Result and core.Frame share, plus the one it
+// came from as a label view (AsRouter matches graphs against it). No
+// label plane is read: the obstacles are exactly the forbidden cells.
 type formation struct {
+	view            routing.Labels
 	topo            *mesh.Topology
 	faults          faultSet
 	blocks, regions []*region.Region
-	res             *core.Result // set when compiled from a Result
-	frame           *core.Frame  // set when compiled from a Frame
 }
 
 // faultSet is the fault-set view the faults-only model compiles from,
@@ -129,11 +128,11 @@ type faultSet interface {
 }
 
 func ofResult(res *core.Result) formation {
-	return formation{topo: res.Topo, faults: res.Faults, blocks: res.Blocks, regions: res.Regions, res: res}
+	return formation{view: res, topo: res.Topo, faults: res.Faults, blocks: res.Blocks, regions: res.Regions}
 }
 
 func ofFrame(f *core.Frame) formation {
-	return formation{topo: f.Topo, faults: f.Faults, blocks: f.Blocks, regions: f.Regions, frame: f}
+	return formation{view: f, topo: f.Topo, faults: f.Faults, blocks: f.Blocks, regions: f.Regions}
 }
 
 // Compile builds the index for res under the given fault model.
@@ -163,19 +162,6 @@ func (ix *Index) Rebuild(res *core.Result) *Index {
 func (ix *Index) RebuildFrame(f *core.Frame) *Index {
 	return build(ix, ofFrame(f), ix.model, ix.opt)
 }
-
-// Result returns the formation result the index was compiled for; an
-// index compiled from a frame materializes the frame's Result.
-func (ix *Index) Result() *core.Result {
-	if ix.src.res != nil {
-		return ix.src.res
-	}
-	return ix.src.frame.Result()
-}
-
-// Frame returns the frame the index was compiled from, nil when it was
-// compiled from a Result.
-func (ix *Index) Frame() *core.Frame { return ix.src.frame }
 
 // Model returns the fault model the index routes under.
 func (ix *Index) Model() routing.Model { return ix.model }

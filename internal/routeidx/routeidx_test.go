@@ -38,9 +38,9 @@ func checkCoverage(t *testing.T, ix *Index) {
 		}
 		return false
 	}
-	res := ix.Result()
-	for _, p := range res.Topo.Points() {
-		forbidden := !ix.model.Allowed(res, p)
+	labels := ix.src.view
+	for _, p := range labels.Topology().Points() {
+		forbidden := !ix.model.Allowed(labels, p)
 		if ix.allowed(p) == forbidden {
 			t.Fatalf("allowed(%v) = %t, label planes say forbidden=%t", p, ix.allowed(p), forbidden)
 		}
@@ -477,7 +477,7 @@ func TestRouteIndexRebuildChurn(t *testing.T) {
 					if ixs[m].Fingerprint() != before {
 						t.Fatalf("step %d %v: rebuild mutated the previous index", step, model)
 					}
-					if got, want := next.Fingerprint(), Compile(fr.Result(), model, Options{}).Fingerprint(); got != want {
+					if got, want := next.Fingerprint(), Compile(s.Result(), model, Options{}).Fingerprint(); got != want {
 						t.Fatalf("step %d %v: rebuilt index differs from from-scratch compile:\n--- rebuilt\n%s\n--- fresh\n%s", step, model, got, want)
 					}
 					checkCoverage(t, next)

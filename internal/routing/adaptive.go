@@ -32,7 +32,7 @@ func (AdaptiveMinimal) Route(g *Graph, src, dst grid.Point) (Path, error) {
 	if err := g.CheckEndpoints(src, dst); err != nil {
 		return nil, err
 	}
-	topo := g.res.Topo
+	topo := g.topo
 	path := Path{src}
 	cur := src
 	for cur != dst {
@@ -101,8 +101,8 @@ func productiveDirs(topo *mesh.Topology, cur, dst grid.Point) []mesh.Direction {
 // allowedProductive returns the allowed productive neighbors of cur.
 func allowedProductive(g *Graph, cur, dst grid.Point) []grid.Point {
 	var out []grid.Point
-	for _, d := range productiveDirs(g.res.Topo, cur, dst) {
-		if q, ok := g.res.Topo.NeighborIn(cur, d); ok && g.Allowed(q) {
+	for _, d := range productiveDirs(g.topo, cur, dst) {
+		if q, ok := g.topo.NeighborIn(cur, d); ok && g.Allowed(q) {
 			out = append(out, q)
 		}
 	}

@@ -140,7 +140,7 @@ func AnalyzeDeadlock(g *Graph, r Router, policy VCPolicy, pairs [][2]grid.Point)
 			undeliverable++
 			continue
 		}
-		if verr := path.Validate(g.res, g.model, pr[0], pr[1]); verr != nil {
+		if verr := path.Validate(g.labels, g.model, pr[0], pr[1]); verr != nil {
 			return nil, 0, fmt.Errorf("routing: %s produced invalid path: %w", r.Name(), verr)
 		}
 		cdg.AddPath(path, policy)
@@ -153,7 +153,7 @@ func AnalyzeDeadlock(g *Graph, r Router, policy VCPolicy, pairs [][2]grid.Point)
 // machines.
 func AllPairs(g *Graph) [][2]grid.Point {
 	var nodes []grid.Point
-	for _, p := range g.res.Topo.Points() {
+	for _, p := range g.topo.Points() {
 		if g.Allowed(p) {
 			nodes = append(nodes, p)
 		}

@@ -47,7 +47,7 @@ func (d Detour) RouteAppend(g *Graph, src, dst grid.Point, buf Path) (Path, erro
 	if err := g.CheckEndpoints(src, dst); err != nil {
 		return buf, err
 	}
-	topo := g.res.Topo
+	topo := g.topo
 	maxHops := d.MaxHops
 	if maxHops == 0 {
 		maxHops = 4 * topo.Size()

@@ -43,7 +43,7 @@ func KDisjointPaths(g *Graph, src, dst grid.Point, k int) (DisjointResult, error
 		return DisjointResult{Paths: []Path{{src}}, Requested: k, Found: 1}, nil
 	}
 
-	topo := g.res.Topo
+	topo := g.topo
 	n := topo.Size()
 	// Flow-network node ids: 2*idx is the in-copy, 2*idx+1 the out-copy.
 	in := func(p grid.Point) int32 { return int32(2 * topo.Index(p)) }

@@ -21,7 +21,7 @@ func checkDisjoint(t *testing.T, g *Graph, res DisjointResult, src, dst grid.Poi
 	}
 	used := make(map[grid.Point]int)
 	for i, p := range res.Paths {
-		if err := p.Validate(g.Result(), g.Model(), src, dst); err != nil {
+		if err := p.Validate(g.Labels(), g.Model(), src, dst); err != nil {
 			t.Fatalf("path %d invalid: %v", i, err)
 		}
 		within := make(map[grid.Point]bool)

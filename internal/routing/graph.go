@@ -23,10 +23,19 @@ package routing
 import (
 	"fmt"
 
-	"ocpmesh/internal/core"
 	"ocpmesh/internal/grid"
 	"ocpmesh/internal/mesh"
 )
+
+// Labels is the read-only label view routing runs on: the machine and
+// each node's fault, phase-1 (unsafe) and phase-2 (enabled) label.
+// *core.Result and the packed *core.Frame both satisfy it.
+type Labels interface {
+	Topology() *mesh.Topology
+	IsFaulty(p grid.Point) bool
+	IsUnsafe(p grid.Point) bool
+	IsEnabled(p grid.Point) bool
+}
 
 // Model selects which nodes a message may traverse.
 type Model int
@@ -58,17 +67,19 @@ func (m Model) String() string {
 }
 
 // Allowed reports whether p may carry messages under the model.
-func (m Model) Allowed(res *core.Result, p grid.Point) bool {
-	if !res.Topo.Contains(p) {
-		return false
-	}
+func (m Model) Allowed(l Labels, p grid.Point) bool {
+	return l.Topology().Contains(p) && m.allows(l, p)
+}
+
+// allows is Allowed for a node known to be inside the machine.
+func (m Model) allows(l Labels, p grid.Point) bool {
 	switch m {
 	case ModelBlocks:
-		return !res.IsUnsafe(p)
+		return !l.IsUnsafe(p)
 	case ModelRegions:
-		return res.IsEnabled(p)
+		return l.IsEnabled(p)
 	case ModelFaultsOnly:
-		return !res.IsFaulty(p)
+		return !l.IsFaulty(p)
 	default:
 		return false
 	}
@@ -89,7 +100,7 @@ func (p Path) Len() int {
 
 // Validate checks that the path starts at src, ends at dst, takes only
 // topology-adjacent steps and visits only allowed nodes.
-func (p Path) Validate(res *core.Result, m Model, src, dst grid.Point) error {
+func (p Path) Validate(l Labels, m Model, src, dst grid.Point) error {
 	if len(p) == 0 {
 		return fmt.Errorf("routing: empty path")
 	}
@@ -97,35 +108,36 @@ func (p Path) Validate(res *core.Result, m Model, src, dst grid.Point) error {
 		return fmt.Errorf("routing: path endpoints %v..%v, want %v..%v", p[0], p[len(p)-1], src, dst)
 	}
 	for i, q := range p {
-		if !m.Allowed(res, q) {
+		if !m.Allowed(l, q) {
 			return fmt.Errorf("routing: path visits forbidden node %v", q)
 		}
-		if i > 0 && res.Topo.Dist(p[i-1], q) != 1 {
+		if i > 0 && l.Topology().Dist(p[i-1], q) != 1 {
 			return fmt.Errorf("routing: non-adjacent step %v -> %v", p[i-1], q)
 		}
 	}
 	return nil
 }
 
-// Graph is a routing view of a formation result under one fault model.
+// Graph is a routing view of a formation's labels under one fault model.
 type Graph struct {
-	res   *core.Result
-	model Model
+	labels Labels
+	topo   *mesh.Topology
+	model  Model
 }
 
-// NewGraph returns the routing view of res under model m.
-func NewGraph(res *core.Result, m Model) *Graph { return &Graph{res: res, model: m} }
+// NewGraph returns the routing view of l under model m.
+func NewGraph(l Labels, m Model) *Graph { return &Graph{labels: l, topo: l.Topology(), model: m} }
 
 // Allowed reports whether p may carry messages.
-func (g *Graph) Allowed(p grid.Point) bool { return g.model.Allowed(g.res, p) }
+func (g *Graph) Allowed(p grid.Point) bool { return g.topo.Contains(p) && g.model.allows(g.labels, p) }
 
 // Topo returns the underlying machine topology.
-func (g *Graph) Topo() *mesh.Topology { return g.res.Topo }
+func (g *Graph) Topo() *mesh.Topology { return g.topo }
 
-// Result returns the formation result the graph views. Index-backed
+// Labels returns the label view the graph routes over. Index-backed
 // routers use it to check that graph and index describe the same
 // snapshot.
-func (g *Graph) Result() *core.Result { return g.res }
+func (g *Graph) Labels() Labels { return g.labels }
 
 // Model returns the fault model the graph routes under.
 func (g *Graph) Model() Model { return g.model }
@@ -133,7 +145,7 @@ func (g *Graph) Model() Model { return g.model }
 // Neighbors returns the allowed machine neighbors of p.
 func (g *Graph) Neighbors(p grid.Point) []grid.Point {
 	var out []grid.Point
-	for _, q := range g.res.Topo.Neighbors(p) {
+	for _, q := range g.topo.Neighbors(p) {
 		if g.Allowed(q) {
 			out = append(out, q)
 		}
@@ -151,7 +163,7 @@ func (g *Graph) ShortestPath(src, dst grid.Point) (Path, bool) {
 	if src == dst {
 		return Path{src}, true
 	}
-	topo := g.res.Topo
+	topo := g.topo
 	prev := make(map[grid.Point]grid.Point, topo.Size())
 	prev[src] = src
 	queue := []grid.Point{src}

@@ -47,7 +47,7 @@ func (ir Instrumented) Route(g *Graph, src, dst grid.Point) (Path, error) {
 		return path, err
 	}
 
-	minimal := g.res.Topo.Dist(src, dst)
+	minimal := g.topo.Dist(src, dst)
 	detour := path.Len() - minimal
 	ev.OK = true
 	ev.Hops = path.Len()

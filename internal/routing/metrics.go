@@ -3,7 +3,6 @@ package routing
 import (
 	"math/rand"
 
-	"ocpmesh/internal/core"
 	"ocpmesh/internal/grid"
 )
 
@@ -43,10 +42,10 @@ func (s ModelStats) AvgStretch() float64 {
 
 // SamplePairs draws n source/destination pairs uniformly among distinct
 // nonfaulty nodes.
-func SamplePairs(res *core.Result, n int, rng *rand.Rand) [][2]grid.Point {
+func SamplePairs(l Labels, n int, rng *rand.Rand) [][2]grid.Point {
 	var nonfaulty []grid.Point
-	for _, p := range res.Topo.Points() {
-		if !res.IsFaulty(p) {
+	for _, p := range l.Topology().Points() {
+		if !l.IsFaulty(p) {
 			nonfaulty = append(nonfaulty, p)
 		}
 	}
@@ -68,10 +67,10 @@ func SamplePairs(res *core.Result, n int, rng *rand.Rand) [][2]grid.Point {
 // model on the same pair sample. The expected shape — the paper's
 // motivation — is ModelRegions delivering at least as many pairs with at
 // most the stretch of ModelBlocks, both bounded below by ModelFaultsOnly.
-func CompareModels(res *core.Result, pairs [][2]grid.Point) map[Model]ModelStats {
+func CompareModels(l Labels, pairs [][2]grid.Point) map[Model]ModelStats {
 	out := make(map[Model]ModelStats, 3)
 	for _, m := range []Model{ModelBlocks, ModelRegions, ModelFaultsOnly} {
-		g := NewGraph(res, m)
+		g := NewGraph(l, m)
 		st := ModelStats{Pairs: len(pairs)}
 		for _, pr := range pairs {
 			src, dst := pr[0], pr[1]
@@ -82,7 +81,7 @@ func CompareModels(res *core.Result, pairs [][2]grid.Point) map[Model]ModelStats
 			if path, ok := g.ShortestPath(src, dst); ok {
 				st.Delivered++
 				st.TotalHops += path.Len()
-				st.TotalManhattan += res.Topo.Dist(src, dst)
+				st.TotalManhattan += g.topo.Dist(src, dst)
 			}
 		}
 		out[m] = st

@@ -31,7 +31,7 @@ func (XY) Route(g *Graph, src, dst grid.Point) (Path, error) {
 	if err := g.CheckEndpoints(src, dst); err != nil {
 		return nil, err
 	}
-	topo := g.res.Topo
+	topo := g.topo
 	path := Path{src}
 	cur := src
 	for cur != dst {

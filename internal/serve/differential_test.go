@@ -8,7 +8,10 @@
 package serve_test
 
 import (
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -24,6 +27,17 @@ import (
 )
 
 var engineNames = []string{"sequential", "channels", "parallel", "bitset"}
+
+// framePlanes unpacks a frame's packed label planes into row-major
+// []bool planes, the layout core.Result carries.
+func framePlanes(fr *core.Frame) (unsafe, enabled []bool) {
+	unpack := func(chunks [][]uint64) []bool {
+		g := grid.NewBitGrid(fr.Topo.Width(), fr.Topo.Height())
+		copy(g.Words(), slices.Concat(chunks...))
+		return g.Bools(nil)
+	}
+	return unpack(fr.UnsafeWords()), unpack(fr.EnabledWords())
+}
 
 // assertServedMatchesFresh pins the served snapshot of tn against a
 // from-scratch formation on the same fault set: identical fault set,
@@ -42,10 +56,11 @@ func assertServedMatchesFresh(t *testing.T, tag string, tn *serve.Tenant) {
 	if !snap.Frame.Faults.Equal(fresh.Faults) {
 		t.Fatalf("%s: served fault set differs from fresh", tag)
 	}
-	if !slices.Equal(snap.Frame.Result().Unsafe, fresh.Unsafe) {
+	unsafe, enabled := framePlanes(snap.Frame)
+	if !slices.Equal(unsafe, fresh.Unsafe) {
 		t.Fatalf("%s: served unsafe plane differs from fresh form (faults=%d)", tag, snap.Frame.Faults.Len())
 	}
-	if !slices.Equal(snap.Frame.Result().Enabled, fresh.Enabled) {
+	if !slices.Equal(enabled, fresh.Enabled) {
 		t.Fatalf("%s: served enabled plane differs from fresh form (faults=%d)", tag, snap.Frame.Faults.Len())
 	}
 	if err := sameRegions(snap.Frame.Blocks, fresh.Blocks); err != nil {
@@ -315,6 +330,66 @@ func TestServeSnapshotRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestServeSnapshotRejectsInvalidPlanes pins the restore-time label
+// checks behind the checksum: each case edits one label bit of a valid
+// snapshot, re-seals it with a matching checksum, and must be refused
+// as a bad document (HTTP 400), never adopted.
+// On the 8x8 mesh each row is one word, so node (x, y) is bit x of word
+// y and bit 63 is padding.
+func TestServeSnapshotRejectsInvalidPlanes(t *testing.T) {
+	svc := serve.New(serve.Options{Shards: 1})
+	defer svc.Close()
+	if _, _, err := svc.Create("src", serve.TenantConfig{Width: 8, Height: 8},
+		[]grid.Point{grid.Pt(2, 2), grid.Pt(3, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	tn, err := svc.Tenant("src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := tn.TakeSnapshot()
+
+	// flip returns the plane with bit x of word y set or cleared.
+	flip := func(plane string, x, y int, set bool) string {
+		raw, err := base64.StdEncoding.DecodeString(plane)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := binary.LittleEndian.Uint64(raw[8*y:])
+		if set {
+			w |= 1 << x
+		} else {
+			w &^= 1 << x
+		}
+		binary.LittleEndian.PutUint64(raw[8*y:], w)
+		return base64.StdEncoding.EncodeToString(raw)
+	}
+	cases := map[string]func(*serve.TenantSnapshot){
+		"faulty-enabled": func(ts *serve.TenantSnapshot) { ts.Enabled = flip(ts.Enabled, 2, 2, true) },
+		"faulty-safe": func(ts *serve.TenantSnapshot) {
+			// Safe and enabled, so only the faulty-node rule is broken.
+			ts.Unsafe, ts.Enabled = flip(ts.Unsafe, 2, 2, false), flip(ts.Enabled, 2, 2, true)
+		},
+		"safe-disabled":   func(ts *serve.TenantSnapshot) { ts.Enabled = flip(ts.Enabled, 6, 6, false) },
+		"unsafe-padding":  func(ts *serve.TenantSnapshot) { ts.Unsafe = flip(ts.Unsafe, 63, 0, true) },
+		"enabled-padding": func(ts *serve.TenantSnapshot) { ts.Enabled = flip(ts.Enabled, 63, 7, true) },
+	}
+	for name, corrupt := range cases {
+		ts := *base
+		corrupt(&ts)
+		if ts.Unsafe == base.Unsafe && ts.Enabled == base.Enabled {
+			t.Fatalf("%s: the edit did not change a plane", name)
+		}
+		ts.Checksum = serve.SnapshotChecksum(&ts)
+		if _, err := svc.Restore("dst-"+name, &ts); !errors.Is(err, serve.ErrBadDelta) {
+			t.Errorf("%s: snapshot with invalid planes: err = %v, want ErrBadDelta", name, err)
+		}
+	}
+	if _, err := svc.Restore("dst-ok", base); err != nil {
+		t.Fatalf("pristine snapshot refused: %v", err)
+	}
+}
+
 // TestServeSnapshotLegacyParallelEngine pins snapshot compatibility for
 // the retired "parallel" engine name: a snapshot whose config says
 // "engine":"parallel" restores, serves the formation a sequential
@@ -364,7 +439,8 @@ func TestServeSnapshotLegacyParallelEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(snap.Frame.Result().Unsafe, want.Unsafe) || !slices.Equal(snap.Frame.Result().Enabled, want.Enabled) {
+		unsafe, enabled := framePlanes(snap.Frame)
+		if !slices.Equal(unsafe, want.Unsafe) || !slices.Equal(enabled, want.Enabled) {
 			t.Fatalf("%s: served labels differ from the sequential formation", tag)
 		}
 		if err := sameRegions(snap.Frame.Blocks, want.Blocks); err != nil {

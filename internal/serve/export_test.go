@@ -18,6 +18,10 @@ func LabelsOf(snap *Snapshot) LabelsResponse { return labelsOf(snap) }
 // Serialize is the GET /snapshot body for one published snapshot.
 func (t *Tenant) Serialize(snap *Snapshot) *TenantSnapshot { return t.serialize(snap) }
 
+// SnapshotChecksum is the checksum RestoreSession verifies, so tests can
+// re-seal a snapshot after editing it.
+func SnapshotChecksum(ts *TenantSnapshot) string { return ts.checksum() }
+
 // PackPlane is the reference plane encoding: pack a row-major []bool
 // plane into BitGrid words, then encode them like a frame's.
 func PackPlane(topo *mesh.Topology, labels []bool) string {

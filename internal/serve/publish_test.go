@@ -7,11 +7,17 @@ package serve_test
 import (
 	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math/rand"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
+	"ocpmesh/internal/core"
 	"ocpmesh/internal/fault"
 	"ocpmesh/internal/grid"
 	"ocpmesh/internal/mesh"
@@ -119,7 +125,7 @@ func sameView(a, b heldView) bool {
 // keeps re-deriving labels, /snapshot bytes and indexed routes from the
 // held snapshot: all must stay identical to what it read first. Every
 // newly published snapshot's frame words must also encode exactly like
-// its materialized []bool planes. Shapes straddle the 64-lane word
+// the packed []bool planes of a fresh formation on its fault set. Shapes straddle the 64-lane word
 // boundary, plus a torus.
 func TestServeHeldSnapshotStable(t *testing.T) {
 	for _, shape := range []struct {
@@ -140,6 +146,10 @@ func TestServeHeldSnapshotStable(t *testing.T) {
 			defer svc.Close()
 			initial := fault.Uniform{Count: shape.w * shape.h / 20}.Generate(topo, rng)
 			tn, _, err := svc.Create("held", serve.TenantConfig{Width: shape.w, Height: shape.h, Torus: shape.torus}, initial.Points())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := tn.Config().CoreConfig()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,10 +187,13 @@ func TestServeHeldSnapshotStable(t *testing.T) {
 					t.Fatal(err)
 				}
 				snap := tn.Snapshot()
-				res := snap.Frame.Result()
+				res, err := core.FormOn(cfg, topo, snap.Frame.Faults.Set())
+				if err != nil {
+					t.Fatal(err)
+				}
 				got := serve.LabelsOf(snap)
 				if got.Unsafe != serve.PackPlane(topo, res.Unsafe) || got.Enabled != serve.PackPlane(topo, res.Enabled) {
-					t.Fatalf("delta %d: frame words encode differently from the packed []bool planes", i)
+					t.Fatalf("delta %d: frame words encode differently from a fresh formation's packed []bool planes", i)
 				}
 			}
 			close(done)
@@ -191,6 +204,35 @@ func TestServeHeldSnapshotStable(t *testing.T) {
 			if !sameView(viewOf(t, tn, held, pairs), want) {
 				t.Fatal("held snapshot changed under later deltas")
 			}
+		})
+	}
+}
+
+// TestServeNeverUnpacksLabels pins that the serving layer has one label
+// store: no non-test file of the package calls a Result() or Bools()
+// method, so no request unpacks the packed planes into []bool labels
+// (the walk routers and disjoint paths read the Frame directly).
+func TestServeNeverUnpacksLabels(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Result" || sel.Sel.Name == "Bools") {
+					t.Errorf("%s: %s() unpacks labels on a serving path", fset.Position(call.Pos()), sel.Sel.Name)
+				}
+			}
+			return true
 		})
 	}
 }

@@ -8,6 +8,7 @@ package serve_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -103,20 +104,20 @@ func TestServeConcurrentHammer(t *testing.T) {
 					t.Error("torn snapshot: a faulty node is not unsafe/disabled")
 					return
 				}
-				if snap.Routes.Frame() != snap.Frame {
-					t.Error("snapshot's routing index was built over a different frame")
+				src := grid.Pt(rng.Intn(side), rng.Intn(side))
+				dst := grid.Pt(rng.Intn(side), rng.Intn(side))
+				// The index adapter refuses a graph over any view but the
+				// one it was compiled from, so it answers like the index
+				// itself only when the index is over this frame.
+				_, aerr := snap.Routes.AsRouter().Route(routing.NewGraph(snap.Frame, routing.ModelRegions), src, dst)
+				if _, ierr := snap.Routes.Route(src, dst); fmt.Sprint(aerr) != fmt.Sprint(ierr) {
+					t.Errorf("snapshot's routing index was built over a different frame: %v", aerr)
 					return
 				}
 
-				src := grid.Pt(rng.Intn(side), rng.Intn(side))
-				dst := grid.Pt(rng.Intn(side), rng.Intn(side))
 				path, rsnap, err := hot.Route(src, dst, "regions", "indexed")
 				if err == nil {
-					if rsnap.Routes.Frame() != rsnap.Frame {
-						t.Errorf("route at seq %d answered by an index over another frame", rsnap.Seq)
-						return
-					}
-					if verr := path.Validate(rsnap.Frame.Result(), routing.ModelRegions, src, dst); verr != nil {
+					if verr := path.Validate(rsnap.Frame, routing.ModelRegions, src, dst); verr != nil {
 						t.Errorf("indexed route %v -> %v at seq %d: %v", src, dst, rsnap.Seq, verr)
 						return
 					}

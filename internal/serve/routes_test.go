@@ -212,7 +212,7 @@ func TestServeIndexedMatchesDetour(t *testing.T) {
 			t.Fatal(err)
 		}
 		snap := tn.Snapshot()
-		pairs := routing.SamplePairs(snap.Frame.Result(), 40, rng)
+		pairs := routing.SamplePairs(snap.Frame, 40, rng)
 		qs := make([]routeidx.Query, len(pairs))
 		for i, pr := range pairs {
 			qs[i] = routeidx.Query{Src: pr[0], Dst: pr[1]}
@@ -267,7 +267,7 @@ func TestServeSnapshotRoutesIncremental(t *testing.T) {
 		if snap.Routes == nil {
 			t.Fatalf("%s: snapshot has no routing index", stage)
 		}
-		fresh := routeidx.Compile(snap.Frame.Result(), routing.ModelRegions, routeidx.Options{})
+		fresh := routeidx.CompileFrame(snap.Frame, routing.ModelRegions, routeidx.Options{})
 		if snap.Routes.Fingerprint() != fresh.Fingerprint() {
 			t.Fatalf("%s: published index differs from a from-scratch compile", stage)
 		}

@@ -150,10 +150,9 @@ type Snapshot struct {
 	// has Seq >= k.
 	Seq uint64
 	// Frame is the formation state: fault set, region lists and both
-	// label planes as frozen words. Frame.Result() is interchangeable
-	// with a from-scratch core.Form on the tenant's current fault set;
-	// it is unpacked only for the consumers that walk []bool planes
-	// (the xy, detour and bfs routers and disjoint paths).
+	// label planes as frozen words, equal to a from-scratch core.Form
+	// on the tenant's current fault set. The xy, detour and bfs routers
+	// and disjoint paths read its labels directly (routing.Labels).
 	Frame *core.Frame
 	// Routes is the precompiled routing index over Frame under the
 	// regions fault model (internal/routeidx). Immutable like Frame, and
@@ -660,11 +659,11 @@ func (t *Tenant) Route(src, dst grid.Point, modelName, routerName string) (routi
 	}
 	if routerName == "indexed" && model == routing.ModelRegions {
 		// The index checks endpoints itself, with the same typed error
-		// the graph below returns, and reads no []bool plane.
+		// the graph below returns, and reads no label plane.
 		path, err := snap.Routes.Route(src, dst)
 		return path, snap, err
 	}
-	g := routing.NewGraph(snap.Frame.Result(), model)
+	g := routing.NewGraph(snap.Frame, model)
 	if err := g.CheckEndpoints(src, dst); err != nil {
 		return nil, snap, err
 	}
@@ -711,7 +710,7 @@ func (t *Tenant) RouteMany(qs []routeidx.Query, modelName, routerName string, pa
 		}
 		return snap.Routes.RouteMany(qs, routeidx.BatchOptions{Paths: paths}), snap, nil
 	case "detour":
-		g := routing.NewGraph(snap.Frame.Result(), model)
+		g := routing.NewGraph(snap.Frame, model)
 		answers := make([]routeidx.Answer, len(qs))
 		var buf routing.Path
 		for i, q := range qs {
@@ -744,7 +743,7 @@ func (t *Tenant) DisjointPaths(src, dst grid.Point, k int, modelName string) (ro
 	if k < 1 || k > 8 {
 		return routing.DisjointResult{}, snap, fmt.Errorf("%w: k must be in [1, 8], got %d", ErrBadDelta, k)
 	}
-	out, err := routing.KDisjointPaths(routing.NewGraph(snap.Frame.Result(), model), src, dst, k)
+	out, err := routing.KDisjointPaths(routing.NewGraph(snap.Frame, model), src, dst, k)
 	return out, snap, err
 }
 

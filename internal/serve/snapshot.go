@@ -174,7 +174,9 @@ func (ts *TenantSnapshot) RestoreSession(maxNodes int) (*core.Session, core.Conf
 	}
 	session, err := core.RestoreSession(cfg, topo, faults, unsafe, enabled)
 	if err != nil {
-		return nil, cfg, err
+		// The planes contradict the fault set: a bad document, not a
+		// server fault.
+		return nil, cfg, fmt.Errorf("%w: %v", ErrBadDelta, err)
 	}
 	return session, cfg, nil
 }
@@ -221,9 +223,10 @@ func encodeWords(chunks [][]uint64) string {
 	return base64.StdEncoding.EncodeToString(raw)
 }
 
-// unpackPlane is the inverse of encodeWords, validating the exact word
-// count and the padding-bits-zero invariant.
-func unpackPlane(topo *mesh.Topology, s string) ([]bool, error) {
+// unpackPlane is the inverse of encodeWords: it decodes the wire words
+// straight into a plane, validating the exact word count and the
+// padding-bits-zero invariant.
+func unpackPlane(topo *mesh.Topology, s string) (*grid.BitGrid, error) {
 	raw, err := base64.StdEncoding.DecodeString(s)
 	if err != nil {
 		return nil, err
@@ -240,5 +243,5 @@ func unpackPlane(topo *mesh.Topology, s string) ([]bool, error) {
 		}
 		words[i] = w
 	}
-	return bg.Bools(nil), nil
+	return bg, nil
 }

@@ -47,16 +47,14 @@ type BitField struct {
 	applies          []uint64 // per-work-word pending update mask of a wave
 }
 
-// NewBitField packs the label vector and fault pattern of env. labels
-// must hold one entry per node (faulty nodes at their pinned label),
-// exactly like the node-frontier engine's label slice.
-func NewBitField(env *Env, labels []bool) (*BitField, error) {
+// NewBitField wraps a packed label plane (faulty lanes at their pinned
+// label, padding bits zero) and the fault pattern of env. The plane is
+// retained and mutated in place by SetLabel and later runs.
+func NewBitField(env *Env, g *grid.BitGrid) (*BitField, error) {
 	topo := env.Topo
-	if len(labels) != topo.Size() {
-		return nil, fmt.Errorf("simnet: BitField labels have %d entries, want %d", len(labels), topo.Size())
+	if g.Width() != topo.Width() || g.Height() != topo.Height() {
+		return nil, fmt.Errorf("simnet: BitField plane is %dx%d, want %dx%d", g.Width(), g.Height(), topo.Width(), topo.Height())
 	}
-	g := grid.NewBitGrid(topo.Width(), topo.Height())
-	g.SetBools(labels)
 	f := &BitField{
 		w: topo.Width(), h: topo.Height(), wpr: g.WordsPerRow(),
 		lastLane: uint(topo.Width()-1) % 64,

@@ -130,7 +130,7 @@ func TestBitsetFrontierMatchesNode(t *testing.T) {
 				nodeLabels[idx] = rule.FaultyLabel()
 				node := runNodeFrontier(t, env2, rule, nodeLabels, seed)
 
-				field, err := simnet.NewBitField(env, base.Labels)
+				field, err := simnet.NewBitField(env, packLabels(topo, base.Labels))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -195,7 +195,7 @@ func TestBitsetFrontierFullSeed(t *testing.T) {
 				t.Fatal(err)
 			}
 			labels := initLabels(envP, rule)
-			field, err := simnet.NewBitField(envP, labels)
+			field, err := simnet.NewBitField(envP, packLabels(topo, labels))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,6 +212,13 @@ func TestBitsetFrontierFullSeed(t *testing.T) {
 	}
 }
 
+// packLabels packs a row-major label vector into a fresh plane.
+func packLabels(topo *mesh.Topology, labels []bool) *grid.BitGrid {
+	g := grid.NewBitGrid(topo.Width(), topo.Height())
+	g.SetBools(labels)
+	return g
+}
+
 // TestBitsetFrontierRejects pins the two precondition errors: a rule
 // without a word kernel and a mismatched field/topology pair must be
 // refused, never miscomputed.
@@ -222,7 +229,7 @@ func TestBitsetFrontierRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	rule := status.UnsafeRule(status.Def2b)
-	field, err := simnet.NewBitField(env, make([]bool, topo.Size()))
+	field, err := simnet.NewBitField(env, grid.NewBitGrid(topo.Width(), topo.Height()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func checkPhase(t *testing.T, ctx string, env *simnet.Env, rule simnet.Rule, pha
 	if !reflect.DeepEqual(frLabels, want.Labels) {
 		t.Fatalf("%s: frontier labels diverge from sequential", ctx)
 	}
-	bits, err := simnet.NewBitField(env, initLabels(env, rule))
+	bits, err := simnet.NewBitField(env, packLabels(env.Topo, initLabels(env, rule)))
 	if err != nil {
 		t.Fatalf("%s: bit field: %v", ctx, err)
 	}
