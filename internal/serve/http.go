@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"ocpmesh/internal/grid"
@@ -140,13 +141,124 @@ func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// writeJSON writes one JSON response.
+// maxPooledBuf caps the response buffers kept for reuse: a larger one
+// (a big tenant's /snapshot body) is left to the collector rather than
+// pinned by the pool.
+const maxPooledBuf = 256 << 10
+
+// respBuf is one response's scratch: the compact encoding of the value
+// and the indented body built from it.
+type respBuf struct {
+	compact bytes.Buffer
+	enc     *json.Encoder
+	body    []byte
+}
+
+var respBufs = sync.Pool{New: func() any {
+	rb := new(respBuf)
+	rb.enc = json.NewEncoder(&rb.compact)
+	return rb
+}}
+
+func getRespBuf() *respBuf { return respBufs.Get().(*respBuf) }
+
+func (rb *respBuf) release() {
+	if rb.compact.Cap() > maxPooledBuf || cap(rb.body) > maxPooledBuf {
+		return
+	}
+	rb.compact.Reset()
+	rb.body = rb.body[:0]
+	respBufs.Put(rb)
+}
+
+// writeJSON writes one JSON response, indented by two spaces and ending
+// in a newline: encoding/json's compact encoding (HTML escaping on)
+// re-laid by appendIndent, so the body is exactly what an Encoder with
+// SetIndent("", "  ") writes, without its second scan.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	rb := getRespBuf()
+	defer rb.release()
+	// An unencodable value leaves compact empty (Encode writes nothing
+	// on error), so the response is the status with an empty body.
+	_ = rb.enc.Encode(v)
+	rb.body = appendIndent(rb.body, rb.compact.Bytes())
+	writeBody(w, code, rb.body)
+}
+
+// writeBody writes an encoded JSON body with one Write. It sets no
+// Content-Length: a body past net/http's buffer then goes out chunked,
+// and its final chunk only once the handler has returned, so a client
+// never sees a response end before the handler does (the span nesting
+// the serving benchmark's traced runs check).
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body)
+}
+
+// appendIndent appends src, which must be encoding/json's own compact
+// output, indented as json.Indent(dst, src, "", "  ") would: a newline
+// and two spaces per depth after '{', '[' and ',' and before '}' and
+// ']', ": " after keys, empty objects and arrays kept as "{}" and "[]",
+// and string literals copied whole. It is one pass with no validation;
+// FuzzAppendIndent holds it to json.Indent.
+func appendIndent(dst, src []byte) []byte {
+	depth := 0
+	for i := 0; i < len(src); i++ {
+		switch c := src[i]; c {
+		case '"':
+			end := stringEnd(src, i)
+			dst = append(dst, src[i:end]...)
+			i = end - 1
+		case '{', '[':
+			if i+1 < len(src) && (src[i+1] == '}' || src[i+1] == ']') {
+				dst = append(dst, c, src[i+1])
+				i++
+				continue
+			}
+			depth++
+			dst = appendNewline(append(dst, c), depth)
+		case '}', ']':
+			depth--
+			dst = append(appendNewline(dst, depth), c)
+		case ',':
+			dst = appendNewline(append(dst, c), depth)
+		case ':':
+			dst = append(dst, ':', ' ')
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
+}
+
+// stringEnd returns the index just past the string literal opening at
+// src[i]: the first '"' not escaped by an odd run of backslashes.
+func stringEnd(src []byte, i int) int {
+	for j := i + 1; ; {
+		q := bytes.IndexByte(src[j:], '"')
+		if q < 0 {
+			return len(src)
+		}
+		j += q
+		k := j
+		for src[k-1] == '\\' {
+			k--
+		}
+		if (j-k)%2 == 0 {
+			return j + 1
+		}
+		j++
+	}
+}
+
+// appendNewline appends a newline and depth levels of indentation.
+func appendNewline(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for range depth {
+		dst = append(dst, ' ', ' ')
+	}
+	return dst
 }
 
 // writeErr maps a service error onto an HTTP status and a JSON body.
@@ -385,21 +497,34 @@ func (s *Server) labels(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := t.Snapshot()
-	s.observeQuery("labels", func() {
-		writeJSON(w, http.StatusOK, labelsOf(snap))
-	})
+	s.observeQuery("labels", func() { writeLabels(w, snap) })
 }
 
-// labelsOf encodes a snapshot's frame words directly, with no
-// repacking.
-func labelsOf(snap *Snapshot) LabelsResponse {
-	return LabelsResponse{
-		Seq:     snap.Seq,
-		Width:   snap.Frame.Topo.Width(),
-		Height:  snap.Frame.Topo.Height(),
-		Unsafe:  encodeWords(snap.Frame.UnsafeWords()),
-		Enabled: encodeWords(snap.Frame.EnabledWords()),
-	}
+// writeLabels writes a snapshot's LabelsResponse body, encoded straight
+// from the frame words.
+func writeLabels(w http.ResponseWriter, snap *Snapshot) {
+	rb := getRespBuf()
+	defer rb.release()
+	rb.body = appendLabels(rb.body, snap)
+	writeBody(w, http.StatusOK, rb.body)
+}
+
+// appendLabels appends the GET /labels body of snap: byte for byte what
+// writeJSON writes for the snapshot's LabelsResponse, with each plane
+// base64'd from the frame's words straight into dst.
+func appendLabels(dst []byte, snap *Snapshot) []byte {
+	fr := snap.Frame
+	dst = append(dst, "{\n  \"seq\": "...)
+	dst = strconv.AppendUint(dst, snap.Seq, 10)
+	dst = append(dst, ",\n  \"width\": "...)
+	dst = strconv.AppendInt(dst, int64(fr.Topo.Width()), 10)
+	dst = append(dst, ",\n  \"height\": "...)
+	dst = strconv.AppendInt(dst, int64(fr.Topo.Height()), 10)
+	dst = append(dst, ",\n  \"unsafe_words\": \""...)
+	dst = appendWords(dst, fr.UnsafeWords())
+	dst = append(dst, "\",\n  \"enabled_words\": \""...)
+	dst = appendWords(dst, fr.EnabledWords())
+	return append(dst, "\"\n}\n"...)
 }
 
 // RegionJSON is one region in a RegionsResponse.

@@ -213,10 +213,29 @@ func TestServeHeldSnapshotStable(t *testing.T) {
 // method, so no request unpacks the packed planes into []bool labels
 // (the walk routers and disjoint paths read the Frame directly).
 func TestServeNeverUnpacksLabels(t *testing.T) {
+	for _, c := range servingCalls(t) {
+		if c.name == "Result" || c.name == "Bools" {
+			t.Errorf("%s: %s() unpacks labels on a serving path", c.pos, c.name)
+		}
+	}
+}
+
+// servingCall is one selector call (x.Name(...)) in a non-test file of
+// the package.
+type servingCall struct {
+	pos  token.Position
+	name string
+}
+
+// servingCalls lists every selector call in the package's non-test
+// files.
+func servingCalls(t *testing.T) []servingCall {
+	t.Helper()
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var calls []servingCall
 	fset := token.NewFileSet()
 	for _, name := range files {
 		if strings.HasSuffix(name, "_test.go") {
@@ -228,11 +247,12 @@ func TestServeNeverUnpacksLabels(t *testing.T) {
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
-				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Result" || sel.Sel.Name == "Bools") {
-					t.Errorf("%s: %s() unpacks labels on a serving path", fset.Position(call.Pos()), sel.Sel.Name)
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+					calls = append(calls, servingCall{fset.Position(call.Pos()), sel.Sel.Name})
 				}
 			}
 			return true
 		})
 	}
+	return calls
 }

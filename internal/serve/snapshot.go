@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"ocpmesh/internal/core"
@@ -209,18 +210,33 @@ func (ts *TenantSnapshot) checksum() string {
 
 // encodeWords encodes a packed plane, given as consecutive word chunks
 // (core.Frame.UnsafeWords), little-endian base64.
-func encodeWords(chunks [][]uint64) string {
+func encodeWords(chunks [][]uint64) string { return string(appendWords(nil, chunks)) }
+
+// wordBlock is how many words appendWords packs per base64 call: a
+// multiple of 3, so every block but the last encodes without padding.
+const wordBlock = 3 * 64
+
+// appendWords appends the little-endian base64 (std, padded) encoding
+// of a packed plane's words to dst: blocks of raw bytes staged on the
+// stack and encoded straight into dst, with no intermediate string.
+func appendWords(dst []byte, chunks [][]uint64) []byte {
 	n := 0
 	for _, chunk := range chunks {
 		n += len(chunk)
 	}
-	raw := make([]byte, 0, 8*n)
+	dst = slices.Grow(dst, base64.StdEncoding.EncodedLen(8*n))
+	var raw [8 * wordBlock]byte
+	k := 0
 	for _, chunk := range chunks {
 		for _, w := range chunk {
-			raw = binary.LittleEndian.AppendUint64(raw, w)
+			binary.LittleEndian.PutUint64(raw[k:], w)
+			if k += 8; k == len(raw) {
+				dst = base64.StdEncoding.AppendEncode(dst, raw[:])
+				k = 0
+			}
 		}
 	}
-	return base64.StdEncoding.EncodeToString(raw)
+	return base64.StdEncoding.AppendEncode(dst, raw[:k])
 }
 
 // unpackPlane is the inverse of encodeWords: it decodes the wire words
