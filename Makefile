@@ -190,12 +190,14 @@ converge-demo: build
 
 # fuzz runs each native fuzz target for FUZZTIME (default 20s). The
 # targets check the paper's theorems plus sequential/bitset engine
-# agreement, the serving decoders, and the response indenter against
-# json.Indent, so any reported input is a real counterexample.
+# agreement, the serving decoders against encoding/json, and the
+# response indenter against json.Indent, so any reported input is a
+# real counterexample.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFormation$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRegionOCP$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzServeDelta$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzRoutesRequest$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendIndent$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzRouteQuery$$' -fuzztime $(FUZZTIME) ./internal/routeidx
 	$(GO) test -run '^$$' -fuzz '^FuzzRegionRuns$$' -fuzztime $(FUZZTIME) ./internal/region

@@ -1,6 +1,8 @@
 package serve_test
 
 import (
+	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"testing"
@@ -76,7 +78,14 @@ func BenchmarkWriteRoutes(b *testing.B) {
 			resp.Answers[i] = serve.RouteAnswer{OK: true, Hops: 40 + 7*i}
 		}
 	}
-	benchWriteJSON(b, resp)
+	w := newBodyWriter()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.reset()
+		serve.WriteRoutes(w, &resp)
+	}
+	b.SetBytes(int64(len(w.body)))
 }
 
 // BenchmarkWriteDelta measures writing one POST /deltas response with
@@ -95,4 +104,65 @@ func benchWriteJSON(b *testing.B, v any) {
 		serve.WriteJSON(w, http.StatusOK, v)
 	}
 	b.SetBytes(int64(len(w.body)))
+}
+
+// deltaBody is an n-point delta body as clients send it: json.Marshal
+// of a DeltaRequest over a 256x256 tenant.
+func deltaBody(t testing.TB, n int) []byte {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(n)))
+	req := serve.DeltaRequest{Op: "add", Points: make([][2]int, n)}
+	for i := range req.Points {
+		req.Points[i] = [2]int{rng.Intn(256), rng.Intn(256)}
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// routesBody is an n-query batch-route body as clients send it.
+func routesBody(t testing.TB, n int) []byte {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(n)))
+	req := serve.RoutesRequest{Queries: make([][4]int, n)}
+	for i := range req.Queries {
+		req.Queries[i] = [4]int{rng.Intn(256), rng.Intn(256), rng.Intn(256), rng.Intn(256)}
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// BenchmarkParseDelta measures decoding and validating one POST /deltas
+// body of 3 and of 32 points.
+func BenchmarkParseDelta(b *testing.B) {
+	for _, n := range []int{3, 32} {
+		body := deltaBody(b, n)
+		b.Run(fmt.Sprintf("points=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			for i := 0; i < b.N; i++ {
+				if _, _, err := serve.ParseDeltaRequest(body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDecodeRoutes measures decoding and validating one POST
+// /routes body of 64 queries.
+func BenchmarkDecodeRoutes(b *testing.B) {
+	body := routesBody(b, 64)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	for i := 0; i < b.N; i++ {
+		if _, _, err := serve.ParseRoutesRequest(body); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

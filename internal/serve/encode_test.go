@@ -279,3 +279,87 @@ func TestServeEncodesInOnePass(t *testing.T) {
 		}
 	}
 }
+
+// randomReason draws a refusal text from pieces that are copied as-is
+// and pieces encoding/json escapes: HTML characters, quotes,
+// backslashes, control bytes, U+2028, DEL, non-ASCII and invalid UTF-8.
+func randomReason(rng *rand.Rand) string {
+	pieces := []string{"", "no path", " (3,4)", "<", ">", "&", `"`, `\`, "\n", "\x00", "é", " ", "\x7f", "\xff"}
+	var sb strings.Builder
+	for range rng.Intn(6) {
+		sb.WriteString(pieces[rng.Intn(len(pieces))])
+	}
+	return sb.String()
+}
+
+// TestRoutesBodyMatchesWriteJSON pins the appended POST /routes body to
+// writeJSON's encoding of the same RoutesResponse: a nil and an empty
+// batch, OK and refused answers, zero hops, paths absent, empty and
+// present, and reasons that need escaping; then drives the live
+// handler with paths on and off.
+func TestRoutesBodyMatchesWriteJSON(t *testing.T) {
+	cases := []serve.RoutesResponse{
+		{},
+		{Seq: 3, Answers: []serve.RouteAnswer{}},
+		{Seq: 4, Answers: []serve.RouteAnswer{
+			{OK: true},
+			{OK: true, Hops: 17},
+			{OK: true, Hops: 1, Path: [][2]int{{0, 0}, {0, 1}}},
+			{OK: true, Hops: 2, Path: [][2]int{}},
+			{Reason: "endpoint (3,3) is faulty", Unroutable: true},
+			{Reason: `no path <&> "luck" \`},
+			{Reason: `ends in a backslash \`},
+			{Unroutable: true},
+		}},
+	}
+	rng := rand.New(rand.NewSource(20))
+	for range 300 {
+		resp := serve.RoutesResponse{Seq: rng.Uint64() >> rng.Intn(64), Answers: make([]serve.RouteAnswer, rng.Intn(5))}
+		for i := range resp.Answers {
+			a := serve.RouteAnswer{OK: rng.Intn(2) == 0, Hops: rng.Intn(3) * rng.Intn(1000), Reason: randomReason(rng), Unroutable: rng.Intn(3) == 0}
+			if rng.Intn(2) == 0 {
+				a.Path = make([][2]int, rng.Intn(4))
+				for j := range a.Path {
+					a.Path[j] = [2]int{rng.Intn(600) - 100, rng.Intn(600) - 100}
+				}
+			}
+			resp.Answers[i] = a
+		}
+		cases = append(cases, resp)
+	}
+	want, got := newBodyWriter(), newBodyWriter()
+	for i, resp := range cases {
+		want.reset()
+		got.reset()
+		serve.WriteJSON(want, http.StatusOK, resp)
+		serve.WriteRoutes(got, &resp)
+		if !bytes.Equal(got.body, want.body) || got.code != http.StatusOK {
+			t.Fatalf("case %d: status %d, appended body differs from writeJSON:\n got %s\nwant %s", i, got.code, got.body, want.body)
+		}
+	}
+
+	ts, _ := newTestServer(t, serve.Options{Shards: 1})
+	if resp, body := doJSON(t, "POST", ts.URL+"/api/tenants", serve.CreateRequest{
+		ID: "r", Config: serve.TenantConfig{Width: 12, Height: 12}, Faults: [][2]int{{5, 5}, {6, 6}},
+	}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d %s", resp.StatusCode, body)
+	}
+	for _, req := range []serve.RoutesRequest{
+		{Queries: [][4]int{}},
+		{Queries: [][4]int{{0, 0, 11, 11}, {5, 5, 0, 0}, {2, 2, 2, 2}, {1, 1, 10, 2}}},
+		{Queries: [][4]int{{0, 0, 11, 11}, {5, 5, 0, 0}, {2, 2, 2, 2}, {1, 1, 10, 2}}, Paths: true},
+		{Queries: [][4]int{{0, 0, 11, 11}, {0, 0, 6, 6}}, Router: "detour", Paths: true},
+	} {
+		resp, body := doJSON(t, "POST", ts.URL+"/api/tenants/r/routes", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("routes %+v: %d %s", req, resp.StatusCode, body)
+		}
+		var got serve.RoutesResponse
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		if want := indentedJSON(t, got); !bytes.Equal(body, want) {
+			t.Fatalf("routes %+v: body differs from encoding/json:\n got %s\nwant %s", req, body, want)
+		}
+	}
+}

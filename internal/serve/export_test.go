@@ -5,6 +5,7 @@ import (
 
 	"ocpmesh/internal/grid"
 	"ocpmesh/internal/mesh"
+	"ocpmesh/internal/routeidx"
 )
 
 // QueueLen returns how many requests wait in the tenant's shard queue,
@@ -49,3 +50,35 @@ func PackPlane(topo *mesh.Topology, labels []bool) string {
 	bg.SetBools(labels)
 	return encodeWords([][]uint64{bg.Words()})
 }
+
+// ParseDeltaJSON is ParseDeltaRequest by encoding/json alone: the
+// reference the canonical scanner is held to.
+func ParseDeltaJSON(data []byte) (DeltaRequest, []grid.Point, error) { return parseDeltaJSON(data) }
+
+// ParseRoutesRequest decodes and validates one POST /routes body the
+// way the handler does.
+func ParseRoutesRequest(data []byte) (RoutesRequest, []routeidx.Query, error) {
+	return parseRoutesRequest(data)
+}
+
+// ParseRoutesJSON is ParseRoutesRequest by encoding/json alone.
+func ParseRoutesJSON(data []byte) (RoutesRequest, []routeidx.Query, error) {
+	return parseRoutesJSON(data)
+}
+
+// ScansDelta reports whether the canonical scanner accepts a delta
+// body (false: the body goes to encoding/json).
+func ScansDelta(data []byte) bool {
+	_, ok := scanDelta(data)
+	return ok
+}
+
+// ScansRoutes reports whether the canonical scanner accepts a
+// batch-route body.
+func ScansRoutes(data []byte) bool {
+	_, ok := scanRoutes(data)
+	return ok
+}
+
+// WriteRoutes writes a POST /routes response the way the handler does.
+func WriteRoutes(w http.ResponseWriter, resp *RoutesResponse) { writeRoutes(w, resp) }

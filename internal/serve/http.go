@@ -185,6 +185,15 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	writeBody(w, code, rb.body)
 }
 
+// writeAppended writes a 200 response whose body app appends to a
+// pooled buffer.
+func writeAppended(w http.ResponseWriter, app func(dst []byte) []byte) {
+	rb := getRespBuf()
+	defer rb.release()
+	rb.body = app(rb.body)
+	writeBody(w, http.StatusOK, rb.body)
+}
+
 // writeBody writes an encoded JSON body with one Write. It sets no
 // Content-Length: a body past net/http's buffer then goes out chunked,
 // and its final chunk only once the handler has returned, so a client
@@ -285,19 +294,29 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// readBody reads one request body under the size cap.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		return nil, fmt.Errorf("%w: body: %v", ErrBadDelta, err)
+	}
+	return data, nil
+}
+
 // decodeBody strictly decodes one JSON body into v: unknown fields and
 // trailing garbage are errors, and the size cap applies.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	data, err := io.ReadAll(body)
+	data, err := readBody(w, r)
 	if err != nil {
-		return fmt.Errorf("%w: body: %v", ErrBadDelta, err)
+		return err
 	}
 	return decodeStrict(data, v)
 }
 
-// decodeStrict is the JSON decoding policy of the API (and the fuzz
-// surface): unknown fields rejected, exactly one value.
+// decodeStrict is the JSON decoding policy of the API: unknown fields
+// rejected, exactly one value. The delta and batch-route bodies try the
+// canonical scanner first and come here for whatever it declines, so
+// this is what decides every input the scanner does not accept.
 func decodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -308,6 +327,176 @@ func decodeStrict(data []byte, v any) error {
 		return fmt.Errorf("%w: trailing data after JSON value", ErrBadDelta)
 	}
 	return nil
+}
+
+// scanner reads the canonical subset of the request grammar, the form
+// json.Marshal writes: an object with exact lowercase keys, strings of
+// printable ASCII without escapes, integers that cannot overflow an int,
+// fixed-size integer tuples, true and false, and JSON whitespace. Each
+// method reports false where the input leaves that subset; the caller
+// then declines the whole body to decodeStrict, so what the scanner
+// accepts decodes to exactly what encoding/json would make of it.
+type scanner struct {
+	b []byte
+	i int
+}
+
+// ws skips JSON whitespace.
+func (s *scanner) ws() {
+	for s.i < len(s.b) {
+		switch s.b[s.i] {
+		case ' ', '\t', '\n', '\r':
+			s.i++
+		default:
+			return
+		}
+	}
+}
+
+// eat consumes c, after whitespace, if it comes next.
+func (s *scanner) eat(c byte) bool {
+	s.ws()
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// str scans a string literal of printable ASCII with no escapes and
+// returns its contents, which alias the input.
+func (s *scanner) str() ([]byte, bool) {
+	if !s.eat('"') {
+		return nil, false
+	}
+	for j := s.i; j < len(s.b); j++ {
+		switch c := s.b[j]; {
+		case c == '"':
+			v := s.b[s.i:j]
+			s.i = j + 1
+			return v, true
+		case c < 0x20 || c >= 0x80 || c == '\\':
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+// maxIntDigits is the most decimal digits an int holds whatever their
+// value: 18 with 64-bit ints, 9 with 32-bit ones.
+const maxIntDigits = strconv.IntSize * 9 / 32
+
+// int scans a JSON integer of at most maxIntDigits digits, so it cannot
+// overflow. A fraction or exponent is left unread, and the caller,
+// which wants a separator next, declines it.
+func (s *scanner) int() (int, bool) {
+	s.ws()
+	neg := s.i < len(s.b) && s.b[s.i] == '-'
+	if neg {
+		s.i++
+	}
+	start, n := s.i, 0
+	for ; s.i < len(s.b) && s.b[s.i] >= '0' && s.b[s.i] <= '9'; s.i++ {
+		n = n*10 + int(s.b[s.i]-'0')
+	}
+	if d := s.i - start; d == 0 || d > maxIntDigits || d > 1 && s.b[start] == '0' {
+		return 0, false
+	}
+	if neg {
+		n = -n
+	}
+	return n, true
+}
+
+// bool scans true or false.
+func (s *scanner) bool() (bool, bool) {
+	s.ws()
+	switch rest := s.b[s.i:]; {
+	case bytes.HasPrefix(rest, []byte("true")):
+		s.i += 4
+		return true, true
+	case bytes.HasPrefix(rest, []byte("false")):
+		s.i += 5
+		return false, true
+	}
+	return false, false
+}
+
+// tuples scans an array of len(t)-integer tuples, calling add after
+// reading each into t. A tuple of any other length is declined, since
+// encoding/json zero-fills or drops the difference.
+func (s *scanner) tuples(t []int, add func()) bool {
+	if !s.eat('[') {
+		return false
+	}
+	if s.eat(']') {
+		return true
+	}
+	for {
+		if !s.eat('[') {
+			return false
+		}
+		for k := range t {
+			if k > 0 && !s.eat(',') {
+				return false
+			}
+			v, ok := s.int()
+			if !ok {
+				return false
+			}
+			t[k] = v
+		}
+		if !s.eat(']') {
+			return false
+		}
+		add()
+		if s.eat(']') {
+			return true
+		}
+		if !s.eat(',') {
+			return false
+		}
+	}
+}
+
+// object scans a whole body: one object whose keys are each one of keys
+// at most once, with field scanning the value of keys[k], and nothing
+// after it but whitespace.
+func (s *scanner) object(keys []string, field func(k int) bool) bool {
+	if !s.eat('{') {
+		return false
+	}
+	if !s.eat('}') {
+		var seen uint
+		for {
+			key, ok := s.str()
+			if !ok || !s.eat(':') {
+				return false
+			}
+			k := len(keys) - 1
+			for ; k >= 0 && string(key) != keys[k]; k-- {
+			}
+			if k < 0 || seen&(1<<k) != 0 || !field(k) {
+				return false
+			}
+			seen |= 1 << k
+			if s.eat('}') {
+				break
+			}
+			if !s.eat(',') {
+				return false
+			}
+		}
+	}
+	s.ws()
+	return s.i == len(s.b)
+}
+
+// tupleCap is the capacity to make for the tuple list of body: one
+// per '[' after the list's own, at most limit+1 (one more is already an
+// error).
+func tupleCap(body []byte, limit int) int {
+	return max(0, min(bytes.Count(body, []byte{'['})-1, limit+1))
 }
 
 // CreateRequest is the body of POST /api/tenants.
@@ -328,12 +517,53 @@ type DeltaRequest struct {
 
 // ParseDeltaRequest decodes and validates one delta body — the exact
 // decoder FuzzServeDelta hammers. It never panics; every malformed
-// input reports ErrBadDelta.
+// input reports ErrBadDelta. The canonical form is scanned directly;
+// anything else goes to decodeStrict.
 func ParseDeltaRequest(data []byte) (DeltaRequest, []grid.Point, error) {
+	if req, ok := scanDelta(data); ok {
+		return checkDelta(req)
+	}
+	return parseDeltaJSON(data)
+}
+
+// parseDeltaJSON is ParseDeltaRequest by encoding/json alone.
+func parseDeltaJSON(data []byte) (DeltaRequest, []grid.Point, error) {
 	var req DeltaRequest
 	if err := decodeStrict(data, &req); err != nil {
 		return req, nil, err
 	}
+	return checkDelta(req)
+}
+
+var deltaKeys = []string{"op", "points"}
+
+// scanDelta scans a canonical delta body. ok false means it declines,
+// and req is then partial.
+func scanDelta(data []byte) (req DeltaRequest, ok bool) {
+	s := scanner{b: data}
+	ok = s.object(deltaKeys, func(k int) bool {
+		if k == 0 {
+			op, ok := s.str()
+			// The two valid ops are shared constants, not copies.
+			switch string(op) {
+			case opAdd:
+				req.Op = opAdd
+			case opRemove:
+				req.Op = opRemove
+			default:
+				req.Op = string(op)
+			}
+			return ok
+		}
+		req.Points = make([][2]int, 0, tupleCap(data, maxDeltaPoints))
+		var xy [2]int
+		return s.tuples(xy[:], func() { req.Points = append(req.Points, xy) })
+	})
+	return req, ok
+}
+
+// checkDelta validates a decoded delta body and converts its points.
+func checkDelta(req DeltaRequest) (DeltaRequest, []grid.Point, error) {
 	if req.Op != opAdd && req.Op != opRemove {
 		return req, nil, fmt.Errorf("%w: op %q (want add or remove)", ErrBadDelta, req.Op)
 	}
@@ -453,10 +683,9 @@ type DeltaResponse struct {
 }
 
 func (s *Server) postDelta(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	data, err := io.ReadAll(body)
+	data, err := readBody(w, r)
 	if err != nil {
-		writeErr(w, fmt.Errorf("%w: body: %v", ErrBadDelta, err))
+		writeErr(w, err)
 		return
 	}
 	req, pts, err := ParseDeltaRequest(data)
@@ -503,10 +732,7 @@ func (s *Server) labels(w http.ResponseWriter, r *http.Request) {
 // writeLabels writes a snapshot's LabelsResponse body, encoded straight
 // from the frame words.
 func writeLabels(w http.ResponseWriter, snap *Snapshot) {
-	rb := getRespBuf()
-	defer rb.release()
-	rb.body = appendLabels(rb.body, snap)
-	writeBody(w, http.StatusOK, rb.body)
+	writeAppended(w, func(dst []byte) []byte { return appendLabels(dst, snap) })
 }
 
 // appendLabels appends the GET /labels body of snap: byte for byte what
@@ -676,18 +902,15 @@ func (s *Server) routes(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req RoutesRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	data, err := readBody(w, r)
+	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	if len(req.Queries) > maxRouteQueries {
-		writeErr(w, fmt.Errorf("%w: %d queries exceeds the limit of %d", ErrBadDelta, len(req.Queries), maxRouteQueries))
+	req, qs, err := parseRoutesRequest(data)
+	if err != nil {
+		writeErr(w, err)
 		return
-	}
-	qs := make([]routeidx.Query, len(req.Queries))
-	for i, q := range req.Queries {
-		qs[i] = routeidx.Query{Src: grid.Pt(q[0], q[1]), Dst: grid.Pt(q[2], q[3])}
 	}
 	s.observeQuery("routes", func() {
 		answers, snap, err := t.RouteMany(qs, req.Model, req.Router, req.Paths)
@@ -710,8 +933,138 @@ func (s *Server) routes(w http.ResponseWriter, r *http.Request) {
 			}
 			resp.Answers[i] = ra
 		}
-		writeJSON(w, http.StatusOK, resp)
+		writeRoutes(w, &resp)
 	})
+}
+
+// writeRoutes writes a POST /routes response body.
+func writeRoutes(w http.ResponseWriter, resp *RoutesResponse) {
+	writeAppended(w, func(dst []byte) []byte { return appendRoutes(dst, resp) })
+}
+
+// parseRoutesRequest decodes and validates one batch-route body: the
+// canonical form is scanned directly, anything else goes to
+// decodeStrict.
+func parseRoutesRequest(data []byte) (RoutesRequest, []routeidx.Query, error) {
+	if req, ok := scanRoutes(data); ok {
+		return checkRoutes(req)
+	}
+	return parseRoutesJSON(data)
+}
+
+// parseRoutesJSON is parseRoutesRequest by encoding/json alone.
+func parseRoutesJSON(data []byte) (RoutesRequest, []routeidx.Query, error) {
+	var req RoutesRequest
+	if err := decodeStrict(data, &req); err != nil {
+		return req, nil, err
+	}
+	return checkRoutes(req)
+}
+
+var routesKeys = []string{"queries", "model", "router", "paths"}
+
+// scanRoutes scans a canonical batch-route body. ok false means it
+// declines, and req is then partial.
+func scanRoutes(data []byte) (req RoutesRequest, ok bool) {
+	s := scanner{b: data}
+	ok = s.object(routesKeys, func(k int) bool {
+		switch k {
+		case 0:
+			req.Queries = make([][4]int, 0, tupleCap(data, maxRouteQueries))
+			var q [4]int
+			return s.tuples(q[:], func() { req.Queries = append(req.Queries, q) })
+		case 1, 2:
+			v, ok := s.str()
+			if k == 1 {
+				req.Model = string(v)
+			} else {
+				req.Router = string(v)
+			}
+			return ok
+		}
+		var ok bool
+		req.Paths, ok = s.bool()
+		return ok
+	})
+	return req, ok
+}
+
+// checkRoutes validates a decoded batch-route body and converts its
+// queries.
+func checkRoutes(req RoutesRequest) (RoutesRequest, []routeidx.Query, error) {
+	if len(req.Queries) > maxRouteQueries {
+		return req, nil, fmt.Errorf("%w: %d queries exceeds the limit of %d", ErrBadDelta, len(req.Queries), maxRouteQueries)
+	}
+	qs := make([]routeidx.Query, len(req.Queries))
+	for i, q := range req.Queries {
+		qs[i] = routeidx.Query{Src: grid.Pt(q[0], q[1]), Dst: grid.Pt(q[2], q[3])}
+	}
+	return req, qs, nil
+}
+
+// appendRoutes appends the POST /routes body of resp: byte for byte
+// what writeJSON writes for it, omitempty fields and HTML-escaped
+// reasons included.
+func appendRoutes(dst []byte, resp *RoutesResponse) []byte {
+	dst = append(dst, "{\n  \"seq\": "...)
+	dst = strconv.AppendUint(dst, resp.Seq, 10)
+	dst = append(dst, ",\n  \"answers\": "...)
+	switch {
+	case resp.Answers == nil:
+		dst = append(dst, "null"...)
+	case len(resp.Answers) == 0:
+		dst = append(dst, "[]"...)
+	default:
+		sep := byte('[')
+		for _, a := range resp.Answers {
+			dst = append(append(dst, sep), "\n    {\n      \"ok\": "...)
+			sep = ','
+			dst = strconv.AppendBool(dst, a.OK)
+			if a.Hops != 0 {
+				dst = append(dst, ",\n      \"hops\": "...)
+				dst = strconv.AppendInt(dst, int64(a.Hops), 10)
+			}
+			if len(a.Path) > 0 {
+				dst = append(dst, ",\n      \"path\": ["...)
+				for j, p := range a.Path {
+					if j > 0 {
+						dst = append(dst, ',')
+					}
+					dst = append(dst, "\n        [\n          "...)
+					dst = strconv.AppendInt(dst, int64(p[0]), 10)
+					dst = append(dst, ",\n          "...)
+					dst = strconv.AppendInt(dst, int64(p[1]), 10)
+					dst = append(dst, "\n        ]"...)
+				}
+				dst = append(dst, "\n      ]"...)
+			}
+			if a.Reason != "" {
+				dst = append(dst, ",\n      \"reason\": "...)
+				dst = appendString(dst, a.Reason)
+			}
+			if a.Unroutable {
+				dst = append(dst, ",\n      \"unroutable\": true"...)
+			}
+			dst = append(dst, "\n    }"...)
+		}
+		dst = append(dst, "\n  ]"...)
+	}
+	return append(dst, "\n}\n"...)
+}
+
+// appendString appends s as the JSON string encoding/json writes for it
+// (HTML escaping on): copied whole when no byte needs escaping, else
+// encoded by encoding/json itself.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s)
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // DisjointResponse is the body of GET /api/tenants/{id}/disjoint.

@@ -1,7 +1,7 @@
 // HTTP contract tests for the serving API: status-code mapping on every
 // error path, idempotent tenant creation, snapshot/restore over the
 // wire, SSE event delivery, and graceful shutdown draining in-flight
-// batches. FuzzServeDelta hammers the strict JSON delta decoder.
+// batches.
 package serve_test
 
 import (
@@ -18,7 +18,6 @@ import (
 	"testing"
 	"time"
 
-	"ocpmesh/internal/grid"
 	"ocpmesh/internal/serve"
 )
 
@@ -428,54 +427,4 @@ func TestHTTPGracefulShutdown(t *testing.T) {
 		serve.DeltaRequest{Op: "add", Points: [][2]int{{1, 1}}}); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-shutdown delta: %d, want 503", resp.StatusCode)
 	}
-}
-
-// FuzzServeDelta fuzzes the strict JSON delta decoder: it must never
-// panic, and on success must return a well-formed op and point list
-// consistent with what a re-encode of the parsed request produces.
-func FuzzServeDelta(f *testing.F) {
-	f.Add([]byte(`{"op":"add","points":[[1,2],[3,4]]}`))
-	f.Add([]byte(`{"op":"remove","points":[[0,0]]}`))
-	f.Add([]byte(`{"op":"frob","points":[[1,1]]}`))
-	f.Add([]byte(`{"op":"add","points":[]}`))
-	f.Add([]byte(`{"op":"add"}`))
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`[]`))
-	f.Add([]byte(`{"op":"add","points":[[1,2]],"extra":true}`))
-	f.Add([]byte(`{"op":"add","points":[[1,2]]} trailing`))
-	f.Add([]byte(`{"op":"add","points":[[9223372036854775807,-9223372036854775808]]}`))
-	f.Add([]byte(``))
-	f.Add([]byte(`null`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		req, pts, err := serve.ParseDeltaRequest(data)
-		if err != nil {
-			return
-		}
-		if req.Op != "add" && req.Op != "remove" {
-			t.Fatalf("accepted op %q", req.Op)
-		}
-		if len(pts) == 0 {
-			t.Fatal("accepted empty point list")
-		}
-		if len(pts) != len(req.Points) {
-			t.Fatalf("%d points decoded from %d pairs", len(pts), len(req.Points))
-		}
-		for i, p := range pts {
-			if p != grid.Pt(req.Points[i][0], req.Points[i][1]) {
-				t.Fatalf("point %d mismatch: %v vs %v", i, p, req.Points[i])
-			}
-		}
-		// Accepted inputs survive a re-encode/re-parse round trip.
-		re, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req2, _, err := serve.ParseDeltaRequest(re)
-		if err != nil {
-			t.Fatalf("re-parse of %s: %v", re, err)
-		}
-		if req2.Op != req.Op || len(req2.Points) != len(req.Points) {
-			t.Fatal("round trip changed the request")
-		}
-	})
 }
