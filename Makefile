@@ -1,6 +1,12 @@
 GO ?= go
 FUZZTIME ?= 20s
 
+# COMMIT stamps every BENCH_*.json with the commit it ran on ("-dirty"
+# when the tree has uncommitted changes); BENCHJSON converts go test
+# -bench output into that document.
+COMMIT ?= $(shell git describe --always --dirty 2> /dev/null)
+BENCHJSON = $(GO) run ./scripts/benchjson -commit "$(COMMIT)"
+
 .PHONY: build vet fmt-check loc test race bench churn-bench bitset-bench bench-check overhead-bench overhead-gate latency-overhead converge-demo serve-demo serve-bench route-bench route-gate fuzz check
 
 # serve-demo smoke-tests the live telemetry side-car: it starts a real
@@ -54,13 +60,13 @@ race:
 # bench runs the observability overhead benchmark and converts the
 # result to BENCH_obs.json (see scripts/benchjson).
 bench:
-	$(GO) test -run '^$$' -bench BenchmarkObsOverhead -benchmem . | $(GO) run ./scripts/benchjson > BENCH_obs.json
+	$(GO) test -run '^$$' -bench BenchmarkObsOverhead -benchmem . | $(BENCHJSON) > BENCH_obs.json
 	@cat BENCH_obs.json
 
 # churn-bench measures incremental vs from-scratch single-fault deltas
 # on the 100x100 mesh and records the result in BENCH_churn.json.
 churn-bench:
-	$(GO) test -run '^$$' -bench BenchmarkChurn -benchmem . | $(GO) run ./scripts/benchjson > BENCH_churn.json
+	$(GO) test -run '^$$' -bench BenchmarkChurn -benchmem . | $(BENCHJSON) > BENCH_churn.json
 	@cat BENCH_churn.json
 
 # bitset-bench measures the word-parallel (SWAR) bitset engine on large
@@ -68,7 +74,7 @@ churn-bench:
 # BENCH_bitset.json. The engine runs on one core (64 labels per word
 # op), so single-CPU numbers are meaningful.
 bitset-bench:
-	$(GO) test -run '^$$' -bench BenchmarkBitset -benchmem -timeout 30m . | $(GO) run ./scripts/benchjson > BENCH_bitset.json
+	$(GO) test -run '^$$' -bench BenchmarkBitset -benchmem -timeout 30m . | $(BENCHJSON) > BENCH_bitset.json
 	@cat BENCH_bitset.json
 
 # bench-check is the local perf regression gate: it regenerates the
@@ -77,7 +83,7 @@ bitset-bench:
 # median ns/op regression). CI's bench-check job runs the same gate
 # over all committed BENCH_*.json baselines.
 bench-check:
-	$(GO) test -run '^$$' -bench BenchmarkObsOverhead -benchmem . | $(GO) run ./scripts/benchjson > .bench-obs-fresh.json
+	$(GO) test -run '^$$' -bench BenchmarkObsOverhead -benchmem . | $(BENCHJSON) > .bench-obs-fresh.json
 	$(GO) run ./cmd/octrace bench check -tol 0.25 BENCH_obs.json .bench-obs-fresh.json
 	@rm -f .bench-obs-fresh.json
 
@@ -95,7 +101,7 @@ serve-bench:
 		echo "== serve sample $$i"; \
 		$(SERVE_BENCH_CMD) >> .bench-serve-raw.txt || exit 1; \
 	done
-	$(GO) run ./scripts/benchjson < .bench-serve-raw.txt > BENCH_serve.json
+	$(BENCHJSON) < .bench-serve-raw.txt > BENCH_serve.json
 	@rm -f .bench-serve-raw.txt
 	@cat BENCH_serve.json
 
@@ -103,7 +109,7 @@ serve-bench:
 # (idx=off) against the precompiled boundary index (idx=on) on identical
 # pair sets up to n=512 — and records the pairs in BENCH_route.json.
 route-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkRoute$$' -benchmem -timeout 30m . | $(GO) run ./scripts/benchjson > BENCH_route.json
+	$(GO) test -run '^$$' -bench 'BenchmarkRoute$$' -benchmem -timeout 30m . | $(BENCHJSON) > BENCH_route.json
 	@cat BENCH_route.json
 
 # route-gate enforces the indexed router's speedup contract on a fresh
@@ -111,7 +117,7 @@ route-bench:
 # indexed leg (octrace bench speedup), and the fresh run must not have
 # regressed against the committed BENCH_route.json.
 route-gate:
-	$(GO) test -run '^$$' -bench 'BenchmarkRoute$$' -benchmem -timeout 30m . | $(GO) run ./scripts/benchjson > .bench-route-fresh.json
+	$(GO) test -run '^$$' -bench 'BenchmarkRoute$$' -benchmem -timeout 30m . | $(BENCHJSON) > .bench-route-fresh.json
 	$(GO) run ./cmd/octrace bench speedup -min 10 -min-n 512 .bench-route-fresh.json
 	$(GO) run ./cmd/octrace bench check -tol 0.25 BENCH_route.json .bench-route-fresh.json
 	@rm -f .bench-route-fresh.json
@@ -134,7 +140,7 @@ overhead-bench:
 		echo "== overhead sample $$i"; \
 		$(OVERHEAD_BENCH_CMD) >> .bench-overhead-raw.txt || exit 1; \
 	done
-	$(GO) run ./scripts/benchjson < .bench-overhead-raw.txt > BENCH_overhead.json
+	$(BENCHJSON) < .bench-overhead-raw.txt > BENCH_overhead.json
 	@rm -f .bench-overhead-raw.txt
 	@cat BENCH_overhead.json
 
@@ -149,7 +155,7 @@ overhead-gate:
 		echo "== overhead sample $$i"; \
 		$(OVERHEAD_BENCH_CMD) >> .bench-overhead-raw.txt || exit 1; \
 	done
-	$(GO) run ./scripts/benchjson < .bench-overhead-raw.txt > .bench-overhead-fresh.json
+	$(BENCHJSON) < .bench-overhead-raw.txt > .bench-overhead-fresh.json
 	@rm -f .bench-overhead-raw.txt
 	$(GO) run ./cmd/octrace bench overhead .bench-overhead-fresh.json
 	$(GO) run ./cmd/octrace bench check -tol 0.25 BENCH_overhead.json .bench-overhead-fresh.json
@@ -170,7 +176,7 @@ latency-overhead:
 		echo "== latency sample $$i"; \
 		$(LATENCY_BENCH_CMD) >> .bench-latency-raw.txt || exit 1; \
 	done
-	$(GO) run ./scripts/benchjson < .bench-latency-raw.txt > .bench-latency-fresh.json
+	$(BENCHJSON) < .bench-latency-raw.txt > .bench-latency-fresh.json
 	@rm -f .bench-latency-raw.txt
 	$(GO) run ./cmd/octrace bench overhead -max 0.05 .bench-latency-fresh.json
 	@rm -f .bench-latency-fresh.json

@@ -70,8 +70,11 @@ func RestoreSession(cfg Config, topo *mesh.Topology, faults *grid.PointSet, unsa
 	return newSession(cfg, field), nil
 }
 
+// newSession wraps a formed field. The sorted fault list is one scan of
+// the field's fault plane, not a sort of its set.
 func newSession(cfg Config, field *incremental.Field) *Session {
-	return &Session{cfg: cfg, field: field, faults: field.Faults().Points()}
+	faults := field.FaultBits().AppendPoints(make(FaultList, 0, field.Faults().Len()))
+	return &Session{cfg: cfg, field: field, faults: faults}
 }
 
 // AddFaults marks the given nodes faulty and restabilizes the formation

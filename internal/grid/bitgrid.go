@@ -155,6 +155,19 @@ func (g *BitGrid) Bools(dst []bool) []bool {
 	return dst
 }
 
+// AppendPoints appends the true cells to dst in row-major order — the
+// word order of the packing, which is Point.Less order — and returns
+// the result. One scan of the words, no sort.
+func (g *BitGrid) AppendPoints(dst []Point) []Point {
+	for wi, w := range g.words {
+		y, x0 := wi/g.wpr, 64*(wi%g.wpr)
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, Point{X: x0 + bits.TrailingZeros64(w), Y: y})
+		}
+	}
+	return dst
+}
+
 // Count returns the number of true cells.
 func (g *BitGrid) Count() int {
 	n := 0

@@ -117,7 +117,9 @@ type Field struct {
 }
 
 // New computes a full formation on topo for the given fault set and
-// returns the field tracking it. faults is cloned, not retained.
+// returns the field tracking it. faults is cloned, not retained. Both
+// phases form on the word path (simnet.InitBitField, RunBitsetFull)
+// and the field keeps the planes they formed.
 func New(topo *mesh.Topology, faults *grid.PointSet, cfg Config) (*Field, error) {
 	if faults == nil {
 		faults = grid.NewPointSet()
@@ -127,30 +129,18 @@ func New(topo *mesh.Topology, faults *grid.PointSet, cfg Config) (*Field, error)
 		return nil, err
 	}
 	f := &Field{cfg: cfg, topo: topo, faults: env.Faulty}
-	p1, err := f.runFull(env, status.UnsafeRule(cfg.Safety), "phase1")
+	ubits, rounds1, err := f.form(env, status.UnsafeRule(cfg.Safety), "phase1")
 	if err != nil {
 		return nil, fmt.Errorf("incremental: phase 1: %w", err)
 	}
-	env2, err := simnet.NewEnv(topo, f.faults, p1.Labels)
-	if err != nil {
-		return nil, err
-	}
-	p2, err := f.runFull(env2, status.EnabledRule(), "phase2")
+	env2 := &simnet.Env{Topo: topo, Faulty: f.faults, Aux: ubits.Labels()}
+	ebits, rounds2, err := f.form(env2, status.EnabledRule(), "phase2")
 	if err != nil {
 		return nil, fmt.Errorf("incremental: phase 2: %w", err)
 	}
-	f.rounds1, f.rounds2 = p1.Rounds, p2.Rounds
-	if err := f.adopt(env, pack(topo, p1.Labels), pack(topo, p2.Labels)); err != nil {
-		return nil, err
-	}
+	f.rounds1, f.rounds2 = rounds1, rounds2
+	f.adopt(ubits, ebits)
 	return f, nil
-}
-
-// pack returns a row-major label vector as a packed plane.
-func pack(topo *mesh.Topology, labels []bool) *grid.BitGrid {
-	g := grid.NewBitGrid(topo.Width(), topo.Height())
-	g.SetBools(labels)
-	return g
 }
 
 // Load returns a Field wrapped around an already-computed fixpoint:
@@ -190,28 +180,28 @@ func Load(topo *mesh.Topology, faults *grid.PointSet, cfg Config, unsafe, enable
 		}
 	}
 	f := &Field{cfg: cfg, topo: topo, faults: env.Faulty}
-	if err := f.adopt(env, unsafe.Clone(), enabled.Clone()); err != nil {
+	ubits, err := simnet.NewBitField(env, unsafe.Clone())
+	if err != nil {
 		return nil, err
 	}
+	ebits, err := simnet.NewBitField(env, enabled.Clone())
+	if err != nil {
+		return nil, err
+	}
+	f.adopt(ubits, ebits)
 	return f, nil
 }
 
 // adopt installs a finished fixpoint as the field's state: both packed
-// label planes (retained) and the extracted blocks and regions. env
-// carries the field's fault set.
-func (f *Field) adopt(env *simnet.Env, unsafe, enabled *grid.BitGrid) error {
-	var err error
-	if f.ubits, err = simnet.NewBitField(env, unsafe); err != nil {
-		return err
-	}
-	if f.ebits, err = simnet.NewBitField(env, enabled); err != nil {
-		return err
-	}
-	f.fbits = region.FaultPlane(f.topo, f.faults.Points())
+// label fields (retained), the fault plane, and the blocks and regions
+// extracted from them.
+func (f *Field) adopt(ubits, ebits *simnet.BitField) {
+	f.ubits, f.ebits = ubits, ebits
+	f.fbits = grid.NewBitGrid(f.topo.Width(), f.topo.Height())
+	f.faults.Each(func(p grid.Point) { f.fbits.Set(p.X, p.Y, true) })
 	f.rb = region.NewBuilder(f.topo, f.fbits)
-	f.blocks = f.rb.Build(unsafe, true, region.Conn4, nil)
-	f.regions = f.rb.Build(enabled, false, f.cfg.Connectivity, nil)
-	return nil
+	f.blocks = f.rb.Build(ubits.Labels(), true, region.Conn4, nil)
+	f.regions = f.rb.Build(ebits.Labels(), false, f.cfg.Connectivity, nil)
 }
 
 func (f *Field) genericOpts(phase string, pc *costs.Phase) simnet.GenericOptions[bool] {
@@ -226,15 +216,20 @@ func (f *Field) newPhase(phase string) *costs.Phase {
 	return costs.NewPhase(f.cfg.Costs, phase, 0)
 }
 
-// runFull computes one full synchronous fixpoint on the bitset engine.
-func (f *Field) runFull(env *simnet.Env, rule simnet.Rule, phase string) (*simnet.GenericResult[bool], error) {
-	pc := f.newPhase(phase)
-	res, err := simnet.RunBitsetGeneric(env, rule, f.genericOpts(phase, pc))
+// form computes one full synchronous fixpoint on the word path: the
+// round-0 plane built a word at a time, then the all-words wave loop.
+func (f *Field) form(env *simnet.Env, rule simnet.Rule, phase string) (*simnet.BitField, int, error) {
+	bits, err := simnet.InitBitField(env, rule)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
+	}
+	pc := f.newPhase(phase)
+	rounds, err := simnet.RunBitsetFull(env, rule, bits, f.genericOpts(phase, pc))
+	if err != nil {
+		return nil, 0, err
 	}
 	pc.Finish()
-	return res, nil
+	return bits, rounds, nil
 }
 
 // runFrontier restabilizes the packed labels bits from the given seed
@@ -286,6 +281,10 @@ func (f *Field) Faults() *grid.PointSet { return f.faults }
 // the next delta: publishers copy what they keep.
 func (f *Field) UnsafeBits() *grid.BitGrid  { return f.ubits.Labels() }
 func (f *Field) EnabledBits() *grid.BitGrid { return f.ebits.Labels() }
+
+// FaultBits returns the packed fault plane, kept in step with Faults.
+// Read-only, and mutated in place by the next delta.
+func (f *Field) FaultBits() *grid.BitGrid { return f.fbits }
 
 // Blocks returns the current faulty blocks in canonical order. Read-only.
 func (f *Field) Blocks() []*region.Region { return f.blocks }

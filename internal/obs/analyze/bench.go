@@ -19,7 +19,9 @@ type BenchResult struct {
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
 }
 
-// BenchReport mirrors a whole BENCH_*.json document.
+// BenchReport mirrors a BENCH_*.json document, less the provenance
+// (commit, GOMAXPROCS, Go version, date) benchjson also stamps, which no
+// check reads.
 type BenchReport struct {
 	GOOS    string        `json:"goos,omitempty"`
 	GOARCH  string        `json:"goarch,omitempty"`

@@ -66,7 +66,7 @@ func (r rule) capVector() Vector {
 
 // Init implements simnet.GenericRule.
 func (r rule) Init(env *simnet.Env, p grid.Point) Vector {
-	if !env.Aux[env.Topo.Index(p)] {
+	if !env.Aux.Get(p.X, p.Y) {
 		return Vector{} // disabled
 	}
 	return r.capVector()
@@ -81,7 +81,7 @@ func (rule) FaultyLabel() Vector { return Vector{} }
 
 // Step implements simnet.GenericRule.
 func (r rule) Step(env *simnet.Env, p grid.Point, cur Vector, nbr [4]Vector) Vector {
-	if !env.Aux[env.Topo.Index(p)] {
+	if !env.Aux.Get(p.X, p.Y) {
 		return Vector{} // disabled nodes stay zero
 	}
 	var next Vector

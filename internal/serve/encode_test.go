@@ -19,6 +19,7 @@ import (
 
 	"ocpmesh/internal/grid"
 	"ocpmesh/internal/mesh"
+	"ocpmesh/internal/obs"
 	"ocpmesh/internal/serve"
 )
 
@@ -232,6 +233,33 @@ func TestLabelsWriteAllocs(t *testing.T) {
 		if least != want {
 			t.Fatalf("labels write at %dx%d allocates %v objects, want %d", side, side, least, want)
 		}
+	}
+}
+
+// TestObserveQueryAllocs pins the read path's metric cost: with a
+// recorder attached, a warmed observeQuery counts the query and times it
+// through handles resolved at NewServer, allocating nothing, and the
+// registry sees every call.
+func TestObserveQueryAllocs(t *testing.T) {
+	rec := obs.NewRecorder(nil, obs.NewRegistry())
+	svc := serve.New(serve.Options{Shards: 1, Recorder: rec})
+	defer svc.Close()
+	srv := serve.NewServer(svc, nil)
+	calls := 0
+	fn := func() { calls++ }
+	srv.ObserveLabelsQuery(fn)
+	if allocs := testing.AllocsPerRun(100, func() { srv.ObserveLabelsQuery(fn) }); allocs != 0 {
+		t.Fatalf("observeQuery allocates %v objects per call, want 0", allocs)
+	}
+	n := int64(calls)
+	if got := rec.Counter("serve_queries").Value(); got != n {
+		t.Fatalf("serve_queries = %d, want %d", got, n)
+	}
+	if got := rec.Counter("serve_query_labels").Value(); got != n {
+		t.Fatalf("serve_query_labels = %d, want %d", got, n)
+	}
+	if got := rec.Histogram("serve_query_ns", obs.NSBuckets).Count(); got != uint64(n) {
+		t.Fatalf("serve_query_ns count = %d, want %d", got, n)
 	}
 }
 

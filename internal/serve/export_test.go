@@ -82,3 +82,6 @@ func ScansRoutes(data []byte) bool {
 
 // WriteRoutes writes a POST /routes response the way the handler does.
 func WriteRoutes(w http.ResponseWriter, resp *RoutesResponse) { writeRoutes(w, resp) }
+
+// ObserveLabelsQuery runs fn under the labels read's query metrics.
+func (s *Server) ObserveLabelsQuery(fn func()) { s.observeQuery(queryLabels, fn) }

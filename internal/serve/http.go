@@ -37,16 +37,49 @@ const maxRouteQueries = 1 << 14
 // the observability endpoints (/metrics, /runz, /eventz, pprof) on the
 // remaining paths.
 type Server struct {
-	svc  *Service
-	side http.Handler
-	http *http.Server
-	ln   net.Listener
+	svc     *Service
+	side    http.Handler
+	http    *http.Server
+	ln      net.Listener
+	queries queryMetrics
 }
 
 // NewServer returns the HTTP front of svc. side, when non-nil, serves
 // every path the tenant API does not claim (the obs side-car mux).
 func NewServer(svc *Service, side http.Handler) *Server {
-	return &Server{svc: svc, side: side}
+	return &Server{svc: svc, side: side, queries: newQueryMetrics(svc.opts.Recorder)}
+}
+
+// queryKind names a read endpoint observeQuery times.
+type queryKind int
+
+const (
+	queryLabels queryKind = iota
+	queryRegions
+	queryRoute
+	queryRoutes
+	queryDisjoint
+	querySnapshot
+	numQueryKinds
+)
+
+var queryKindNames = [numQueryKinds]string{"labels", "regions", "route", "routes", "disjoint", "snapshot"}
+
+// queryMetrics caches the read path's metric handles at NewServer, so a
+// read observes through direct pointers and never takes the registry's
+// name-lookup lock (all nil without a recorder).
+type queryMetrics struct {
+	all  *obs.Counter
+	kind [numQueryKinds]*obs.Counter
+	ns   *obs.Histogram
+}
+
+func newQueryMetrics(rec *obs.Recorder) queryMetrics {
+	m := queryMetrics{all: rec.Counter("serve_queries"), ns: rec.Histogram("serve_query_ns", obs.NSBuckets)}
+	for k, name := range queryKindNames {
+		m.kind[k] = rec.Counter("serve_query_" + name)
+	}
+	return m
 }
 
 // Handler returns the API mux (used directly by httptest in the
@@ -726,7 +759,7 @@ func (s *Server) labels(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := t.Snapshot()
-	s.observeQuery("labels", func() { writeLabels(w, snap) })
+	s.observeQuery(queryLabels, func() { writeLabels(w, snap) })
 }
 
 // writeLabels writes a snapshot's LabelsResponse body, encoded straight
@@ -798,7 +831,7 @@ func (s *Server) regions(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := t.Snapshot()
 	withNodes := r.URL.Query().Get("nodes") == "1"
-	s.observeQuery("regions", func() {
+	s.observeQuery(queryRegions, func() {
 		writeJSON(w, http.StatusOK, RegionsResponse{
 			Seq:     snap.Seq,
 			Blocks:  regionJSON(snap.Frame.Blocks, withNodes),
@@ -851,7 +884,7 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	s.observeQuery("route", func() {
+	s.observeQuery(queryRoute, func() {
 		path, snap, rerr := t.Route(src, dst, q.Get("model"), q.Get("router"))
 		if rerr != nil {
 			if errors.Is(rerr, ErrBadDelta) || errors.Is(rerr, routing.ErrUnroutable) {
@@ -912,7 +945,7 @@ func (s *Server) routes(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	s.observeQuery("routes", func() {
+	s.observeQuery(queryRoutes, func() {
 		answers, snap, err := t.RouteMany(qs, req.Model, req.Router, req.Paths)
 		if err != nil {
 			writeErr(w, err)
@@ -1100,7 +1133,7 @@ func (s *Server) disjoint(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.observeQuery("disjoint", func() {
+	s.observeQuery(queryDisjoint, func() {
 		out, snap, derr := t.DisjointPaths(src, dst, k, q.Get("model"))
 		if derr != nil {
 			writeErr(w, derr)
@@ -1123,7 +1156,7 @@ func (s *Server) snapshot(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.observeQuery("snapshot", func() {
+	s.observeQuery(querySnapshot, func() {
 		writeJSON(w, http.StatusOK, t.TakeSnapshot())
 	})
 }
@@ -1159,18 +1192,18 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 }
 
 // observeQuery wraps one read-path handler with the serve_query
-// latency metric.
-func (s *Server) observeQuery(kind string, fn func()) {
-	rec := s.svc.opts.Recorder
-	if rec == nil {
+// counters and latency metric.
+func (s *Server) observeQuery(kind queryKind, fn func()) {
+	m := &s.queries
+	if m.ns == nil {
 		fn()
 		return
 	}
 	start := time.Now()
 	fn()
-	rec.Counter("serve_queries").Inc()
-	rec.Counter("serve_query_" + kind).Inc()
-	rec.Histogram("serve_query_ns", obs.NSBuckets).Observe(float64(time.Since(start).Nanoseconds()))
+	m.all.Inc()
+	m.kind[kind].Inc()
+	m.ns.Observe(float64(time.Since(start).Nanoseconds()))
 }
 
 // sortStrings is sort.Strings without dragging sort into every file.

@@ -64,13 +64,11 @@ func NewBitField(env *Env, g *grid.BitGrid) (*BitField, error) {
 		dirty:    grid.NewWordSet(g.WordsPerRow() * topo.Height()),
 	}
 	g.Track(f.dirty)
-	nWords := len(f.cur)
-	f.front = make([]uint64, nWords)
-	f.nextFront = make([]uint64, nWords)
-	f.changedMask = make([]uint64, nWords)
-	f.inWork = make([]bool, nWords)
-	f.inNext = make([]bool, nWords)
-	f.live = make([]uint64, len(f.cur))
+	// One allocation backs the four word planes, one the two flag sets.
+	n := len(f.cur)
+	planes, flags := make([]uint64, 4*n), make([]bool, 2*n)
+	f.live, f.front, f.nextFront, f.changedMask = planes[:n], planes[n:2*n], planes[2*n:3*n], planes[3*n:]
+	f.inWork, f.inNext = flags[:n], flags[n:]
 	for wi := range f.live {
 		f.live[wi] = g.WordMask(wi % f.wpr)
 	}
@@ -155,9 +153,9 @@ func (f *BitField) nbrLive(r, k int) (lw, le, ls, ln uint64) {
 
 // stepWordAt evaluates the kernel for word wi = (r, k) against the
 // current plane, returning the full next word (live lanes advanced,
-// non-live lanes pinned). Identical operand construction to
-// bitPlanes.step; ghost and ghostBit carry the rule's ghost label
-// into mesh-boundary reads (all-ones/one when the ghost is true).
+// non-live lanes pinned). ghost and ghostBit carry the rule's ghost
+// label into mesh-boundary reads (all-ones/one when the ghost is true);
+// a torus reads the wrapped words instead.
 func (f *BitField) stepWordAt(wr WordRule, r, k int, ghost, ghostBit uint64) uint64 {
 	base := r * f.wpr
 	wi := base + k
@@ -211,21 +209,32 @@ func (f *BitField) stepWordAt(wr WordRule, r, k int, ghost, ghostBit uint64) uin
 // dilation is ghost-independent: ghost nodes never change, so shifted
 // change masks only ever land on real lanes.
 func RunBitsetFrontier(env *Env, rule GenericRule[bool], f *BitField, seed []int, opt GenericOptions[bool]) (*FrontierResult, error) {
-	wr, ok := rule.(WordRule)
-	if !ok {
-		return nil, fmt.Errorf("simnet: rule %q does not implement WordRule; the bitset frontier needs a word-parallel kernel", rule.Name())
+	return f.run(env, rule, seed, false, opt)
+}
+
+// run is the wave loop behind RunBitsetFrontier (all false: the seed
+// lanes and dirty words start it, the frontier is lane-granular) and
+// RunBitsetFull (all true: every word starts it, and each changed word
+// activates its adjacent words whole, as a synchronous round does).
+func (f *BitField) run(env *Env, rule GenericRule[bool], seed []int, all bool, opt GenericOptions[bool]) (*FrontierResult, error) {
+	wr, err := wordRule(rule)
+	if err != nil {
+		return nil, err
 	}
 	topo := env.Topo
 	if f.w != topo.Width() || f.h != topo.Height() || f.torus != (topo.Kind() == mesh.Torus2D) {
 		return nil, fmt.Errorf("simnet: BitField is %dx%d (torus=%t), env is %v", f.w, f.h, f.torus, topo)
 	}
 	maxRounds := opt.maxRounds(env)
-	rec := opt.Recorder
-	phase := opt.Phase
-	if rec != nil && phase == "" {
-		phase = rule.Name()
+	ro := newRoundObs(rule, opt)
+	// A full run exchanges every live link's message each round; a
+	// frontier wave only its frontier lanes' links, counted per wave.
+	fullMsgs := 0
+	if all {
+		fullMsgs = ro.roundMsgs(env)
+		opt.Recorder.Counter("bitset_runs").Inc()
 	}
-	countMsgs := rec != nil || opt.Costs != nil
+	tr := opt.Costs.Tracker()
 	var ghost, ghostBit uint64
 	if rule.GhostLabel() {
 		ghost, ghostBit = ^uint64(0), 1
@@ -274,6 +283,16 @@ func RunBitsetFrontier(env *Env, rule GenericRule[bool], f *BitField, seed []int
 			work = append(work, wi)
 		}
 	}
+	if all {
+		if cap(work) < len(f.cur) {
+			work = make([]int, 0, len(f.cur))
+			applies = make([]uint64, 0, len(f.cur))
+		}
+		for wi := range f.cur {
+			front[wi] = f.live[wi]
+			push(wi)
+		}
+	}
 	for _, i := range seed {
 		wi, bit := f.wordOf(i), f.bitOf(i)
 		if f.live[wi]&bit == 0 {
@@ -300,23 +319,41 @@ func RunBitsetFrontier(env *Env, rule GenericRule[bool], f *BitField, seed []int
 		}
 		nextFront[wi] |= m
 	}
+	// next hands the next wave the lanes a change reaches. A full run
+	// takes each reached word whole, changed lanes included, as a
+	// synchronous round recomputes it; the word counts as evaluated even
+	// when it has no live lane.
+	next := scatter
+	if all {
+		next = func(wi int, _ uint64) {
+			if !inNext[wi] {
+				inNext[wi] = true
+				nextWork = append(nextWork, wi)
+				nextFront[wi] = f.live[wi]
+			}
+		}
+	}
 
 	rounds := 0
 	for len(work) > 0 {
 		sort.Ints(work)
-		nf := 0
-		for _, wi := range work {
-			nf += bits.OnesCount64(front[wi])
+		if all {
+			opt.Costs.AddWords(int64(len(work)))
+		} else {
+			nf := 0
+			for _, wi := range work {
+				nf += bits.OnesCount64(front[wi])
+			}
+			if nf == 0 {
+				break // dirty words only, no frontier lanes: nothing to do
+			}
+			opt.Costs.Frontier(nf)
 		}
-		if nf == 0 {
-			break // dirty words only, no frontier lanes: nothing to do
-		}
-		opt.Costs.Frontier(nf)
 
 		// Compute phase: every frontier word's next value against the
 		// pre-wave plane; updates masked to frontier lanes.
 		applies = applies[:0]
-		msgs, nUpd := 0, 0
+		msgs, nUpd := fullMsgs, 0
 		for _, wi := range work {
 			fm := front[wi]
 			if fm == 0 {
@@ -324,7 +361,7 @@ func RunBitsetFrontier(env *Env, rule GenericRule[bool], f *BitField, seed []int
 				continue
 			}
 			r, k := wi/f.wpr, wi%f.wpr
-			if countMsgs {
+			if ro.on() && !all {
 				lw, le, ls, ln := f.nbrLive(r, k)
 				msgs += bits.OnesCount64(fm&lw) + bits.OnesCount64(fm&le) +
 					bits.OnesCount64(fm&ls) + bits.OnesCount64(fm&ln)
@@ -346,45 +383,48 @@ func RunBitsetFrontier(env *Env, rule GenericRule[bool], f *BitField, seed []int
 				continue
 			}
 			f.cur[wi] ^= a
-			if changedMask[wi] == 0 {
-				changedWords = append(changedWords, wi)
-			}
-			if dup := a & changedMask[wi]; dup != 0 {
-				r, k := wi/f.wpr, wi%f.wpr
-				nodeBase := r*f.w + k*64
-				for dup != 0 {
-					dupNodes = append(dupNodes, nodeBase+bits.TrailingZeros64(dup))
-					dup &= dup - 1
+			r, k := wi/f.wpr, wi%f.wpr
+			nodeBase := r*f.w + k*64
+			if tr != nil {
+				for x := a; x != 0; x &= x - 1 {
+					tr[nodeBase+bits.TrailingZeros64(x)] = int32(rounds + 1)
 				}
 			}
-			changedMask[wi] |= a
+			if !all {
+				if changedMask[wi] == 0 {
+					changedWords = append(changedWords, wi)
+				}
+				for dup := a & changedMask[wi]; dup != 0; dup &= dup - 1 {
+					dupNodes = append(dupNodes, nodeBase+bits.TrailingZeros64(dup))
+				}
+				changedMask[wi] |= a
+			}
 
-			r, k := wi/f.wpr, wi%f.wpr
 			base := r * f.wpr
-			scatter(wi, a<<1|a>>1)
+			next(wi, a<<1|a>>1)
 			if k > 0 {
-				scatter(wi-1, a<<63)
+				next(wi-1, a<<63)
 			}
 			if k < last {
-				scatter(wi+1, a>>63)
+				next(wi+1, a>>63)
 			}
 			if f.torus {
 				if k == 0 {
-					scatter(base+last, (a&1)<<f.lastLane)
+					next(base+last, (a&1)<<f.lastLane)
 				}
 				if k == last {
-					scatter(base, a>>f.lastLane&1)
+					next(base, a>>f.lastLane&1)
 				}
 			}
 			if r > 0 {
-				scatter(wi-f.wpr, a)
+				next(wi-f.wpr, a)
 			} else if f.torus {
-				scatter((f.h-1)*f.wpr+k, a)
+				next((f.h-1)*f.wpr+k, a)
 			}
 			if r < f.h-1 {
-				scatter(wi+f.wpr, a)
+				next(wi+f.wpr, a)
 			} else if f.torus {
-				scatter(k, a)
+				next(k, a)
 			}
 		}
 
@@ -398,14 +438,7 @@ func RunBitsetFrontier(env *Env, rule GenericRule[bool], f *BitField, seed []int
 		inWork, inNext = inNext, inWork
 
 		rounds++
-		opt.Costs.Round(rounds, nUpd, msgs)
-		if rec != nil {
-			rec.Emit(obs.Event{
-				Type: obs.ERound, Phase: phase, Round: rounds, Changed: nUpd, Msgs: msgs,
-			})
-			rec.Counter("simnet_rounds").Inc()
-			rec.Counter("simnet_messages").Add(int64(msgs))
-		}
+		ro.observe(rounds, nUpd, msgs)
 		if opt.OnRound != nil {
 			scratch = f.Bools(scratch)
 			opt.OnRound(rounds, scratch)
@@ -419,7 +452,8 @@ func RunBitsetFrontier(env *Env, rule GenericRule[bool], f *BitField, seed []int
 
 	// Expand the changed-lane masks into the ascending node-index list
 	// (ascending word order is ascending node order in this packing),
-	// then merge re-flips back in for multiplicity parity.
+	// then merge re-flips back in for multiplicity parity. A full run
+	// records none: its Changed list stays nil.
 	sort.Ints(changedWords)
 	var changedAll []int // nil when nothing flipped, like the node engine
 	for _, wi := range changedWords {
@@ -439,9 +473,9 @@ func RunBitsetFrontier(env *Env, rule GenericRule[bool], f *BitField, seed []int
 		for i := 1; i < len(changedAll); i++ {
 			if changedAll[i] == changedAll[i-1] {
 				opt.Costs.Violation()
-				if rec != nil {
-					rec.Emit(obs.Event{
-						Type: obs.EInvariantViolation, Name: "frontier_shrink", Phase: phase,
+				if ro.rec != nil {
+					ro.rec.Emit(obs.Event{
+						Type: obs.EInvariantViolation, Name: "frontier_shrink", Phase: ro.phase,
 						Err: fmt.Sprintf("node %d flipped more than once across %d waves", changedAll[i], rounds),
 					})
 				}

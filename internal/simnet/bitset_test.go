@@ -11,10 +11,12 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ocpmesh/internal/grid"
 	"ocpmesh/internal/mesh"
+	"ocpmesh/internal/obs/costs"
 	"ocpmesh/internal/simnet"
 	"ocpmesh/internal/simnet/simnettest"
 	"ocpmesh/internal/status"
@@ -183,5 +185,171 @@ func TestBitsetRequiresWordRule(t *testing.T) {
 	}
 	if _, err := simnet.Bitset().Run(env, nonWordRule{}, simnet.Options{}); err == nil {
 		t.Fatal("bitset engine accepted a rule without StepWord")
+	}
+}
+
+// TestBitsetFullAccounting pins a full bitset run's cost accounting to
+// the synchronous model it replaces: rounds, status messages and label
+// flips equal the sequential engine's, the per-node tracker records the
+// same last-changed round for every node, and words_touched is the
+// synchronous sweep's word activity — every word in round 1, then in
+// each later round (the final quiet one included) every word that
+// changed in the round before or borders one that did.
+func TestBitsetFullAccounting(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	type config struct {
+		topo   *mesh.Topology
+		faults *grid.PointSet
+	}
+	var configs []config
+	for _, s := range []struct {
+		w, h int
+		kind mesh.Kind
+	}{{130, 9, mesh.Mesh2D}, {65, 5, mesh.Torus2D}, {64, 3, mesh.Torus2D}, {1, 9, mesh.Mesh2D}, {70, 1, mesh.Mesh2D}} {
+		topo := mesh.MustNew(s.w, s.h, s.kind)
+		configs = append(configs, config{topo, simnettest.RandomFaults(rng, topo, 0.2)})
+	}
+	for trial := 0; trial < 20; trial++ {
+		topo, faults := simnettest.RandomConfig(rng)
+		configs = append(configs, config{topo, faults})
+	}
+	for _, c := range configs {
+		for _, def := range []status.SafetyDef{status.Def2a, status.Def2b} {
+			env1, err := simnet.NewEnv(c.topo, c.faults, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := c.topo.String() + "/" + def.String()
+			unsafe := checkFullAccounting(t, ctx+"/phase1", env1, status.UnsafeRule(def))
+			env2, err := simnet.NewEnv(c.topo, c.faults, unsafe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkFullAccounting(t, ctx+"/phase2", env2, status.EnabledRule())
+		}
+	}
+}
+
+func checkFullAccounting(t *testing.T, ctx string, env *simnet.Env, rule simnet.Rule) []bool {
+	t.Helper()
+	run := func(eng simnet.Engine) (*simnet.Result, costs.Totals, []int32, [][]bool) {
+		pc := costs.NewPhase(costs.NewFabric(1), "phase", env.Topo.Size())
+		var stream [][]bool
+		res, err := eng.Run(env, rule, simnet.Options{Costs: pc, OnRound: func(_ int, labels []bool) {
+			stream = append(stream, slices.Clone(labels))
+		}})
+		if err != nil {
+			t.Fatalf("%s: %s: %v", ctx, eng.Name(), err)
+		}
+		return res, pc.Finish(), slices.Clone(pc.Tracker()), stream
+	}
+	want, wantTot, wantTr, stream := run(simnet.Sequential())
+	got, gotTot, gotTr, _ := run(simnet.Bitset())
+	if got.Rounds != want.Rounds || !slices.Equal(got.Labels, want.Labels) {
+		t.Fatalf("%s: bitset result differs from sequential", ctx)
+	}
+	wantTot.Words = syncWords(env.Topo, initLabels(env, rule), stream)
+	if gotTot != wantTot {
+		t.Fatalf("%s: bitset totals %+v, want %+v", ctx, gotTot, wantTot)
+	}
+	if !slices.Equal(gotTr, wantTr) {
+		t.Fatalf("%s: bitset tracker differs from sequential", ctx)
+	}
+	return want.Labels
+}
+
+// syncWords counts the words a synchronous word sweep evaluates from
+// init through the changing rounds in stream: all of them in round 1,
+// then per round the words active after the previous one.
+func syncWords(topo *mesh.Topology, init []bool, stream [][]bool) int64 {
+	w, h := topo.Width(), topo.Height()
+	wpr := (w + 63) / 64
+	torus := topo.Kind() == mesh.Torus2D
+	words := int64(wpr * h)
+	prev := init
+	for _, cur := range stream {
+		changed := make([]bool, wpr*h)
+		for i := range cur {
+			if cur[i] != prev[i] {
+				changed[(i/w)*wpr+(i%w)/64] = true
+			}
+		}
+		at := func(r, k int) bool { return changed[r*wpr+k] }
+		for r := 0; r < h; r++ {
+			for k := 0; k < wpr; k++ {
+				active := at(r, k) ||
+					k > 0 && at(r, k-1) || k < wpr-1 && at(r, k+1) ||
+					r > 0 && at(r-1, k) || r < h-1 && at(r+1, k) ||
+					torus && wpr > 1 && (k == 0 && at(r, wpr-1) || k == wpr-1 && at(r, 0)) ||
+					torus && (r == 0 && at(h-1, k) || r == h-1 && at(0, k))
+				if active {
+					words++
+				}
+			}
+		}
+		prev = cur
+	}
+	return words
+}
+
+// wordOnly exposes a paper rule's word kernels and panics on its scalar
+// Init and Step, so a run finishing at all proves the word path never
+// visits a node through them.
+type wordOnly struct {
+	simnet.Rule
+}
+
+func (wordOnly) Init(*simnet.Env, grid.Point) bool {
+	panic("per-node Init on the word path")
+}
+
+func (wordOnly) Step(*simnet.Env, grid.Point, bool, [4]bool) bool {
+	panic("per-node Step on the word path")
+}
+
+func (r wordOnly) InitWord(faulty, aux, valid uint64) uint64 {
+	return r.Rule.(simnet.WordRule).InitWord(faulty, aux, valid)
+}
+
+func (r wordOnly) StepWord(cur, west, east, south, north uint64) uint64 {
+	return r.Rule.(simnet.WordRule).StepWord(cur, west, east, south, north)
+}
+
+// TestBitsetFormsWithoutScalarRule: full formation on the word path —
+// InitBitField, RunBitsetFull, the bitset engine — never calls the
+// rule's per-node Init or Step, and still equals the sequential oracle.
+func TestBitsetFormsWithoutScalarRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 10; trial++ {
+		topo, faults := simnettest.RandomConfig(rng)
+		env1, err := simnet.NewEnv(topo, faults, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want1, err := simnet.Sequential().Run(env1, status.UnsafeRule(status.Def2b), simnet.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env2, err := simnet.NewEnv(topo, faults, want1.Labels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want2, err := simnet.Sequential().Run(env2, status.EnabledRule(), simnet.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			env  *simnet.Env
+			rule simnet.Rule
+			want *simnet.Result
+		}{{env1, wordOnly{status.UnsafeRule(status.Def2b)}, want1}, {env2, wordOnly{status.EnabledRule()}, want2}} {
+			got, err := simnet.Bitset().Run(c.env, c.rule, simnet.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Rounds != c.want.Rounds || !slices.Equal(got.Labels, c.want.Labels) {
+				t.Fatalf("%v: word-only %s diverges from sequential", topo, c.rule.Name())
+			}
+		}
 	}
 }

@@ -15,5 +15,5 @@ func (ChannelEngine) Name() string { return "channels" }
 
 // Run implements Engine.
 func (ChannelEngine) Run(env *Env, rule Rule, opt Options) (*Result, error) {
-	return boolResult(RunChannelsGeneric[bool](env, rule, opt.generic()))
+	return RunChannelsGeneric[bool](env, rule, opt)
 }

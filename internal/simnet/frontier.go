@@ -54,12 +54,7 @@ func RunFrontierGeneric[T comparable](env *Env, rule GenericRule[T], labels []T,
 		return nil, fmt.Errorf("simnet: frontier labels have %d entries, want %d", len(labels), topo.Size())
 	}
 	maxRounds := opt.maxRounds(env)
-	rec := opt.Recorder
-	phase := opt.Phase
-	if rec != nil && phase == "" {
-		phase = rule.Name()
-	}
-	countMsgs := rec != nil || opt.Costs != nil
+	ro := newRoundObs(rule, opt)
 
 	inFrontier := make([]bool, topo.Size())
 	frontier := make([]int, 0, len(seed))
@@ -88,7 +83,7 @@ func RunFrontierGeneric[T comparable](env *Env, rule GenericRule[T], labels []T,
 		msgs := 0
 		for _, i := range frontier {
 			p := topo.PointAt(i)
-			if countMsgs {
+			if ro.on() {
 				for _, d := range mesh.Directions {
 					if q, ok := topo.NeighborIn(p, d); ok && !env.Faulty.Has(q) {
 						msgs++
@@ -117,14 +112,7 @@ func RunFrontierGeneric[T comparable](env *Env, rule GenericRule[T], labels []T,
 			}
 		}
 		rounds++
-		opt.Costs.Round(rounds, len(updates), msgs)
-		if rec != nil {
-			rec.Emit(obs.Event{
-				Type: obs.ERound, Phase: phase, Round: rounds, Changed: len(updates), Msgs: msgs,
-			})
-			rec.Counter("simnet_rounds").Inc()
-			rec.Counter("simnet_messages").Add(int64(msgs))
-		}
+		ro.observe(rounds, len(updates), msgs)
 		if opt.OnRound != nil {
 			opt.OnRound(rounds, labels)
 		}
@@ -144,9 +132,9 @@ func RunFrontierGeneric[T comparable](env *Env, rule GenericRule[T], labels []T,
 		for i := 1; i < len(changedAll); i++ {
 			if changedAll[i] == changedAll[i-1] {
 				opt.Costs.Violation()
-				if rec != nil {
-					rec.Emit(obs.Event{
-						Type: obs.EInvariantViolation, Name: "frontier_shrink", Phase: phase,
+				if ro.rec != nil {
+					ro.rec.Emit(obs.Event{
+						Type: obs.EInvariantViolation, Name: "frontier_shrink", Phase: ro.phase,
 						Err: fmt.Sprintf("node %d flipped more than once across %d waves", changedAll[i], rounds),
 					})
 				}

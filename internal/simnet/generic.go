@@ -27,25 +27,41 @@ type GenericRule[T comparable] interface {
 	FaultyLabel() T
 }
 
-// GenericOptions tunes a generic run.
+// GenericOptions tunes a run.
 type GenericOptions[T comparable] struct {
-	// MaxRounds bounds the run; 0 means Topo.Size()+1 per label flip —
-	// see Options.MaxRounds.
+	// MaxRounds bounds the number of rounds; 0 means Topo.Size()+1, a
+	// safe bound for any monotone rule (each round must flip at least one
+	// of the at-most-Size labels). Exceeding the bound is an error.
 	MaxRounds int
-	// OnRound observes the label vector after each changing round.
+	// OnRound, when non-nil, observes the label vector after each
+	// changing round. The slice must not be retained or mutated.
 	OnRound func(round int, labels []T)
-	// Recorder and Phase mirror Options: per-round trace events and
-	// round/message counters, nil-safe. See Options.Recorder.
+	// Recorder, when non-nil, receives one obs.ERound event per changing
+	// round (round index, labels changed, status messages exchanged) and
+	// feeds the simnet_rounds / simnet_messages counters. Every engine
+	// emits the identical event stream for the same run. A nil Recorder
+	// costs nothing.
 	Recorder *obs.Recorder
-	Phase    string
-	// Costs mirrors Options.Costs: the convergence observatory's
-	// per-phase cost collector, nil-safe and independent of Recorder.
+	// Phase labels the recorded events (e.g. "phase1"); it defaults to
+	// the rule name.
+	Phase string
+	// Costs, when non-nil, accumulates the run's distributed-cost
+	// accounting (rounds, messages, label flips, words touched) into the
+	// convergence observatory's counter fabric, and — when the collector
+	// carries a tracker — records the last round each node's label
+	// changed. Independent of Recorder; a nil collector costs nothing.
 	Costs *costs.Phase
 }
 
-// GenericResult is the outcome of a generic run.
+// GenericResult is the outcome of a run.
 type GenericResult[T comparable] struct {
+	// Labels holds the fixpoint label of every node, indexed by
+	// Topo.Index. Faulty nodes carry the rule's FaultyLabel.
 	Labels []T
+	// Rounds is the number of rounds in which at least one label changed.
+	// A configuration already at fixpoint stabilizes in 0 rounds. (Nodes
+	// need one extra quiet round to detect termination; the paper's
+	// Figure 5 counts changing rounds, as we do.)
 	Rounds int
 }
 
@@ -56,49 +72,54 @@ func (o GenericOptions[T]) maxRounds(env *Env) int {
 	return env.Topo.Size() + 1
 }
 
-// roundObs is the per-run observability state shared by both engines.
-// The zero value (nil recorder, nil cost collector) makes every method a
-// cheap no-op, so the uninstrumented hot path stays unchanged.
+// roundObs is the per-run observability state every engine shares: per
+// changing round, one obs.ERound event, the simnet_rounds and
+// simnet_messages counters, and the cost collector's round totals. The
+// zero value (nil recorder, nil cost collector) makes observe a cheap
+// no-op, so the uninstrumented hot path stays unchanged.
 type roundObs struct {
-	rec     *obs.Recorder
-	phase   string
-	msgs    int // status messages exchanged per round (constant for a run)
-	rounds  *obs.Counter
-	msgsCtr *obs.Counter
-	pc      *costs.Phase
+	rec             *obs.Recorder
+	phase           string
+	rounds, msgsCtr *obs.Counter
+	pc              *costs.Phase
 }
 
-func newRoundObs[T comparable](env *Env, rule GenericRule[T], opt GenericOptions[T]) roundObs {
-	if opt.Recorder == nil && opt.Costs == nil {
-		return roundObs{}
+func newRoundObs[T comparable](rule GenericRule[T], opt GenericOptions[T]) roundObs {
+	o := roundObs{rec: opt.Recorder, phase: opt.Phase, pc: opt.Costs}
+	if o.rec != nil {
+		if o.phase == "" {
+			o.phase = rule.Name()
+		}
+		o.rounds = o.rec.Counter("simnet_rounds")
+		o.msgsCtr = o.rec.Counter("simnet_messages")
 	}
-	o := roundObs{msgs: liveMessages(env), pc: opt.Costs}
-	if opt.Recorder == nil {
-		return o
-	}
-	phase := opt.Phase
-	if phase == "" {
-		phase = rule.Name()
-	}
-	o.rec = opt.Recorder
-	o.phase = phase
-	o.rounds = opt.Recorder.Counter("simnet_rounds")
-	o.msgsCtr = opt.Recorder.Counter("simnet_messages")
 	return o
 }
 
+// on reports whether anything observes the run.
+func (o roundObs) on() bool { return o.rec != nil || o.pc != nil }
+
+// roundMsgs returns the status messages one synchronous round exchanges
+// (liveMessages), or 0 when nothing observes the run.
+func (o roundObs) roundMsgs(env *Env) int {
+	if !o.on() {
+		return 0
+	}
+	return liveMessages(env)
+}
+
 // observe records one completed changing round with nchanged flipped
-// labels.
-func (o roundObs) observe(round, nchanged int) {
-	o.pc.Round(round, nchanged, o.msgs)
+// labels and msgs status messages exchanged.
+func (o roundObs) observe(round, nchanged, msgs int) {
+	o.pc.Round(round, nchanged, msgs)
 	if o.rec == nil {
 		return
 	}
 	o.rec.Emit(obs.Event{
-		Type: obs.ERound, Phase: o.phase, Round: round, Changed: nchanged, Msgs: o.msgs,
+		Type: obs.ERound, Phase: o.phase, Round: round, Changed: nchanged, Msgs: msgs,
 	})
 	o.rounds.Inc()
-	o.msgsCtr.Add(int64(o.msgs))
+	o.msgsCtr.Add(int64(msgs))
 }
 
 // liveMessages counts the status messages exchanged in one synchronous
@@ -183,7 +204,8 @@ func RunSequentialGeneric[T comparable](env *Env, rule GenericRule[T], opt Gener
 	cur, faulty := initGenericLabels(env, rule)
 	next := make([]T, len(cur))
 	maxRounds := opt.maxRounds(env)
-	ro := newRoundObs(env, rule, opt)
+	ro := newRoundObs(rule, opt)
+	msgs := ro.roundMsgs(env)
 	tr := opt.Costs.Tracker()
 
 	rounds := 0
@@ -209,7 +231,7 @@ func RunSequentialGeneric[T comparable](env *Env, rule GenericRule[T], opt Gener
 		}
 		cur, next = next, cur
 		rounds++
-		ro.observe(rounds, nchanged)
+		ro.observe(rounds, nchanged, msgs)
 		if opt.OnRound != nil {
 			opt.OnRound(rounds, cur)
 		}
@@ -226,7 +248,8 @@ func RunChannelsGeneric[T comparable](env *Env, rule GenericRule[T], opt Generic
 	topo := env.Topo
 	labels, _ := initGenericLabels(env, rule)
 	maxRounds := opt.maxRounds(env)
-	ro := newRoundObs(env, rule, opt)
+	ro := newRoundObs(rule, opt)
+	msgs := ro.roundMsgs(env)
 	tr := opt.Costs.Tracker()
 
 	type nodeInfo struct {
@@ -335,7 +358,7 @@ func RunChannelsGeneric[T comparable](env *Env, rule GenericRule[T], opt Generic
 			return &GenericResult[T]{Labels: labels, Rounds: rounds}, nil
 		}
 		rounds++
-		ro.observe(rounds, nchanged)
+		ro.observe(rounds, nchanged, msgs)
 		if opt.OnRound != nil {
 			opt.OnRound(rounds, labels)
 		}

@@ -14,5 +14,5 @@ func (SeqEngine) Name() string { return "sequential" }
 
 // Run implements Engine.
 func (SeqEngine) Run(env *Env, rule Rule, opt Options) (*Result, error) {
-	return boolResult(RunSequentialGeneric[bool](env, rule, opt.generic()))
+	return RunSequentialGeneric[bool](env, rule, opt)
 }

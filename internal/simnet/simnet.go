@@ -19,8 +19,10 @@
 //     double-buffered sweep. It is deterministic and fast, suitable for
 //     large parameter sweeps; TestEnginesAgree pins it to ChannelEngine.
 //
-//   - BitsetEngine packs 64 labels per word and advances whole words per
-//     kernel call on one goroutine; it is the production engine behind
+//   - BitsetEngine packs 64 labels per word, builds the round-0 plane a
+//     word at a time and advances whole words per kernel call on one
+//     goroutine — the same word kernel incremental deltas run
+//     (RunBitsetFrontier). It is the production engine behind
 //     incremental formation, pinned to SeqEngine by the differential
 //     matrix.
 //
@@ -33,22 +35,22 @@ import (
 
 	"ocpmesh/internal/grid"
 	"ocpmesh/internal/mesh"
-	"ocpmesh/internal/obs"
-	"ocpmesh/internal/obs/costs"
 )
 
 // Env is the fixed context of a labeling run: the machine and the fault
-// pattern. Aux optionally carries a per-node-index boolean attribute
+// pattern. Aux optionally carries a packed per-node boolean attribute
 // computed by an earlier phase (phase 2 of the paper consumes phase 1's
-// unsafe labels this way).
+// unsafe plane this way); scalar rules read one bit with Aux.Get, the
+// bitset engine a word at a time.
 type Env struct {
 	Topo   *mesh.Topology
 	Faulty *grid.PointSet
-	Aux    []bool
+	Aux    *grid.BitGrid
 }
 
 // NewEnv returns an Env after validating that every fault is a machine
-// node and that Aux, when present, has one entry per node.
+// node and that aux, when present, has one entry per node. aux is a
+// row-major label vector (indexed by Topo.Index), packed into Env.Aux.
 func NewEnv(topo *mesh.Topology, faulty *grid.PointSet, aux []bool) (*Env, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("simnet: nil topology")
@@ -56,15 +58,26 @@ func NewEnv(topo *mesh.Topology, faulty *grid.PointSet, aux []bool) (*Env, error
 	if faulty == nil {
 		faulty = grid.NewPointSet()
 	}
-	for _, p := range faulty.Points() {
-		if !topo.Contains(p) {
-			return nil, fmt.Errorf("simnet: fault %v outside %v", p, topo)
+	// Each skips the sort Points would pay; the least outside fault is
+	// reported, as a sorted scan would.
+	var outside *grid.Point
+	faulty.Each(func(p grid.Point) {
+		if !topo.Contains(p) && (outside == nil || p.Less(*outside)) {
+			outside = &p
 		}
+	})
+	if outside != nil {
+		return nil, fmt.Errorf("simnet: fault %v outside %v", *outside, topo)
 	}
-	if aux != nil && len(aux) != topo.Size() {
-		return nil, fmt.Errorf("simnet: aux has %d entries, want %d", len(aux), topo.Size())
+	env := &Env{Topo: topo, Faulty: faulty}
+	if aux != nil {
+		if len(aux) != topo.Size() {
+			return nil, fmt.Errorf("simnet: aux has %d entries, want %d", len(aux), topo.Size())
+		}
+		env.Aux = grid.NewBitGrid(topo.Width(), topo.Height())
+		env.Aux.SetBools(aux)
 	}
-	return &Env{Topo: topo, Faulty: faulty, Aux: aux}, nil
+	return env, nil
 }
 
 // Rule is a local status-update rule. Labels are booleans; the meaning of
@@ -90,59 +103,12 @@ type Rule interface {
 	FaultyLabel() bool
 }
 
-// Options tunes an engine run.
-type Options struct {
-	// MaxRounds bounds the number of rounds; 0 means Topo.Size()+1, a
-	// safe bound for any monotone rule (each round must flip at least one
-	// of the at-most-Size labels). Exceeding the bound is an error.
-	MaxRounds int
-	// OnRound, when non-nil, observes the label vector after each
-	// changing round. The slice must not be retained or mutated.
-	OnRound func(round int, labels []bool)
-	// Recorder, when non-nil, receives one obs.ERound event per changing
-	// round (round index, labels changed, status messages exchanged) and
-	// feeds the simnet_rounds / simnet_messages counters. Both engines
-	// emit identical event streams for the same run. A nil Recorder
-	// costs nothing.
-	Recorder *obs.Recorder
-	// Phase labels the recorded events (e.g. "phase1"); it defaults to
-	// the rule name.
-	Phase string
-	// Costs, when non-nil, accumulates the run's distributed-cost
-	// accounting (rounds, messages, label flips, words touched) into the
-	// convergence observatory's counter fabric, and — when the collector
-	// carries a tracker — records the last round each node's label
-	// changed. Independent of Recorder; a nil collector costs nothing.
-	Costs *costs.Phase
-}
-
-// generic converts Engine options to the generic runners' options.
-func (o Options) generic() GenericOptions[bool] {
-	return GenericOptions[bool]{
-		MaxRounds: o.MaxRounds, OnRound: o.OnRound,
-		Recorder: o.Recorder, Phase: o.Phase, Costs: o.Costs,
-	}
-}
-
-// boolResult adapts a generic boolean run to an Engine result.
-func boolResult(res *GenericResult[bool], err error) (*Result, error) {
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Labels: res.Labels, Rounds: res.Rounds}, nil
-}
-
-// Result is the outcome of a run.
-type Result struct {
-	// Labels holds the fixpoint label of every node, indexed by
-	// Topo.Index. Faulty nodes carry the rule's FaultyLabel.
-	Labels []bool
-	// Rounds is the number of rounds in which at least one label changed.
-	// A configuration already at fixpoint stabilizes in 0 rounds. (Nodes
-	// need one extra quiet round to detect termination; the paper's
-	// Figure 5 counts changing rounds, as we do.)
-	Rounds int
-}
+// Options tunes an engine run; Result is its outcome. They are the
+// boolean instances of the generic runners' types.
+type (
+	Options = GenericOptions[bool]
+	Result  = GenericResult[bool]
+)
 
 // Engine computes the synchronous fixpoint of a rule.
 type Engine interface {

@@ -33,7 +33,9 @@ func (spreadRule) Step(_ *Env, _ grid.Point, cur bool, nbr [4]bool) bool {
 	return false
 }
 
-// StepWord is Step over 64 lanes, so the bitset engine can run the rule.
+// InitWord and StepWord are Init and Step over 64 lanes, so the bitset
+// engine can run the rule.
+func (spreadRule) InitWord(faulty, _, valid uint64) uint64 { return faulty & valid }
 func (spreadRule) StepWord(cur, west, east, south, north uint64) uint64 {
 	return cur | west | east | south | north
 }
@@ -46,6 +48,7 @@ func (flipRule) Init(*Env, grid.Point) bool                          { return fa
 func (flipRule) GhostLabel() bool                                    { return false }
 func (flipRule) FaultyLabel() bool                                   { return false }
 func (flipRule) Step(_ *Env, _ grid.Point, cur bool, _ [4]bool) bool { return !cur }
+func (flipRule) InitWord(_, _, _ uint64) uint64                      { return 0 }
 func (flipRule) StepWord(cur, _, _, _, _ uint64) uint64              { return ^cur }
 
 func engines() []Engine { return []Engine{Sequential(), Channels(), Bitset()} }

@@ -95,6 +95,10 @@ func (r unsafeRule) Step(_ *simnet.Env, _ grid.Point, cur bool, nbr [4]bool) boo
 	}
 }
 
+// InitWord implements simnet.WordRule: faulty lanes start unsafe, every
+// other lane safe, so the round-0 word is the fault word itself.
+func (unsafeRule) InitWord(faulty, _, valid uint64) uint64 { return faulty & valid }
+
 // StepWord implements simnet.WordRule: Step over 64 lanes at once. Both
 // definitions reduce to a few word-wide boolean operations; Def 2a's
 // "two or more of four" threshold is the carry-save atLeastTwo counter.
@@ -117,7 +121,7 @@ func atLeastTwo(a, b, c, d uint64) uint64 {
 // EnabledRule returns the phase-2 rule (Definition 3). The label is
 // "enabled": safe nodes and ghosts are enabled, faulty nodes permanently
 // disabled, and a nonfaulty unsafe node becomes enabled once it sees two
-// or more enabled neighbors. env.Aux must carry the phase-1 unsafe labels.
+// or more enabled neighbors. env.Aux must carry the phase-1 unsafe plane.
 func EnabledRule() simnet.Rule { return enabledRule{} }
 
 type enabledRule struct{}
@@ -128,7 +132,7 @@ func (enabledRule) Name() string { return "enabled/def3" }
 // disabled. This explicit initialization (rather than a recursive
 // definition) is what makes the enabled/disabled status well defined.
 func (enabledRule) Init(env *simnet.Env, p grid.Point) bool {
-	return !env.Aux[env.Topo.Index(p)] // enabled iff safe
+	return !env.Aux.Get(p.X, p.Y) // enabled iff safe
 }
 
 // GhostLabel implements simnet.Rule: ghosts are enabled.
@@ -151,6 +155,10 @@ func (enabledRule) Step(_ *simnet.Env, _ grid.Point, cur bool, nbr [4]bool) bool
 	return count >= 2
 }
 
+// InitWord implements simnet.WordRule: safe lanes (aux clear) start
+// enabled; faulty lanes and padding stay clear.
+func (enabledRule) InitWord(faulty, aux, valid uint64) uint64 { return ^aux &^ faulty & valid }
+
 // StepWord implements simnet.WordRule: a disabled lane becomes enabled
 // when at least two of its four neighbor lanes are enabled.
 func (enabledRule) StepWord(cur, west, east, south, north uint64) uint64 {
@@ -166,7 +174,7 @@ func (enabledRule) StepWord(cur, west, east, south, north uint64) uint64 {
 // this checker to demonstrate the problem.
 //
 // enabled is indexed by env.Topo.Index; env.Aux must carry the unsafe
-// labels.
+// plane.
 func IsRecursiveEnabledFixpoint(env *simnet.Env, enabled []bool) bool {
 	for _, p := range env.Topo.Points() {
 		i := env.Topo.Index(p)
@@ -176,7 +184,7 @@ func IsRecursiveEnabledFixpoint(env *simnet.Env, enabled []bool) bool {
 			}
 			continue
 		}
-		if !env.Aux[i] {
+		if !env.Aux.Get(p.X, p.Y) {
 			if !enabled[i] {
 				return false // safe nodes must be enabled
 			}

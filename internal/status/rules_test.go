@@ -349,16 +349,47 @@ func TestEnginesAgreeOnStatusRules(t *testing.T) {
 // over every input combination: for all 32 (cur, w, e, s, n) patterns,
 // a lane of the word kernel must equal Step on the corresponding
 // scalars. Lanes are packed with the combination index so all 32 cases
-// are verified in a single word evaluation per rule.
+// are verified in a single word evaluation per rule. InitWord is pinned
+// the same way over the 8 (faulty, aux, valid) patterns: a valid lane
+// must equal FaultyLabel when faulty and Init under that aux bit
+// otherwise, and a padding lane must be zero.
 func TestWordRulesMatchStep(t *testing.T) {
 	// env/point are unused by both rules' Step bodies; enabledRule.Init
-	// needs Aux but Step does not.
+	// reads the node's Aux bit, which a one-node env carries.
+	topo := mesh.MustNew(1, 1, mesh.Mesh2D)
 	rules := []simnet.Rule{UnsafeRule(Def2a), UnsafeRule(Def2b), EnabledRule()}
 	for _, rule := range rules {
 		wr, ok := rule.(simnet.WordRule)
 		if !ok {
 			t.Fatalf("%s does not implement WordRule", rule.Name())
 		}
+		var faulty, aux, valid uint64
+		for i := 0; i < 8; i++ {
+			faulty |= uint64(i>>0&1) << i
+			aux |= uint64(i>>1&1) << i
+			valid |= uint64(i>>2&1) << i
+		}
+		init := wr.InitWord(faulty, aux, valid)
+		for i := 0; i < 8; i++ {
+			env, err := simnet.NewEnv(topo, nil, []bool{i>>1&1 != 0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := rule.Init(env, grid.Pt(0, 0))
+			if i&1 != 0 {
+				want = rule.FaultyLabel()
+			}
+			if i>>2&1 == 0 {
+				want = false // padding
+			}
+			if init>>i&1 != 0 != want {
+				t.Errorf("%s: combination %03b: InitWord lane = %t, want %t", rule.Name(), i, init>>i&1 != 0, want)
+			}
+		}
+		if init>>8 != 0 {
+			t.Errorf("%s: InitWord sets lanes outside valid: %#x", rule.Name(), init)
+		}
+
 		// Bit i of each operand word encodes combination i's value of
 		// that operand: cur = bit 0 of i, west = bit 1, ... north = bit 4.
 		var cur, w, e, s, n uint64

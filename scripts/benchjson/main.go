@@ -1,20 +1,26 @@
 // Command benchjson converts `go test -bench` text output (stdin) into a
-// JSON document (stdout): the environment header lines plus one record
-// per benchmark result. The Makefile's bench target pipes the
-// observability benchmark through it to produce BENCH_obs.json.
+// JSON document (stdout): the environment header lines, the run's
+// provenance (commit, GOMAXPROCS, Go version, UTC date) and one record
+// per benchmark result. The Makefile's bench targets pipe their
+// benchmarks through it to produce the BENCH_*.json files, passing the
+// commit with -commit.
 //
 // Usage:
 //
-//	go test -run '^$' -bench BenchmarkObsOverhead -benchmem . | go run ./scripts/benchjson
+//	go test -run '^$' -bench BenchmarkObsOverhead -benchmem . | go run ./scripts/benchjson -commit "$(git describe --always --dirty)"
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // result is one parsed benchmark line.
@@ -28,23 +34,34 @@ type result struct {
 
 // report is the emitted document.
 type report struct {
-	GOOS    string   `json:"goos,omitempty"`
-	GOARCH  string   `json:"goarch,omitempty"`
-	Package string   `json:"pkg,omitempty"`
-	CPU     string   `json:"cpu,omitempty"`
-	Results []result `json:"results"`
+	GOOS    string `json:"goos,omitempty"`
+	GOARCH  string `json:"goarch,omitempty"`
+	Package string `json:"pkg,omitempty"`
+	CPU     string `json:"cpu,omitempty"`
+	// Commit is the -commit flag; GOMAXPROCS is read from the first
+	// result's "-N" name suffix, or is this process's own when the name
+	// has none (go test omits it at 1, ocpload never writes it);
+	// GoVersion is this toolchain's; Date is the UTC day the document
+	// was written.
+	Commit     string   `json:"commit,omitempty"`
+	GOMAXPROCS int      `json:"gomaxprocs"`
+	GoVersion  string   `json:"go_version"`
+	Date       string   `json:"date"`
+	Results    []result `json:"results"`
 }
 
 func main() {
-	if err := run(); err != nil {
+	commit := flag.String("commit", "", "commit the benchmarks ran on, recorded in the document")
+	flag.Parse()
+	if err := run(os.Stdin, os.Stdout, *commit); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var rep report
-	sc := bufio.NewScanner(os.Stdin)
+func run(in io.Reader, out io.Writer, commit string) error {
+	rep := report{Commit: commit, GoVersion: runtime.Version(), Date: time.Now().UTC().Format("2006-01-02")}
+	sc := bufio.NewScanner(in)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
@@ -70,8 +87,9 @@ func run() error {
 	if len(rep.Results) == 0 {
 		return fmt.Errorf("no benchmark lines found on stdin")
 	}
+	rep.GOMAXPROCS = procsOf(rep.Results[0].Name)
 	rep.Results = mergeSamples(rep.Results)
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
 }
@@ -102,6 +120,18 @@ func mergeSamples(results []result) []result {
 		}
 	}
 	return merged
+}
+
+// procsOf returns the GOMAXPROCS go test encoded in a benchmark name's
+// "-N" suffix, or this process's GOMAXPROCS — the same environment the
+// piped benchmark ran in — when the name has none.
+func procsOf(name string) int {
+	if i := strings.LastIndex(name, "-"); i >= 0 {
+		if n, err := strconv.Atoi(name[i+1:]); err == nil && n > 0 {
+			return n
+		}
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // parseLine parses "BenchmarkX/sub-8  123  456 ns/op [789 B/op  2 allocs/op]".
