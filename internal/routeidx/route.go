@@ -39,13 +39,9 @@ func (ix *Index) Hops(src, dst grid.Point) (int, error) {
 
 // run simulates Detour's walk exactly, in bulk: greedy dimension-order
 // runs collapse into binary-searched segment jumps against the row and
-// column interval tables, and wall-following episodes replay the blocked
-// region's precomputed boundary ring with an O(1) validity check per
-// step. Any situation the precomputed contour cannot cover — a wall
-// state outside every ring, or a ring cell forbidden in the real map by
-// a second region — falls back to running the right-hand automaton
-// inline, which is Detour's own wall step. Decisions, hop counts and
-// failure modes therefore match Detour on every query.
+// column interval tables, and wall-following episodes run Detour's own
+// right-hand step against the forbidden-cell plane. Decisions, hop
+// counts and failure modes therefore match Detour on every query.
 func (ix *Index) run(src, dst grid.Point, buf routing.Path, wantPath bool) (routing.Path, int, error) {
 	topo := ix.src.topo
 	if !ix.allowed(src) {
@@ -63,20 +59,16 @@ func (ix *Index) run(src, dst grid.Point, buf routing.Path, wantPath bool) (rout
 	maxHops := ix.maxHops
 
 	// Wall-following state, mirroring Detour's: heading and the distance
-	// at which the wall was hit, plus the precomputed ring being
-	// replayed (ringAt < 0 = inline automaton).
+	// at which the wall was hit.
 	wall := false
 	var heading mesh.Direction
 	hitDist := 0
-	var ring []ringStep
-	ringAt := -1
-	var wallReg *regionIdx
 
 	for cur != dst && hops < maxHops {
 		if !wall {
 			dir, _ := routing.DirToward(topo, cur, dst)
 			segLen := ix.distAlong(cur, dst, dir)
-			bt, breg := ix.firstBlocked(cur, dir, segLen)
+			bt := ix.firstBlocked(cur, dir, segLen)
 			free := segLen
 			if bt > 0 {
 				free = bt - 1
@@ -94,20 +86,10 @@ func (ix *Index) run(src, dst grid.Point, buf routing.Path, wantPath bool) (rout
 				continue
 			}
 			// The greedy hop out of cur is blocked: enter wall mode with
-			// the obstacle on the right, exactly as Detour does, and try
-			// to pick up the blocking region's precomputed ring at the
-			// entry state.
+			// the obstacle on the right, exactly as Detour does.
 			wall = true
 			heading = routing.TurnLeft(dir)
 			hitDist = topo.Dist(cur, dst)
-			wallReg = breg
-			ring, ringAt = nil, -1
-			if breg != nil {
-				if rp, ok := breg.pos[ringStep{p: cur, h: heading}]; ok {
-					ring = breg.rings[rp.ring]
-					ringAt = int(rp.idx)
-				}
-			}
 			continue
 		}
 
@@ -128,64 +110,17 @@ func (ix *Index) run(src, dst grid.Point, buf routing.Path, wantPath bool) (rout
 			}
 		}
 
-		if ringAt >= 0 {
-			ni := ringAt + 1
-			if ni == len(ring) {
-				ni = 0
-			}
-			st := ring[ni]
-			// The idealized automaton rejected every direction Detour
-			// probes before st.h for reasons (mesh border, this region's
-			// cells) that hold in the real map too, so st is Detour's
-			// choice whenever st.p is really allowed.
-			if ix.allowed(st.p) {
-				ringAt = ni
-				heading = st.h
-				if wantPath {
-					path = append(path, st.p)
-				}
-				cur = st.p
-				hops++
-				continue
-			}
-			ringAt = -1 // the real map deviates here; go inline
-		}
-
-		// Inline right-hand rule — Detour's wall step verbatim.
-		moved := false
-		for _, d := range [4]mesh.Direction{routing.TurnRight(heading), heading, routing.TurnLeft(heading), heading.Opposite()} {
-			next, ok := topo.NeighborIn(cur, d)
-			if !ok {
-				continue
-			}
-			if !ix.allowed(next) {
-				// Remember whose wall rejected the probe — the contour
-				// re-acquisition below follows that region's ring.
-				wallReg = ix.regionAt(next)
-				continue
-			}
-			heading = d
-			if wantPath {
-				path = append(path, next)
-			}
-			cur = next
-			hops++
-			moved = true
-			break
-		}
-		if !moved {
+		// Right-hand rule — Detour's wall step.
+		next, h, ok := ix.rightHandStep(cur, heading)
+		if !ok {
 			return path, hops, fmt.Errorf("routeidx: stuck at %v (isolated node)", cur)
 		}
-		// Back onto a precomputed contour as soon as the automaton's
-		// state reappears in the wall region's ring: entry states on a
-		// rho tail, and deviations forced by a second region, converge
-		// onto a registered cycle within a few steps.
-		if wallReg != nil {
-			if rp, ok := wallReg.pos[ringStep{p: cur, h: heading}]; ok {
-				ring = wallReg.rings[rp.ring]
-				ringAt = int(rp.idx)
-			}
+		heading = h
+		if wantPath {
+			path = append(path, next)
 		}
+		cur = next
+		hops++
 	}
 	if cur != dst {
 		return path, hops, fmt.Errorf("routeidx: hop budget %d exhausted between %v and %v", maxHops, src, dst)
@@ -256,36 +191,50 @@ func (ix *Index) inside(p grid.Point) bool {
 	return p.X >= 0 && p.X < ix.w && p.Y >= 0 && p.Y < ix.h
 }
 
+// rightHand lists, per heading, the directions Detour's right-hand rule
+// tries in order: right, straight, left, back.
+var rightHand = func() (t [4][4]mesh.Direction) {
+	for _, h := range mesh.Directions {
+		t[h] = [4]mesh.Direction{routing.TurnRight(h), h, routing.TurnLeft(h), h.Opposite()}
+	}
+	return t
+}()
+
+// rightHandStep is Detour's wall step: from p with heading h, move to
+// the first allowed neighbor of right, straight, left and back, and
+// head that way. ok is false when p has no allowed neighbor.
+func (ix *Index) rightHandStep(p grid.Point, h mesh.Direction) (next grid.Point, heading mesh.Direction, ok bool) {
+	for _, d := range &rightHand[h&3] {
+		q := p.Add(d.Delta())
+		if uint(q.X) >= uint(ix.w) || uint(q.Y) >= uint(ix.h) {
+			if !ix.torus {
+				continue
+			}
+			q = grid.Pt((q.X+ix.w)%ix.w, (q.Y+ix.h)%ix.h) // back across the seam
+		}
+		if !ix.occ.has(q.X, q.Y) {
+			return q, d, true
+		}
+	}
+	return p, h, false
+}
+
 // allowed reports whether p may carry traffic under the index's model:
-// inside the machine and in no obstacle (regionAt(p) == nil, read off
-// the forbidden-cell plane the row spans are mirrored into). The
-// obstacles partition exactly the cells the model forbids (disabled
-// regions, faulty blocks or fault components), so this is
-// routing.Model.Allowed with no label plane.
+// inside the machine and in no obstacle, read off the forbidden-cell
+// plane the row spans are mirrored into. The obstacles partition exactly
+// the cells the model forbids (disabled regions, faulty blocks or fault
+// components), so this is routing.Model.Allowed with no label plane.
 func (ix *Index) allowed(p grid.Point) bool {
 	return ix.inside(p) && !ix.occ.has(p.X, p.Y)
 }
 
-// regionAt returns the compiled region owning obstacle cell p, nil for
-// allowed cells — one binary search on p's row table. p must be inside
-// the machine.
-func (ix *Index) regionAt(p grid.Point) *regionIdx {
-	spans := ix.rows[p.Y]
-	i := sort.Search(len(spans), func(i int) bool { return int(spans[i].hi) >= p.X })
-	if i < len(spans) && int(spans[i].lo) <= p.X {
-		return spans[i].reg
-	}
-	return nil
-}
-
 // firstBlocked returns the 1-based offset along d of the first forbidden
-// cell within segLen steps of cur (0 = the whole segment is clear) and
-// the compiled region owning that cell. One or two binary searches on
-// the global interval tables; torus segments that cross the seam split
-// into two linear pieces.
-func (ix *Index) firstBlocked(cur grid.Point, d mesh.Direction, segLen int) (int, *regionIdx) {
+// cell within segLen steps of cur (0 = the whole segment is clear). One
+// or two binary searches on the global interval tables; torus segments
+// that cross the seam split into two linear pieces.
+func (ix *Index) firstBlocked(cur grid.Point, d mesh.Direction, segLen int) int {
 	if segLen == 0 {
-		return 0, nil
+		return 0
 	}
 	var spans []span
 	var from, size int
@@ -298,15 +247,15 @@ func (ix *Index) firstBlocked(cur grid.Point, d mesh.Direction, segLen int) (int
 		from, size = cur.Y, ix.h
 	}
 	if len(spans) == 0 {
-		return 0, nil
+		return 0
 	}
 	if d == mesh.East || d == mesh.North { // ascending coordinate
 		a, b := from+1, from+segLen
 		if b < size {
 			return firstAsc(spans, a, b, from, 0)
 		}
-		if t, rp := firstAsc(spans, a, size-1, from, 0); t > 0 {
-			return t, rp
+		if t := firstAsc(spans, a, size-1, from, 0); t > 0 {
+			return t
 		}
 		return firstAsc(spans, 0, b-size, from, size)
 	}
@@ -314,8 +263,8 @@ func (ix *Index) firstBlocked(cur grid.Point, d mesh.Direction, segLen int) (int
 	if a >= 0 {
 		return firstDesc(spans, a, b, from, 0)
 	}
-	if t, rp := firstDesc(spans, 0, b, from, 0); t > 0 {
-		return t, rp
+	if t := firstDesc(spans, 0, b, from, 0); t > 0 {
+		return t
 	}
 	return firstDesc(spans, size+a, size-1, from, size)
 }
@@ -324,35 +273,35 @@ func (ix *Index) firstBlocked(cur grid.Point, d mesh.Direction, segLen int) (int
 // its offset from origin (+add for the wrapped piece of a torus
 // segment). Spans are disjoint and sorted, so both lo and hi orders
 // agree and one binary search suffices.
-func firstAsc(spans []span, lo, hi, origin, add int) (int, *regionIdx) {
+func firstAsc(spans []span, lo, hi, origin, add int) int {
 	if lo > hi {
-		return 0, nil
+		return 0
 	}
 	i := sort.Search(len(spans), func(i int) bool { return int(spans[i].hi) >= lo })
 	if i == len(spans) || int(spans[i].lo) > hi {
-		return 0, nil
+		return 0
 	}
 	x := lo
 	if int(spans[i].lo) > x {
 		x = int(spans[i].lo)
 	}
-	return x - origin + add, spans[i].reg
+	return x - origin + add
 }
 
 // firstDesc finds the largest blocked coordinate in [lo, hi] — the first
 // one met traveling in the descending sense — and returns its offset
 // from origin (+sub for the wrapped piece).
-func firstDesc(spans []span, lo, hi, origin, sub int) (int, *regionIdx) {
+func firstDesc(spans []span, lo, hi, origin, sub int) int {
 	if lo > hi {
-		return 0, nil
+		return 0
 	}
 	i := sort.Search(len(spans), func(i int) bool { return int(spans[i].lo) > hi }) - 1
 	if i < 0 || int(spans[i].hi) < lo {
-		return 0, nil
+		return 0
 	}
 	x := hi
 	if int(spans[i].hi) < x {
 		x = int(spans[i].hi)
 	}
-	return origin - x + sub, spans[i].reg
+	return origin - x + sub
 }

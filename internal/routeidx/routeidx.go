@@ -1,41 +1,28 @@
 // Package routeidx compiles a formation result into an immutable,
 // lock-free routing index so that a source→destination route query
-// becomes a few binary searches plus segment stitching instead of the
-// step-by-step walk internal/routing.Detour performs.
+// jumps its greedy segments with a few binary searches instead of the
+// cell-by-cell walk internal/routing.Detour performs.
 //
-// The index has three layers, all derived from the OCP fault regions the
-// formation produces:
+// The index is derived from the OCP fault regions the formation
+// produces:
 //
 //   - Per-row and per-column interval tables over the whole machine: for
-//     every row (column) the sorted, disjoint spans of forbidden cells,
-//     each span pointing back at the region that owns it. A greedy
-//     dimension-order run of any length costs one binary search to find
-//     the first blocking cell.
-//   - Per-region boundary rings: every fault region's wall-following
-//     contour, precomputed as cycles in (cell, heading) state space by
-//     running Detour's exact right-hand automaton on an idealized map
-//     that contains only this region's cells and the mesh borders. The
-//     turning cells of each ring are kept as a sorted corner array, and
-//     because rings are cyclic arrays, the clockwise vs counterclockwise
-//     detour cost between any two wall states is plain modular index
-//     arithmetic (DetourCosts).
-//   - A position map from wall-entry state to ring offset, so a blocked
-//     greedy run continues by replaying the precomputed contour instead
-//     of probing four neighbors per hop.
+//     every row (column) the sorted, disjoint spans of forbidden cells.
+//     A greedy dimension-order run of any length costs one binary search
+//     to find the first blocking cell.
+//   - A forbidden-cell bit plane mirroring the row spans, so "may a
+//     message enter this cell" is one word load.
 //
-// The indexed router is hop-identical to Detour by construction, not by
-// tuning: the real map's forbidden set is a superset of each idealized
-// map's, so every direction the idealized automaton rejected is rejected
-// for real too, and each precomputed step needs only an O(1) "is the
-// next ring cell still allowed" check. Whenever that check fails (a
-// second region crowds the contour, or a wall-entry state fell outside
-// every precomputed cycle), the router falls back to running the
-// automaton inline for that episode — still exact, just not accelerated.
+// When a greedy run is blocked, the router follows the obstacle's wall
+// with Detour's own right-hand step, probing the bit plane where Detour
+// probes the label planes. The indexed router is therefore hop-identical
+// to Detour by construction: the wall step is Detour's, and a greedy
+// segment jump lands exactly where Detour's one-cell greedy steps would,
+// because the tables name the first cell Detour would find blocked.
 //
 // The index reads no label plane. Its obstacles partition exactly the
 // cells the fault model forbids, so "allowed" is "inside the machine and
-// in no obstacle", answered from a forbidden-cell bit plane that mirrors
-// the row spans.
+// in no obstacle", answered from the bit plane.
 //
 // Indexes are immutable once built and are published with snapshots
 // (atomic.Pointer, same discipline as internal/serve). Rebuild reuses
@@ -84,14 +71,9 @@ type Stats struct {
 }
 
 // span is one maximal run of forbidden cells in a row (x interval) or
-// column (y interval), pointing at the owning region's compilation.
-// Row/column tables reference regions by pointer, not list index, so an
-// unchanged row's span slice survives region-list renumbering across
-// incremental rebuilds.
-type span struct {
-	lo, hi int32
-	reg    *regionIdx
-}
+// column (y interval): a region's own runs, and the entries of the
+// global interval tables.
+type span struct{ lo, hi int32 }
 
 // Index is an immutable routing index over one formation state. All
 // methods are safe for concurrent use; queries take no locks.
@@ -102,11 +84,10 @@ type Index struct {
 	maxHops int
 	w, h    int
 	torus   bool
-	regs    []*regionIdx
-	srcs    []*region.Region // parallel to regs: the obstacle each was compiled from
-	rows    [][]span         // rows[y]: forbidden x spans, sorted by lo
-	cols    [][]span         // cols[x]: forbidden y spans, sorted by lo
-	occ     bitPlane         // the forbidden cells: the union of the row spans
+	regs    []*regionIdx // in obstacle order
+	rows    [][]span     // rows[y]: forbidden x spans, sorted by lo
+	cols    [][]span     // cols[x]: forbidden y spans, sorted by lo
+	occ     bitPlane     // the forbidden cells: the union of the row spans
 	stats   Stats
 }
 
@@ -183,9 +164,9 @@ func build(prev *Index, src formation, model routing.Model, opt Options) *Index 
 	if prev != nil && (prev.w != ix.w || prev.h != ix.h) {
 		prev = nil
 	}
-	var prevSrcs []*region.Region
+	var prevRegs []*regionIdx
 	if prev != nil {
-		prevSrcs = prev.srcs
+		prevRegs = prev.regs
 	}
 
 	// Both obstacle lists are in canonical order and a delta keeps its
@@ -194,28 +175,26 @@ func build(prev *Index, src formation, model routing.Model, opt Options) *Index 
 	// or met at the same canonical node under another pointer, did not
 	// survive.
 	stable := model != routing.ModelFaultsOnly
-	ix.srcs = obstaclesOf(src, model)
-	ix.regs = make([]*regionIdx, len(ix.srcs))
+	obstacles := obstaclesOf(src, model)
+	ix.regs = make([]*regionIdx, len(obstacles))
 	var added, dropped []*regionIdx
 	j := 0
-	for i, r := range ix.srcs {
+	for i, r := range obstacles {
 		if stable {
-			for j < len(prevSrcs) && prevSrcs[j] != r && !r.Canonical().Less(prevSrcs[j].Canonical()) {
-				dropped = append(dropped, prev.regs[j])
+			for j < len(prevRegs) && prevRegs[j].src != r && !r.Canonical().Less(prevRegs[j].src.Canonical()) {
+				dropped = append(dropped, prevRegs[j])
 				j++
 			}
-			if j < len(prevSrcs) && prevSrcs[j] == r {
-				ix.regs[i] = prev.regs[j]
+			if j < len(prevRegs) && prevRegs[j].src == r {
+				ix.regs[i] = prevRegs[j]
 				j++
 				continue
 			}
 		}
-		ix.regs[i] = compileRegion(topo, r)
+		ix.regs[i] = compileRegion(r)
 		added = append(added, ix.regs[i])
 	}
-	if prev != nil {
-		dropped = append(dropped, prev.regs[j:]...)
-	}
+	dropped = append(dropped, prevRegs[j:]...)
 	ix.stats = Stats{Regions: len(ix.regs), Compiled: len(added), Reused: len(ix.regs) - len(added)}
 	ix.buildTables(prev, added, dropped)
 
@@ -250,7 +229,7 @@ func (ix *Index) buildTables(prev *Index, added, dropped []*regionIdx) {
 	cols := newTableEdit(prevCols, ix.w)
 	occ := newPlaneEdit(prevOcc, ix.w, ix.h)
 	for _, rp := range dropped {
-		rp.eachRun(func(row bool, line int, r xrun) {
+		rp.eachRun(func(row bool, line int, r span) {
 			if row {
 				rows.remove(line, r.lo)
 				occ.setRun(line, r, false)
@@ -260,12 +239,12 @@ func (ix *Index) buildTables(prev *Index, added, dropped []*regionIdx) {
 		})
 	}
 	for _, rp := range added {
-		rp.eachRun(func(row bool, line int, r xrun) {
+		rp.eachRun(func(row bool, line int, r span) {
 			if row {
-				rows.insert(line, span{lo: r.lo, hi: r.hi, reg: rp})
+				rows.insert(line, r)
 				occ.setRun(line, r, true)
 			} else {
-				cols.insert(line, span{lo: r.lo, hi: r.hi, reg: rp})
+				cols.insert(line, r)
 			}
 		})
 	}
@@ -290,45 +269,30 @@ func obstaclesOf(src formation, model routing.Model) []*region.Region {
 }
 
 // Fingerprint serializes the index's complete content deterministically:
-// regions in obstacle order with their interval runs, corner arrays and
-// boundary rings, then the global row/column tables with spans naming
-// regions by obstacle position. The incremental differential tests pin
+// regions in obstacle order with their row and column runs, then the
+// global row/column tables. The incremental differential tests pin
 // Rebuild output against a from-scratch Compile with string equality, so
 // pointer sharing can never hide content drift.
 func (ix *Index) Fingerprint() string {
-	regNo := make(map[*regionIdx]int, len(ix.regs))
-	for i, rp := range ix.regs {
-		regNo[rp] = i
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "model=%s maxHops=%d w=%d h=%d torus=%v regions=%d\n",
 		ix.model, ix.maxHops, ix.w, ix.h, ix.torus, len(ix.regs))
 	for i, rp := range ix.regs {
+		bounds := rp.src.Bounds()
 		fmt.Fprintf(&b, "region %d bounds=(%d,%d)-(%d,%d) size=%d\n",
-			i, rp.bounds.MinX, rp.bounds.MinY, rp.bounds.MaxX, rp.bounds.MaxY, rp.size)
-		for y, runs := range rp.rowRuns {
-			for _, r := range runs {
-				fmt.Fprintf(&b, " row %d: [%d,%d]\n", rp.bounds.MinY+y, r.lo, r.hi)
+			i, bounds.MinX, bounds.MinY, bounds.MaxX, bounds.MaxY, rp.src.Size())
+		rp.eachRun(func(row bool, line int, r span) {
+			kind := "col"
+			if row {
+				kind = "row"
 			}
-		}
-		for x, runs := range rp.colRuns {
-			for _, r := range runs {
-				fmt.Fprintf(&b, " col %d: [%d,%d]\n", rp.bounds.MinX+x, r.lo, r.hi)
-			}
-		}
-		fmt.Fprintf(&b, " corners %v\n", rp.corners)
-		for ri, ring := range rp.rings {
-			fmt.Fprintf(&b, " ring %d:", ri)
-			for _, s := range ring {
-				fmt.Fprintf(&b, " %v%s", s.p, s.h)
-			}
-			fmt.Fprintln(&b)
-		}
+			fmt.Fprintf(&b, " %s %d: [%d,%d]\n", kind, line, r.lo, r.hi)
+		})
 	}
 	dumpTable := func(name string, tab [][]span) {
 		for i, spans := range tab {
 			for _, s := range spans {
-				fmt.Fprintf(&b, "%s %d: [%d,%d] reg=%d\n", name, i, s.lo, s.hi, regNo[s.reg])
+				fmt.Fprintf(&b, "%s %d: [%d,%d]\n", name, i, s.lo, s.hi)
 			}
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"ocpmesh/internal/fault"
 	"ocpmesh/internal/grid"
 	"ocpmesh/internal/mesh"
+	"ocpmesh/internal/region"
 	"ocpmesh/internal/routing"
 	"ocpmesh/internal/status"
 )
@@ -118,9 +119,9 @@ func TestRouteIndexMatchesDetourMatrix(t *testing.T) {
 	}
 }
 
-// TestRouteIndexEdgeCaseCorners routes to destinations sitting exactly
-// on a region's boundary ring corners — the cells where the
-// wall-following contour turns.
+// TestRouteIndexEdgeCaseCorners routes to destinations hugging a
+// region: every allowed cell 8-adjacent to it, which includes the
+// corner cells where the wall-following contour turns.
 func TestRouteIndexEdgeCaseCorners(t *testing.T) {
 	topo, err := mesh.New(14, 14, mesh.Mesh2D)
 	if err != nil {
@@ -130,18 +131,30 @@ func TestRouteIndexEdgeCaseCorners(t *testing.T) {
 	res := formOn(t, topo, status.Def2b, faults)
 	g := routing.NewGraph(res, routing.ModelRegions)
 	ix := Compile(res, routing.ModelRegions, Options{})
-	if len(res.Regions) == 0 {
-		t.Fatal("fixture produced no regions")
+	var reg *region.Region
+	for _, r := range res.Regions {
+		if r.Has(grid.Pt(5, 5)) {
+			reg = r
+		}
 	}
-	corners := ix.Corners(grid.Pt(5, 5))
-	if len(corners) == 0 {
-		t.Fatal("region has no ring corners")
+	if reg == nil {
+		t.Fatal("fixture produced no region over (5,5)")
+	}
+	dsts := grid.NewPointSet()
+	reg.EachNode(func(p grid.Point) {
+		for dx := -1; dx <= 1; dx++ {
+			for dy := -1; dy <= 1; dy++ {
+				if q := grid.Pt(p.X+dx, p.Y+dy); topo.Contains(q) && g.Allowed(q) {
+					dsts.Add(q)
+				}
+			}
+		}
+	})
+	if dsts.Len() == 0 {
+		t.Fatal("region has no allowed 8-neighbors")
 	}
 	srcs := []grid.Point{grid.Pt(0, 0), grid.Pt(13, 13), grid.Pt(0, 13), grid.Pt(13, 0), grid.Pt(6, 0)}
-	for _, dst := range corners {
-		if !g.Allowed(dst) {
-			continue
-		}
+	for _, dst := range dsts.Points() {
 		for _, src := range srcs {
 			comparePair(t, g, ix, src, dst)
 		}
@@ -165,11 +178,8 @@ func TestRouteIndexEdgeCaseSharedRow(t *testing.T) {
 	ix := Compile(res, routing.ModelRegions, Options{})
 	sharedRow := false
 	for y := 0; y < ix.h; y++ {
-		owners := map[*regionIdx]bool{}
-		for _, s := range ix.rows[y] {
-			owners[s.reg] = true
-		}
-		if len(owners) >= 2 {
+		// Each orthogonally convex region has at most one span per row.
+		if len(ix.rows[y]) >= 2 {
 			sharedRow = true
 		}
 	}
@@ -488,41 +498,35 @@ func TestRouteIndexRebuildChurn(t *testing.T) {
 	}
 }
 
-// TestRouteIndexDetourCosts sanity-checks the CW/CCW arc cost tables on
-// a compiled ring: costs are complementary modulo the ring length and
-// zero for the identity arc.
-func TestRouteIndexDetourCosts(t *testing.T) {
-	topo, err := mesh.New(12, 12, mesh.Mesh2D)
+// TestRouteIndexLongBorderDetour pins the longest wall-following episode
+// of BenchmarkRoute's n=512/f=200 fixture: one of its pairs detours well
+// over a thousand hops along the mesh border, far beyond the few dozen
+// hops any small-mesh differential walks. The indexed path and Hops must
+// equal Detour step for step on it, and on every other pair.
+func TestRouteIndexLongBorderDetour(t *testing.T) {
+	const n = 512
+	topo := mesh.MustNew(n, n, mesh.Mesh2D)
+	faults := fault.Uniform{Count: 200}.Generate(topo, rand.New(rand.NewSource(8)))
+	res, err := core.FormOn(core.Config{Width: n, Height: n, Engine: core.EngineBitset}, topo, faults)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults := grid.PointSetOf(grid.Pt(5, 5), grid.Pt(6, 6))
-	res := formOn(t, topo, status.Def2b, faults)
+	g := routing.NewGraph(res, routing.ModelRegions)
 	ix := Compile(res, routing.ModelRegions, Options{})
-	var rp *regionIdx
-	for _, s := range ix.rows[5] {
-		if int(s.lo) <= 5 && 5 <= int(s.hi) {
-			rp = s.reg
+	longest, extra := -1, 0
+	pairs := routing.SamplePairs(res, 64, rand.New(rand.NewSource(6)))
+	for i, pr := range pairs {
+		comparePair(t, g, ix, pr[0], pr[1])
+		path, err := routing.Detour{}.Route(g, pr[0], pr[1])
+		if err != nil {
+			continue
+		}
+		if e := path.Len() - topo.Dist(pr[0], pr[1]); e > extra {
+			longest, extra = i, e
 		}
 	}
-	if rp == nil || len(rp.rings) == 0 {
-		t.Fatal("no ring compiled for the region owning (5,5)")
+	if extra < 1000 {
+		t.Fatalf("fixture expectation broken: longest detour is %d extra hops (pair %d), want a border episode of over 1000", extra, longest)
 	}
-	ring := rp.rings[0]
-	n := len(ring)
-	for _, pair := range [][2]int{{0, 0}, {0, 1}, {1, 0}, {0, n / 2}, {n - 1, 0}} {
-		i, j := pair[0], pair[1]
-		cw, ccw := detourCosts(n, i, j)
-		if i == j && (cw != 0 || ccw != 0) {
-			t.Fatalf("identity arc costs %d/%d", cw, ccw)
-		}
-		if i != j && cw+ccw != n {
-			t.Fatalf("arc %d->%d: cw %d + ccw %d != ring %d", i, j, cw, ccw, n)
-		}
-		a, b := ring[i], ring[j]
-		gcw, gccw, ok := ix.DetourCosts(grid.Pt(5, 5), a.p, b.p, a.h, b.h)
-		if !ok || gcw != cw || gccw != ccw {
-			t.Fatalf("DetourCosts(%v->%v) = %d,%d,%t want %d,%d", a, b, gcw, gccw, ok, cw, ccw)
-		}
-	}
+	t.Logf("pair %d %v->%v detours %d extra hops", longest, pairs[longest][0], pairs[longest][1], extra)
 }

@@ -101,7 +101,7 @@ func newPlaneEdit(prev bitPlane, w, h int) planeEdit {
 }
 
 // setRun sets (v) or clears the cells of run r in row y.
-func (e planeEdit) setRun(y int, r xrun, v bool) {
+func (e planeEdit) setRun(y int, r span, v bool) {
 	c := y / chunkRows
 	if !e.owned[c] {
 		e.owned[c] = true
