@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
+	"ocpmesh/internal/grid"
 	"ocpmesh/internal/mesh"
+	"ocpmesh/internal/routing"
 	"ocpmesh/internal/serve"
 )
 
@@ -86,6 +89,64 @@ func BenchmarkWriteRoutes(b *testing.B) {
 		serve.WriteRoutes(w, &resp)
 	}
 	b.SetBytes(int64(len(w.body)))
+}
+
+// BenchmarkWriteRoute measures writing one GET /route response of a
+// 512x512 tenant with 256 faults: the first of its random pairs whose
+// path has 355 to 375 hops, around the mean of 256 random pairs.
+func BenchmarkWriteRoute(b *testing.B) {
+	const side = 512
+	svc, tn := routeBenchTenant(b)
+	defer svc.Close()
+	var path routing.Path
+	rng := rand.New(rand.NewSource(2))
+	for path.Len() < 355 || path.Len() > 375 {
+		path, _, _ = tn.Route(grid.Pt(rng.Intn(side), rng.Intn(side)), grid.Pt(rng.Intn(side), rng.Intn(side)), "", "indexed")
+	}
+	w := newBodyWriter()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.reset()
+		serve.WriteRoute(w, 1234, path)
+	}
+	b.SetBytes(int64(len(w.body)))
+}
+
+// BenchmarkRouteHandler measures one GET /route?router=indexed through
+// the API handler on the BenchmarkWriteRoute tenant, cycling over 256
+// random pairs: query parsing, routing and the response write.
+func BenchmarkRouteHandler(b *testing.B) {
+	svc, tn := routeBenchTenant(b)
+	defer svc.Close()
+	var reqs []*http.Request
+	for _, pr := range routing.SamplePairs(tn.Snapshot().Frame, 256, rand.New(rand.NewSource(2))) {
+		s, d := pr[0], pr[1]
+		reqs = append(reqs, httptest.NewRequest("GET", fmt.Sprintf("/api/tenants/bench/route?src=%d,%d&dst=%d,%d&router=indexed", s.X, s.Y, d.X, d.Y), nil))
+	}
+	h := serve.NewServer(svc, nil).Handler()
+	w := newBodyWriter()
+	written := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.reset()
+		h.ServeHTTP(w, reqs[i%len(reqs)])
+		written += len(w.body)
+	}
+	b.SetBytes(int64(written / b.N))
+}
+
+// routeBenchTenant is the route benchmarks' 512x512 tenant with 256
+// uniform faults, on a service the caller closes.
+func routeBenchTenant(b *testing.B) (*serve.Service, *serve.Tenant) {
+	const side = 512
+	svc := serve.New(serve.Options{Shards: 1})
+	tn, _, err := svc.Create("bench", serve.TenantConfig{Width: side, Height: side}, randomPoints(rand.New(rand.NewSource(1)), mustTopo(b, side), 256))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return svc, tn
 }
 
 // BenchmarkWriteDelta measures writing one POST /deltas response with

@@ -14,12 +14,15 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"ocpmesh/internal/fault"
 	"ocpmesh/internal/grid"
 	"ocpmesh/internal/mesh"
 	"ocpmesh/internal/obs"
+	"ocpmesh/internal/routing"
 	"ocpmesh/internal/serve"
 )
 
@@ -388,6 +391,144 @@ func TestRoutesBodyMatchesWriteJSON(t *testing.T) {
 		}
 		if want := indentedJSON(t, got); !bytes.Equal(body, want) {
 			t.Fatalf("routes %+v: body differs from encoding/json:\n got %s\nwant %s", req, body, want)
+		}
+	}
+}
+
+// TestRouteBodyMatchesWriteJSON pins the appended GET /route body to
+// writeJSON's encoding of the RouteResponse it replaces: random pairs
+// on a 512x512 mesh and torus, a one-point path (hops omitted), and
+// BenchmarkRoute's long border detour, (86,0)->(23,103) with faults
+// seed 8, a ~1,930-point body; then drives the live handler and checks
+// its delivered, 422 and ok:false bodies against encoding/json.
+func TestRouteBodyMatchesWriteJSON(t *testing.T) {
+	const side = 512
+	svc := serve.New(serve.Options{Shards: 1})
+	defer svc.Close()
+	want, got := newBodyWriter(), newBodyWriter()
+	compare := func(seq uint64, path routing.Path) {
+		t.Helper()
+		hops := make([][2]int, len(path))
+		for i, p := range path {
+			hops[i] = [2]int{p.X, p.Y}
+		}
+		want.reset()
+		got.reset()
+		serve.WriteJSON(want, http.StatusOK, serve.RouteResponse{Seq: seq, OK: true, Hops: path.Len(), Path: hops})
+		serve.WriteRoute(got, seq, path)
+		if !bytes.Equal(got.body, want.body) || got.code != http.StatusOK {
+			t.Fatalf("%v: status %d, appended body differs from writeJSON:\n got %s\nwant %s", path, got.code, got.body, want.body)
+		}
+	}
+	check := func(tn *serve.Tenant, src, dst grid.Point) bool {
+		t.Helper()
+		path, snap, err := tn.Route(src, dst, "", "indexed")
+		if err == nil {
+			compare(snap.Seq, path)
+		}
+		return err == nil
+	}
+	// Coordinates past what a 512x512 mesh reaches take strconv's path.
+	var edge routing.Path
+	for _, v := range []int{0, 9, 10, 99, 100, 999, 1000, 12345, 1 << 40} {
+		edge = append(edge, grid.Pt(v, -v))
+	}
+	compare(1<<63, edge)
+	for _, torus := range []bool{false, true} {
+		id := fmt.Sprintf("torus=%v", torus)
+		tn, _, err := svc.Create(id, serve.TenantConfig{Width: side, Height: side, Torus: torus}, randomPoints(rand.New(rand.NewSource(5)), mustTopo(t, side), 256))
+		if err != nil {
+			t.Fatal(err)
+		}
+		delivered := 0
+		for _, pr := range routing.SamplePairs(tn.Snapshot().Frame, 200, rand.New(rand.NewSource(6))) {
+			if check(tn, pr[0], pr[1]) {
+				delivered++
+			}
+		}
+		if delivered < 150 || !check(tn, grid.Pt(0, 0), grid.Pt(0, 0)) {
+			t.Fatalf("%s: %d of 200 pairs delivered, or (0,0)->(0,0) refused", id, delivered)
+		}
+	}
+	topo := mustTopo(t, side)
+	tn, _, err := svc.Create("border", serve.TenantConfig{Width: side, Height: side}, fault.Uniform{Count: 200}.Generate(topo, rand.New(rand.NewSource(8))).Points())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !check(tn, grid.Pt(86, 0), grid.Pt(23, 103)) || bytes.Count(got.body, []byte("[")) < 1900 {
+		t.Fatalf("border detour (86,0)->(23,103) refused or short: %d bytes", len(got.body))
+	}
+
+	ts, _ := newTestServer(t, serve.Options{Shards: 1})
+	if resp, body := doJSON(t, "POST", ts.URL+"/api/tenants", serve.CreateRequest{
+		ID: "r", Config: serve.TenantConfig{Width: 12, Height: 12}, Faults: [][2]int{{5, 5}, {6, 6}},
+	}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d %s", resp.StatusCode, body)
+	}
+	for _, c := range []struct {
+		query string
+		code  int
+		ok    bool
+	}{
+		{"src=0,0&dst=11,11&router=indexed", http.StatusOK, true},
+		{"src=0,0&dst=11,11", http.StatusOK, true},
+		{"src=3,3&dst=3,3&router=bfs", http.StatusOK, true},
+		{"src=5,5&dst=0,0&router=indexed", http.StatusUnprocessableEntity, false},
+		{"src=0,5&dst=11,5&router=xy", http.StatusOK, false},
+	} {
+		resp, body := doJSON(t, "GET", ts.URL+"/api/tenants/r/route?"+c.query, nil)
+		var rr serve.RouteResponse
+		if err := json.Unmarshal(body, &rr); err != nil || resp.StatusCode != c.code || rr.OK != c.ok {
+			t.Fatalf("route %s: %d %s (want %d, ok %v)", c.query, resp.StatusCode, body, c.code, c.ok)
+		}
+		var v any = rr
+		if c.code != http.StatusOK {
+			var e map[string]string
+			_ = json.Unmarshal(body, &e)
+			v = e
+		}
+		if want := indentedJSON(t, v); !bytes.Equal(body, want) {
+			t.Fatalf("route %s: body differs from encoding/json:\n got %s\nwant %s", c.query, body, want)
+		}
+	}
+}
+
+// TestRouteHandlerAllocs pins a warmed GET /route to the same small
+// allocation count for a 1-hop and a 700-plus-hop answer on a 512x512
+// tenant: the path is routed into a pooled scratch and appended into a
+// pooled body, so nothing allocates per hop or per path. Each length
+// takes the fewest allocations of several single runs, as in
+// TestLabelsWriteAllocs.
+func TestRouteHandlerAllocs(t *testing.T) {
+	const side, want = 512, 7
+	svc := serve.New(serve.Options{Shards: 1})
+	defer svc.Close()
+	tn, _, err := svc.Create("a", serve.TenantConfig{Width: side, Height: side}, randomPoints(rand.New(rand.NewSource(3)), mustTopo(t, side), 256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var long routing.Path
+	for y := 0; long.Len() < 700; y++ {
+		long, _, _ = tn.Route(grid.Pt(0, y), grid.Pt(side-1, side-1-y), "", "indexed")
+	}
+	h := serve.NewServer(svc, nil).Handler()
+	w := newBodyWriter()
+	for _, path := range []routing.Path{long[:2], long} {
+		src, dst := path[0], path[len(path)-1]
+		req := httptest.NewRequest("GET", fmt.Sprintf("/api/tenants/a/route?src=%d,%d&dst=%d,%d&router=indexed", src.X, src.Y, dst.X, dst.Y), nil)
+		least := math.Inf(1)
+		for range 20 {
+			least = min(least, testing.AllocsPerRun(1, func() {
+				w.reset()
+				h.ServeHTTP(w, req)
+			}))
+		}
+		var rr serve.RouteResponse
+		if err := json.Unmarshal(w.body, &rr); err != nil || w.code != http.StatusOK || rr.Hops != path.Len() {
+			t.Fatalf("%v->%v: %d %s (want %d hops)", src, dst, w.code, w.body, path.Len())
+		}
+		if least != want {
+			t.Errorf("%d-hop GET /route allocates %v objects, want %d", path.Len(), least, want)
 		}
 	}
 }

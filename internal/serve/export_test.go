@@ -6,6 +6,7 @@ import (
 	"ocpmesh/internal/grid"
 	"ocpmesh/internal/mesh"
 	"ocpmesh/internal/routeidx"
+	"ocpmesh/internal/routing"
 )
 
 // QueueLen returns how many requests wait in the tenant's shard queue,
@@ -31,7 +32,9 @@ func WriteJSON(w http.ResponseWriter, code int, v any) { writeJSON(w, code, v) }
 
 // WriteLabels writes the GET /labels response for one published
 // snapshot.
-func WriteLabels(w http.ResponseWriter, snap *Snapshot) { writeLabels(w, snap) }
+func WriteLabels(w http.ResponseWriter, snap *Snapshot) {
+	writeAppended(w, func(dst []byte) []byte { return appendLabels(dst, snap) })
+}
 
 // AppendIndent is the indenter writeJSON lays compact JSON out with.
 func AppendIndent(dst, src []byte) []byte { return appendIndent(dst, src) }
@@ -80,8 +83,25 @@ func ScansRoutes(data []byte) bool {
 	return ok
 }
 
-// WriteRoutes writes a POST /routes response the way the handler does.
-func WriteRoutes(w http.ResponseWriter, resp *RoutesResponse) { writeRoutes(w, resp) }
+// WriteRoutes writes a POST /routes response the way the handler does,
+// each answer's path converted to the routing.Path the handler appends.
+func WriteRoutes(w http.ResponseWriter, resp *RoutesResponse) {
+	writeAppended(w, func(dst []byte) []byte {
+		return appendRoutes(dst, resp.Seq, resp.Answers, func(a *RouteAnswer) (RouteAnswer, routing.Path) {
+			path := make(routing.Path, len(a.Path))
+			for i, xy := range a.Path {
+				path[i] = grid.Pt(xy[0], xy[1])
+			}
+			return *a, path
+		})
+	})
+}
+
+// WriteRoute writes the GET /route response of a delivered path the
+// way the handler does.
+func WriteRoute(w http.ResponseWriter, seq uint64, path routing.Path) {
+	writeAppended(w, func(dst []byte) []byte { return appendRoute(dst, seq, path) })
+}
 
 // ObserveLabelsQuery runs fn under the labels read's query metrics.
 func (s *Server) ObserveLabelsQuery(fn func()) { s.observeQuery(queryLabels, fn) }

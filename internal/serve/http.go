@@ -9,10 +9,12 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"ocpmesh/internal/grid"
 	"ocpmesh/internal/obs"
@@ -179,12 +181,13 @@ func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 // pinned by the pool.
 const maxPooledBuf = 256 << 10
 
-// respBuf is one response's scratch: the compact encoding of the value
-// and the indented body built from it.
+// respBuf is one response's scratch: the compact encoding of the value,
+// the indented body built from it, and a GET /route answer's path.
 type respBuf struct {
 	compact bytes.Buffer
 	enc     *json.Encoder
 	body    []byte
+	path    routing.Path
 }
 
 var respBufs = sync.Pool{New: func() any {
@@ -196,7 +199,8 @@ var respBufs = sync.Pool{New: func() any {
 func getRespBuf() *respBuf { return respBufs.Get().(*respBuf) }
 
 func (rb *respBuf) release() {
-	if rb.compact.Cap() > maxPooledBuf || cap(rb.body) > maxPooledBuf {
+	if rb.compact.Cap() > maxPooledBuf || cap(rb.body) > maxPooledBuf ||
+		cap(rb.path)*int(unsafe.Sizeof(grid.Point{})) > maxPooledBuf {
 		return
 	}
 	rb.compact.Reset()
@@ -634,7 +638,7 @@ type TenantStatus struct {
 
 func (s *Server) listTenants(w http.ResponseWriter, _ *http.Request) {
 	ids := s.svc.Tenants()
-	sortStrings(ids)
+	slices.Sort(ids)
 	writeJSON(w, http.StatusOK, map[string][]string{"tenants": ids})
 }
 
@@ -759,13 +763,9 @@ func (s *Server) labels(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := t.Snapshot()
-	s.observeQuery(queryLabels, func() { writeLabels(w, snap) })
-}
-
-// writeLabels writes a snapshot's LabelsResponse body, encoded straight
-// from the frame words.
-func writeLabels(w http.ResponseWriter, snap *Snapshot) {
-	writeAppended(w, func(dst []byte) []byte { return appendLabels(dst, snap) })
+	s.observeQuery(queryLabels, func() {
+		writeAppended(w, func(dst []byte) []byte { return appendLabels(dst, snap) })
+	})
 }
 
 // appendLabels appends the GET /labels body of snap: byte for byte what
@@ -885,7 +885,10 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.observeQuery(queryRoute, func() {
-		path, snap, rerr := t.Route(src, dst, q.Get("model"), q.Get("router"))
+		rb := getRespBuf()
+		defer rb.release()
+		path, snap, rerr := t.RouteAppend(src, dst, q.Get("model"), q.Get("router"), rb.path)
+		rb.path = path // keep the grown scratch
 		if rerr != nil {
 			if errors.Is(rerr, ErrBadDelta) || errors.Is(rerr, routing.ErrUnroutable) {
 				writeErr(w, rerr)
@@ -894,12 +897,62 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, RouteResponse{Seq: snap.Seq, OK: false, Reason: rerr.Error()})
 			return
 		}
-		hops := make([][2]int, len(path))
-		for i, p := range path {
-			hops[i] = [2]int{p.X, p.Y}
-		}
-		writeJSON(w, http.StatusOK, RouteResponse{Seq: snap.Seq, OK: true, Hops: path.Len(), Path: hops})
+		rb.body = appendRoute(rb.body, snap.Seq, path)
+		writeBody(w, http.StatusOK, rb.body)
 	})
+}
+
+// appendRoute appends the GET /route body of a delivered (so non-empty)
+// path: byte for byte what writeJSON writes for the RouteResponse with
+// OK set, Hops path.Len() and Path the path's points.
+func appendRoute(dst []byte, seq uint64, path routing.Path) []byte {
+	dst = append(dst, "{\n  \"seq\": "...)
+	dst = strconv.AppendUint(dst, seq, 10)
+	dst = append(dst, ",\n  \"ok\": true"...)
+	if hops := path.Len(); hops != 0 {
+		dst = append(dst, ",\n  \"hops\": "...)
+		dst = strconv.AppendInt(dst, int64(hops), 10)
+	}
+	dst = appendPath(append(dst, ",\n  \"path\": "...), path, 1)
+	return append(dst, "\n}\n"...)
+}
+
+// appendCoord appends a mesh coordinate in decimal, writing the digits
+// of one below 1000 directly rather than through strconv.
+func appendCoord(dst []byte, v int) []byte {
+	if uint(v) >= 1000 {
+		return strconv.AppendInt(dst, int64(v), 10)
+	}
+	if v >= 100 {
+		dst = append(dst, byte('0'+v/100))
+	}
+	if v >= 10 {
+		dst = append(dst, byte('0'+v/10%10))
+	}
+	return append(dst, byte('0'+v%10))
+}
+
+// appendPath appends a non-empty path as writeJSON lays out a [][2]int
+// whose closing bracket sits at depth: each [x, y] pair one level
+// deeper, each coordinate two. The text between the coordinates is the
+// same for every pair, so it is laid out once, in three pieces.
+func appendPath(dst []byte, path routing.Path, depth int) []byte {
+	var b [64]byte
+	f := appendNewline(append(appendNewline(b[:0], depth+1), '['), depth+2)
+	open := len(f)
+	f = appendNewline(append(f, ','), depth+2)
+	mid := len(f)
+	f = append(appendNewline(f, depth+1), ']')
+	dst = append(dst, '[')
+	for i, p := range path {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendCoord(append(dst, f[:open]...), p.X)
+		dst = appendCoord(append(dst, f[open:mid]...), p.Y)
+		dst = append(dst, f[mid:]...)
+	}
+	return append(appendNewline(dst, depth), ']')
 }
 
 // RoutesRequest is the body of POST /api/tenants/{id}/routes: a batch
@@ -951,28 +1004,17 @@ func (s *Server) routes(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, err)
 			return
 		}
-		resp := RoutesResponse{Seq: snap.Seq, Answers: make([]RouteAnswer, len(answers))}
-		for i, a := range answers {
-			if a.Err != nil {
-				resp.Answers[i] = RouteAnswer{Reason: a.Err.Error(), Unroutable: errors.Is(a.Err, routing.ErrUnroutable)}
-				continue
-			}
-			ra := RouteAnswer{OK: true, Hops: a.Hops}
-			if req.Paths {
-				ra.Path = make([][2]int, len(a.Path))
-				for j, p := range a.Path {
-					ra.Path[j] = [2]int{p.X, p.Y}
-				}
-			}
-			resp.Answers[i] = ra
-		}
-		writeRoutes(w, &resp)
+		writeAppended(w, func(dst []byte) []byte { return appendRoutes(dst, snap.Seq, answers, answerOf) })
 	})
 }
 
-// writeRoutes writes a POST /routes response body.
-func writeRoutes(w http.ResponseWriter, resp *RoutesResponse) {
-	writeAppended(w, func(dst []byte) []byte { return appendRoutes(dst, resp) })
+// answerOf is the RouteAnswer of one batch answer, its path the
+// router's own (nil unless the batch asked for paths).
+func answerOf(a *routeidx.Answer) (RouteAnswer, routing.Path) {
+	if a.Err != nil {
+		return RouteAnswer{Reason: a.Err.Error(), Unroutable: errors.Is(a.Err, routing.ErrUnroutable)}, nil
+	}
+	return RouteAnswer{OK: true, Hops: a.Hops}, a.Path
 }
 
 // parseRoutesRequest decodes and validates one batch-route body: the
@@ -1035,21 +1077,23 @@ func checkRoutes(req RoutesRequest) (RoutesRequest, []routeidx.Query, error) {
 	return req, qs, nil
 }
 
-// appendRoutes appends the POST /routes body of resp: byte for byte
-// what writeJSON writes for it, omitempty fields and HTML-escaped
-// reasons included.
-func appendRoutes(dst []byte, resp *RoutesResponse) []byte {
+// appendRoutes appends a POST /routes body: byte for byte what writeJSON
+// writes for the RoutesResponse whose i-th answer is answer(&answers[i])
+// with the path returned beside it as its Path, omitempty fields and
+// HTML-escaped reasons included.
+func appendRoutes[A any](dst []byte, seq uint64, answers []A, answer func(*A) (RouteAnswer, routing.Path)) []byte {
 	dst = append(dst, "{\n  \"seq\": "...)
-	dst = strconv.AppendUint(dst, resp.Seq, 10)
+	dst = strconv.AppendUint(dst, seq, 10)
 	dst = append(dst, ",\n  \"answers\": "...)
 	switch {
-	case resp.Answers == nil:
+	case answers == nil:
 		dst = append(dst, "null"...)
-	case len(resp.Answers) == 0:
+	case len(answers) == 0:
 		dst = append(dst, "[]"...)
 	default:
 		sep := byte('[')
-		for _, a := range resp.Answers {
+		for i := range answers {
+			a, path := answer(&answers[i])
 			dst = append(append(dst, sep), "\n    {\n      \"ok\": "...)
 			sep = ','
 			dst = strconv.AppendBool(dst, a.OK)
@@ -1057,19 +1101,8 @@ func appendRoutes(dst []byte, resp *RoutesResponse) []byte {
 				dst = append(dst, ",\n      \"hops\": "...)
 				dst = strconv.AppendInt(dst, int64(a.Hops), 10)
 			}
-			if len(a.Path) > 0 {
-				dst = append(dst, ",\n      \"path\": ["...)
-				for j, p := range a.Path {
-					if j > 0 {
-						dst = append(dst, ',')
-					}
-					dst = append(dst, "\n        [\n          "...)
-					dst = strconv.AppendInt(dst, int64(p[0]), 10)
-					dst = append(dst, ",\n          "...)
-					dst = strconv.AppendInt(dst, int64(p[1]), 10)
-					dst = append(dst, "\n        ]"...)
-				}
-				dst = append(dst, "\n      ]"...)
+			if len(path) > 0 {
+				dst = appendPath(append(dst, ",\n      \"path\": "...), path, 3)
 			}
 			if a.Reason != "" {
 				dst = append(dst, ",\n      \"reason\": "...)
@@ -1204,13 +1237,4 @@ func (s *Server) observeQuery(kind queryKind, fn func()) {
 	m.all.Inc()
 	m.kind[kind].Inc()
 	m.ns.Observe(float64(time.Since(start).Nanoseconds()))
-}
-
-// sortStrings is sort.Strings without dragging sort into every file.
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
 }

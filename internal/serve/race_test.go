@@ -7,9 +7,12 @@
 package serve_test
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -407,5 +410,122 @@ func TestServeResponseSeqCoversEffect(t *testing.T) {
 	}
 	if snap.Frame.Faults.Len() != fresh.Faults.Len() || len(snap.Frame.Regions) != len(fresh.Regions) {
 		t.Fatal("served state diverged from library formation")
+	}
+}
+
+// TestHTTPRouteConcurrent sends concurrent GET /route requests through
+// Server.Handler() while deltas land, and checks every delivered path
+// against the snapshot it was answered from: it must start at src, take
+// adjacent steps only, stay clear of the frame's faults and regions, and
+// end at dst. Short and long answers from both pooled routers share the
+// route scratch and body buffers, so a buffer handed to two responses at
+// once shows up here as a broken path.
+func TestHTTPRouteConcurrent(t *testing.T) {
+	const side, readers, requests = 64, 4, 60
+	svc := serve.New(serve.Options{Shards: 1})
+	ts := httptest.NewServer(serve.NewServer(svc, nil).Handler())
+	defer func() {
+		ts.Close()
+		_ = svc.Close()
+	}()
+	tn, _, err := svc.Create("r", serve.TenantConfig{Width: side, Height: side}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	snaps := map[uint64]*serve.Snapshot{}
+	keep := func() {
+		snap := tn.Snapshot()
+		mu.Lock()
+		snaps[snap.Seq] = snap
+		mu.Unlock()
+	}
+	keep()
+
+	// The writer is the only one applying deltas, so the snapshot it
+	// reads after each one is the one that delta published. Faults land
+	// in the central block [16,48)^2, so their regions never reach the
+	// endpoint bands x < 8 and x >= 56 the readers route between.
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			op := "add"
+			if i%3 == 2 {
+				op = "remove"
+			}
+			if _, err := svc.Apply("r", op, []grid.Point{grid.Pt(16+rng.Intn(32), 16+rng.Intn(32))}); err != nil {
+				t.Errorf("delta %d: %v", i, err)
+				return
+			}
+			keep()
+		}
+	}()
+
+	type answer struct {
+		src, dst grid.Point
+		resp     serve.RouteResponse
+	}
+	answers := make([][]answer, readers)
+	var wg sync.WaitGroup
+	for r := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for i := range requests {
+				src := grid.Pt(rng.Intn(8), rng.Intn(side))
+				dst := grid.Pt(56+rng.Intn(8), rng.Intn(side))
+				if i%4 == 3 {
+					dst.X -= 56 // a short answer beside the long ones
+				}
+				router := [2]string{"indexed", "detour"}[i%2]
+				resp, err := http.Get(fmt.Sprintf("%s/api/tenants/r/route?src=%d,%d&dst=%d,%d&router=%s", ts.URL, src.X, src.Y, dst.X, dst.Y, router))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				a := answer{src: src, dst: dst}
+				err = json.NewDecoder(resp.Body).Decode(&a.resp)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || !a.resp.OK {
+					t.Errorf("%v->%v (%s): status %d, ok %v, decode error %v", src, dst, router, resp.StatusCode, a.resp.OK, err)
+					return
+				}
+				answers[r] = append(answers[r], a)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	writer.Wait()
+
+	seqs := map[uint64]bool{}
+	for _, as := range answers {
+		for _, a := range as {
+			snap := snaps[a.resp.Seq]
+			if snap == nil {
+				t.Fatalf("%v->%v answered at seq %d, which no delta published", a.src, a.dst, a.resp.Seq)
+			}
+			seqs[a.resp.Seq] = true
+			path := make(routing.Path, len(a.resp.Path))
+			for i, xy := range a.resp.Path {
+				path[i] = grid.Pt(xy[0], xy[1])
+			}
+			if err := path.Validate(snap.Frame, routing.ModelRegions, a.src, a.dst); err != nil || a.resp.Hops != path.Len() {
+				t.Fatalf("%v->%v at seq %d: %d hops over %d points: %v", a.src, a.dst, a.resp.Seq, a.resp.Hops, len(path), err)
+			}
+		}
+	}
+	if len(seqs) < 2 {
+		t.Fatalf("all %d answers came from %d snapshot(s): no delta landed during the reads", readers*requests, len(seqs))
 	}
 }

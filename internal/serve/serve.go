@@ -652,6 +652,18 @@ func (s *Service) Features() []string {
 // name ("blocks", "regions", "faults-only"). Forbidden endpoints fail
 // with routing.ErrUnroutable for every router.
 func (t *Tenant) Route(src, dst grid.Point, modelName, routerName string) (routing.Path, *Snapshot, error) {
+	path, snap, err := t.RouteAppend(src, dst, modelName, routerName, nil)
+	if err != nil {
+		return nil, snap, err
+	}
+	return path, snap, nil
+}
+
+// RouteAppend is Route building the path into buf[:0] where the router
+// can (indexed and detour), so a caller reusing one buffer allocates no
+// path per query. The path aliases buf; on error the returned slice is
+// nil or still owns buf.
+func (t *Tenant) RouteAppend(src, dst grid.Point, modelName, routerName string, buf routing.Path) (routing.Path, *Snapshot, error) {
 	snap := t.Snapshot()
 	model, err := ParseModel(modelName)
 	if err != nil {
@@ -660,7 +672,7 @@ func (t *Tenant) Route(src, dst grid.Point, modelName, routerName string) (routi
 	if routerName == "indexed" && model == routing.ModelRegions {
 		// The index checks endpoints itself, with the same typed error
 		// the graph below returns, and reads no label plane.
-		path, err := snap.Routes.Route(src, dst)
+		path, err := snap.Routes.RouteAppend(src, dst, buf)
 		return path, snap, err
 	}
 	g := routing.NewGraph(snap.Frame, model)
@@ -673,7 +685,7 @@ func (t *Tenant) Route(src, dst grid.Point, modelName, routerName string) (routi
 	)
 	switch routerName {
 	case "", "detour":
-		path, err = routing.Detour{}.Route(g, src, dst)
+		path, err = routing.Detour{}.RouteAppend(g, src, dst, buf)
 	case "indexed":
 		return nil, snap, fmt.Errorf("%w: the indexed router serves the regions model only (got %q)", ErrBadDelta, modelName)
 	case "xy":
