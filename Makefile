@@ -205,6 +205,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzServeDelta$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzRoutesRequest$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendIndent$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzRouteParams$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzRouteQuery$$' -fuzztime $(FUZZTIME) ./internal/routeidx
 	$(GO) test -run '^$$' -fuzz '^FuzzRegionRuns$$' -fuzztime $(FUZZTIME) ./internal/region
 

@@ -19,8 +19,8 @@ import (
 // offers. A Frame is immutable and safe for concurrent use.
 //
 // The planes are stored in fixed-size word chunks, and a session's
-// consecutive frames share every chunk whose words did not change, so a
-// small delta publishes O(changed chunks) of new plane memory.
+// consecutive frames share every chunk no delta between them wrote, so a
+// small delta publishes O(written chunks) of new plane memory.
 type Frame struct {
 	// Topo is the machine.
 	Topo *mesh.Topology
@@ -49,41 +49,28 @@ const chunkWords = 512
 // mutated, so frames share them freely.
 type plane [][]uint64
 
-// freeze returns words as a plane, reusing every chunk of prev (the
-// previous frame's plane of the same session, or nil) whose words are
-// unchanged and copying the rest.
-func freeze(words []uint64, prev plane) plane {
+// publish returns words as a plane that shares every chunk of prev (the
+// previous frame's plane of the same session) holding none of the
+// written word indexes and copies the others, so it costs O(written
+// words) plus O(chunks) of header. With no prev every chunk is copied.
+func publish(words []uint64, prev plane, written []int) plane {
 	out := make(plane, (len(words)+chunkWords-1)/chunkWords)
-	for c := range out {
-		src := words[c*chunkWords : min((c+1)*chunkWords, len(words))]
-		if c < len(prev) && sameWords(prev[c], src) {
-			out[c] = prev[c]
-		} else {
-			out[c] = slices.Clone(src)
+	chunk := func(c int) []uint64 {
+		return slices.Clone(words[c*chunkWords : min((c+1)*chunkWords, len(words))])
+	}
+	if prev == nil {
+		for c := range out {
+			out[c] = chunk(c)
+		}
+		return out
+	}
+	copy(out, prev)
+	for _, wi := range written {
+		if c := wi / chunkWords; &out[c][0] == &prev[c][0] {
+			out[c] = chunk(c)
 		}
 	}
 	return out
-}
-
-// sameWords reports whether two equal-length chunks hold the same
-// words, without a branch per word.
-func sameWords(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	b = b[:len(a)]
-	var d0, d1, d2, d3 uint64
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		d0 |= a[i] ^ b[i]
-		d1 |= a[i+1] ^ b[i+1]
-		d2 |= a[i+2] ^ b[i+2]
-		d3 |= a[i+3] ^ b[i+3]
-	}
-	for ; i < len(a); i++ {
-		d0 |= a[i] ^ b[i]
-	}
-	return d0|d1|d2|d3 == 0
 }
 
 // get returns cell p of a plane over topo, panicking off the machine

@@ -143,11 +143,14 @@ func (s *Session) Result() *Result {
 
 // Frame snapshots the current formation as an immutable packed Frame:
 // frozen word chunks of both label planes and the sorted fault list,
-// with the region structures shared exactly as in Result. Chunks whose
-// words are unchanged since the previous Frame are shared with it, so
-// it compares O(plane words) and allocates O(changed chunks); this is
-// what a server publishes per batch. Its labels, counts and region
-// lists equal Result's.
+// with the region structures shared exactly as in Result. The field
+// records every plane word a delta writes (incremental.Field's written
+// sets), so Frame copies only the chunks holding such a word and shares
+// every other chunk with the previous Frame: it costs O(written words)
+// plus O(chunks) of header, never a scan of the planes. The first Frame
+// of a session, new or restored, copies every chunk. This is what a
+// server publishes per batch. Its labels, counts and region lists equal
+// Result's.
 func (s *Session) Frame() *Frame {
 	f := s.field
 	var lastUnsafe, lastEnabled plane
@@ -161,9 +164,10 @@ func (s *Session) Frame() *Frame {
 		Regions:      f.Regions(),
 		RoundsPhase1: initialRounds1(f),
 		RoundsPhase2: initialRounds2(f),
-		unsafe:       freeze(f.UnsafeBits().Words(), lastUnsafe),
-		enabled:      freeze(f.EnabledBits().Words(), lastEnabled),
+		unsafe:       publish(f.UnsafeBits().Words(), lastUnsafe, f.UnsafeWritten()),
+		enabled:      publish(f.EnabledBits().Words(), lastEnabled, f.EnabledWritten()),
 	}
+	f.ClearWritten()
 	return s.last
 }
 

@@ -17,7 +17,7 @@ import (
 type BitGrid struct {
 	width, height, wpr int
 	words              []uint64
-	track              *WordSet
+	track              []*WordSet
 }
 
 // NewBitGrid returns an all-false grid of the given dimensions.
@@ -84,16 +84,26 @@ func (g *BitGrid) Set(x, y int, v bool) {
 	} else {
 		g.words[wi] = old &^ bit
 	}
-	if g.track != nil && g.words[wi] != old {
-		g.track.Add(wi)
+	if g.words[wi] != old {
+		for _, ws := range g.track {
+			ws.Add(wi)
+		}
 	}
 }
 
-// Track attaches a dirty-word set: every Set that actually changes a
-// bit records its word index there (word-level mutations via Words()
-// bypass it). Pass nil to detach. The set must span at least
-// WordsPerRow()*Height() indexes; the caller owns draining it.
-func (g *BitGrid) Track(ws *WordSet) { g.track = ws }
+// Track attaches dirty-word sets, replacing any attached before: every
+// Set that actually changes a bit records its word index in each of
+// them (word-level mutations via Words() bypass them). Nil sets are
+// ignored, so Track(nil) detaches. Each set must span at least
+// WordsPerRow()*Height() indexes; the caller owns draining them.
+func (g *BitGrid) Track(ws ...*WordSet) {
+	g.track = nil
+	for _, s := range ws {
+		if s != nil {
+			g.track = append(g.track, s)
+		}
+	}
+}
 
 // Fill sets every valid cell to v, keeping padding bits zero.
 func (g *BitGrid) Fill(v bool) {
@@ -177,8 +187,8 @@ func (g *BitGrid) Count() int {
 	return n
 }
 
-// Clone returns an independent copy. An attached dirty-word tracker is
-// not inherited.
+// Clone returns an independent copy. Attached dirty-word sets are not
+// inherited.
 func (g *BitGrid) Clone() *BitGrid {
 	c := *g
 	c.words = append([]uint64(nil), g.words...)

@@ -45,6 +45,10 @@ func (s *WordSet) Sorted() []int {
 	return s.idx
 }
 
+// Members returns the members in insertion order. The returned slice is
+// the set's own storage, valid until the next mutation.
+func (s *WordSet) Members() []int { return s.idx }
+
 // Clear empties the set in O(members).
 func (s *WordSet) Clear() {
 	for _, wi := range s.idx {

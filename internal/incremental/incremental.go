@@ -282,6 +282,20 @@ func (f *Field) Faults() *grid.PointSet { return f.faults }
 func (f *Field) UnsafeBits() *grid.BitGrid  { return f.ubits.Labels() }
 func (f *Field) EnabledBits() *grid.BitGrid { return f.ebits.Labels() }
 
+// UnsafeWritten and EnabledWritten return the words of each label
+// plane written since the last ClearWritten (simnet.BitField.Written):
+// every word whose value differs from what the last publish copied is
+// listed. A publisher copies a new or loaded field's planes whole.
+func (f *Field) UnsafeWritten() []int  { return f.ubits.Written() }
+func (f *Field) EnabledWritten() []int { return f.ebits.Written() }
+
+// ClearWritten empties both planes' written sets, once a publisher has
+// copied what they name.
+func (f *Field) ClearWritten() {
+	f.ubits.ClearWritten()
+	f.ebits.ClearWritten()
+}
+
 // FaultBits returns the packed fault plane, kept in step with Faults.
 // Read-only, and mutated in place by the next delta.
 func (f *Field) FaultBits() *grid.BitGrid { return f.fbits }

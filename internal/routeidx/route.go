@@ -240,10 +240,10 @@ func (ix *Index) firstBlocked(cur grid.Point, d mesh.Direction, segLen int) int 
 	var from, size int
 	switch d {
 	case mesh.East, mesh.West:
-		spans = ix.rows[cur.Y]
+		spans = ix.rows.line(cur.Y)
 		from, size = cur.X, ix.w
 	default:
-		spans = ix.cols[cur.X]
+		spans = ix.cols.line(cur.X)
 		from, size = cur.Y, ix.h
 	}
 	if len(spans) == 0 {

@@ -30,11 +30,11 @@
 // pointer survived the delta — the region builder keeps survivor
 // pointers in canonical order, so one merge over the two obstacle lists
 // finds them, and a region's compilation depends only on its own cells.
-// The tables and the bit plane are edited copy-on-write, so steady-state
-// delta cost is O(changed regions) plus one copy of the table line
-// headers: the dropped regions' runs are deleted, the added ones'
-// inserted, and every other line and plane chunk is shared with the
-// previous index.
+// The tables and the bit plane are edited copy-on-write by chunk, so
+// steady-state delta cost is O(changed regions' runs) plus the chunks
+// those runs fall in: the dropped regions' runs are deleted, the added
+// ones' inserted, and every other line, header chunk and plane chunk is
+// shared with the previous index.
 package routeidx
 
 import (
@@ -85,8 +85,8 @@ type Index struct {
 	w, h    int
 	torus   bool
 	regs    []*regionIdx // in obstacle order
-	rows    [][]span     // rows[y]: forbidden x spans, sorted by lo
-	cols    [][]span     // cols[x]: forbidden y spans, sorted by lo
+	rows    table        // rows.line(y): forbidden x spans, sorted by lo
+	cols    table        // cols.line(x): forbidden y spans, sorted by lo
 	occ     bitPlane     // the forbidden cells: the union of the row spans
 	stats   Stats
 }
@@ -215,12 +215,12 @@ func build(prev *Index, src formation, model routing.Model, opt Options) *Index 
 // buildTables derives the global row/column interval tables and the
 // forbidden-cell plane from the previous index's (empty ones on a first
 // compile): every run of a dropped region is deleted and every run of an
-// added region inserted. Lines and plane chunks no changed region
-// covers stay shared with the previous index, so steady-state delta
-// cost is O(changed regions' runs) plus one copy of the line headers,
-// not O(all regions).
+// added region inserted. Lines, header chunks and plane chunks no
+// changed region covers stay shared with the previous index, so
+// steady-state delta cost is O(changed regions' runs and the chunks they
+// fall in), not O(all regions) or O(side).
 func (ix *Index) buildTables(prev *Index, added, dropped []*regionIdx) {
-	var prevRows, prevCols [][]span
+	var prevRows, prevCols table
 	var prevOcc bitPlane
 	if prev != nil {
 		prevRows, prevCols, prevOcc = prev.rows, prev.cols, prev.occ
@@ -289,10 +289,12 @@ func (ix *Index) Fingerprint() string {
 			fmt.Fprintf(&b, " %s %d: [%d,%d]\n", kind, line, r.lo, r.hi)
 		})
 	}
-	dumpTable := func(name string, tab [][]span) {
-		for i, spans := range tab {
-			for _, s := range spans {
-				fmt.Fprintf(&b, "%s %d: [%d,%d]\n", name, i, s.lo, s.hi)
+	dumpTable := func(name string, tab table) {
+		for c, chunk := range tab {
+			for j, spans := range chunk {
+				for _, s := range spans {
+					fmt.Fprintf(&b, "%s %d: [%d,%d]\n", name, c*chunkLines+j, s.lo, s.hi)
+				}
 			}
 		}
 	}

@@ -45,10 +45,10 @@ func checkCoverage(t *testing.T, ix *Index) {
 		if ix.allowed(p) == forbidden {
 			t.Fatalf("allowed(%v) = %t, label planes say forbidden=%t", p, ix.allowed(p), forbidden)
 		}
-		if got := inSpans(ix.rows[p.Y], p.X); got != forbidden {
+		if got := inSpans(ix.rows.line(p.Y), p.X); got != forbidden {
 			t.Fatalf("row table at %v: forbidden=%t, span=%t", p, forbidden, got)
 		}
-		if got := inSpans(ix.cols[p.X], p.Y); got != forbidden {
+		if got := inSpans(ix.cols.line(p.X), p.Y); got != forbidden {
 			t.Fatalf("col table at %v: forbidden=%t, span=%t", p, forbidden, got)
 		}
 	}
@@ -179,7 +179,7 @@ func TestRouteIndexEdgeCaseSharedRow(t *testing.T) {
 	sharedRow := false
 	for y := 0; y < ix.h; y++ {
 		// Each orthogonally convex region has at most one span per row.
-		if len(ix.rows[y]) >= 2 {
+		if len(ix.rows.line(y)) >= 2 {
 			sharedRow = true
 		}
 	}
@@ -446,12 +446,13 @@ func TestRouteIndexIncremental(t *testing.T) {
 // from-scratch Compile: identical fingerprints, interval tables that
 // cover exactly the forbidden cells, and unchanged previous indexes
 // (the copy-on-write table edits must never reach a published index).
+// The 150x140 torus spans several table and plane chunks both ways.
 func TestRouteIndexRebuildChurn(t *testing.T) {
 	models := []routing.Model{routing.ModelRegions, routing.ModelBlocks, routing.ModelFaultsOnly}
 	for _, shape := range []struct {
 		w, h int
 		kind mesh.Kind
-	}{{65, 3, mesh.Mesh2D}, {130, 7, mesh.Mesh2D}, {24, 24, mesh.Mesh2D}, {20, 18, mesh.Torus2D}} {
+	}{{65, 3, mesh.Mesh2D}, {130, 7, mesh.Mesh2D}, {24, 24, mesh.Mesh2D}, {20, 18, mesh.Torus2D}, {150, 140, mesh.Torus2D}} {
 		t.Run(fmt.Sprintf("%v/%dx%d", shape.kind, shape.w, shape.h), func(t *testing.T) {
 			topo, err := mesh.New(shape.w, shape.h, shape.kind)
 			if err != nil {

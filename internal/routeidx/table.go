@@ -6,29 +6,66 @@ import (
 	"slices"
 )
 
-// tableEdit edits a row or column interval table copy-on-write: the
-// line headers are copied from the previous table (so an unchanged
-// line's spans stay shared with it), and the first edit of a line in a
-// build copies that line, so a published index's spans are never
-// mutated. Copying the headers whole, rather than in shared chunks,
-// keeps the live objects of a long-serving index few: many small
-// long-lived chunks fragment the heap as deltas replace them.
+// chunkLines is the number of lines per shared chunk, both of a table's
+// line headers and of the bitPlane's rows. It is 64 so that word c of a
+// tableEdit's owned bitmap covers exactly chunk c.
+const chunkLines = 64
+
+// table is a row or column interval table: line i holds the sorted,
+// disjoint forbidden spans of row (column) i. The line headers are cut
+// into chunks of chunkLines, so consecutive indexes share every header
+// chunk, and every line, that no rebuild between them edited.
+type table [][][]span
+
+// line returns the spans of line i.
+func (t table) line(i int) []span { return t[i/chunkLines][i%chunkLines] }
+
+// tableEdit edits a table copy-on-write: the first edit of a header
+// chunk in a build copies that chunk's headers, and the first edit of a
+// line copies that line's spans, so a published index's chunks and
+// spans are never mutated. A 3-point delta at 512x512 edits a few lines
+// in a few of a table's 8 chunks, so a build copies O(edited chunks) of
+// header, not all 512 headers.
+//
+// Chunking the headers adds no live objects and little heap. Measured
+// after 200,000 3-point deltas on two 512x512 tenants (uniform faults
+// and delta pool, forced GC, 2-vCPU Xeon, go1.24.0, seeds 1 and 2),
+// chunked against copied whole with all else equal: HeapObjects 10,153
+// and 10,242 against 10,104 and 10,239; HeapInuse 2.63 and 2.58 MB
+// against 2.50 and 2.43 MB, ~0.14 MB of partly filled spans; 37 KB
+// allocated per delta against 60 KB, and 39% fewer GC cycles.
 type tableEdit struct {
-	tab   [][]span
-	owned []bool
+	tab   table
+	owned []uint64 // bit i: line i is this build's own to write in place
 }
 
 // newTableEdit starts an n-line table from prev (nil for an empty one).
-func newTableEdit(prev [][]span, n int) tableEdit {
-	t := tableEdit{tab: make([][]span, n), owned: make([]bool, n)}
+func newTableEdit(prev table, n int) tableEdit {
+	nc := (n + chunkLines - 1) / chunkLines
+	t := tableEdit{tab: make(table, nc), owned: make([]uint64, nc)}
+	if prev == nil {
+		// Fresh chunks of empty lines: all of it this build's own.
+		for c := range t.tab {
+			t.tab[c] = make([][]span, min(chunkLines, n-c*chunkLines))
+			t.owned[c] = ^uint64(0)
+		}
+		return t
+	}
 	copy(t.tab, prev)
 	return t
 }
 
-func (t tableEdit) line(i int) *[]span {
-	l := &t.tab[i]
-	if !t.owned[i] {
-		t.owned[i] = true
+// edit returns line i for writing, copying its chunk's headers and its
+// spans on their first edit in the build.
+func (t tableEdit) edit(i int) *[]span {
+	c, bit := i/chunkLines, uint64(1)<<(i%chunkLines)
+	l := &t.tab[c][i%chunkLines]
+	if t.owned[c]&bit == 0 {
+		if t.owned[c] == 0 {
+			t.tab[c] = slices.Clone(t.tab[c])
+			l = &t.tab[c][i%chunkLines]
+		}
+		t.owned[c] |= bit
 		*l = append(make([]span, 0, len(*l)+2), *l...)
 	}
 	return l
@@ -42,7 +79,7 @@ func search(l []span, lo int32) (int, bool) {
 }
 
 func (t tableEdit) remove(i int, lo int32) {
-	l := t.line(i)
+	l := t.edit(i)
 	k, ok := search(*l, lo)
 	if !ok {
 		panic(fmt.Sprintf("routeidx: no span at %d in line %d of the previous index", lo, i))
@@ -51,29 +88,26 @@ func (t tableEdit) remove(i int, lo int32) {
 }
 
 func (t tableEdit) insert(i int, s span) {
-	l := t.line(i)
+	l := t.edit(i)
 	k, _ := search(*l, s.lo)
 	*l = slices.Insert(*l, k, s)
 }
 
-// chunkRows is the number of rows per bitPlane chunk.
-const chunkRows = 64
-
 // bitPlane is the index's forbidden-cell plane, one bit per cell in the
 // grid.BitGrid word layout (bit x%64 of word x/64 of row y), cut into
-// chunks of chunkRows rows. It holds exactly the cells of the row
+// chunks of chunkLines rows. It holds exactly the cells of the row
 // spans, so allowed answers with one word load instead of a row-table
 // search, and it is edited copy-on-write by chunk: a rebuild copies only
 // the chunks a changed region's rows fall in.
 type bitPlane struct {
 	wpr    int
-	chunks [][]uint64 // chunk c: rows [c*chunkRows, (c+1)*chunkRows), wpr words each
+	chunks [][]uint64 // chunk c: rows [c*chunkLines, (c+1)*chunkLines), wpr words each
 }
 
 // has reports whether cell (x, y) is forbidden; (x, y) must be inside
 // the machine.
 func (b bitPlane) has(x, y int) bool {
-	c, row := uint(y)/chunkRows, uint(y)%chunkRows
+	c, row := uint(y)/chunkLines, uint(y)%chunkLines
 	return b.chunks[c][int(row)*b.wpr+x/64]>>(uint(x)%64)&1 != 0
 }
 
@@ -87,11 +121,11 @@ type planeEdit struct {
 // has no chunks).
 func newPlaneEdit(prev bitPlane, w, h int) planeEdit {
 	wpr := (w + 63) / 64
-	n := (h + chunkRows - 1) / chunkRows
+	n := (h + chunkLines - 1) / chunkLines
 	e := planeEdit{plane: bitPlane{wpr: wpr, chunks: make([][]uint64, n)}, owned: make([]bool, n)}
 	if prev.chunks == nil {
 		for c := range e.plane.chunks {
-			e.plane.chunks[c] = make([]uint64, chunkRows*wpr)
+			e.plane.chunks[c] = make([]uint64, chunkLines*wpr)
 			e.owned[c] = true
 		}
 		return e
@@ -102,12 +136,12 @@ func newPlaneEdit(prev bitPlane, w, h int) planeEdit {
 
 // setRun sets (v) or clears the cells of run r in row y.
 func (e planeEdit) setRun(y int, r span, v bool) {
-	c := y / chunkRows
+	c := y / chunkLines
 	if !e.owned[c] {
 		e.owned[c] = true
 		e.plane.chunks[c] = slices.Clone(e.plane.chunks[c])
 	}
-	row := e.plane.chunks[c][y%chunkRows*e.plane.wpr:]
+	row := e.plane.chunks[c][y%chunkLines*e.plane.wpr:]
 	for x := int(r.lo); x <= int(r.hi); {
 		end := min(int(r.hi), x|63) // last cell of x's word within the run
 		mask := (^uint64(0) >> (63 - uint(end-x))) << (uint(x) % 64)

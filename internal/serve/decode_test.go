@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/url"
 	"reflect"
 	"strconv"
 	"strings"
@@ -289,4 +290,37 @@ func TestDecodeAllocs(t *testing.T) {
 	}); got > want {
 		t.Errorf("64-query batch decode allocates %v objects, want <= %d", got, want)
 	}
+}
+
+// FuzzRouteParams holds the GET /route raw-query scanner to
+// url.ParseQuery: every query it accepts yields the four values
+// url.Values.Get would, and it declines anything that needs unescaping
+// or repeats a key.
+func FuzzRouteParams(f *testing.F) {
+	for _, q := range []string{
+		"src=0,0&dst=5,5", "src=0,0&dst=5,5&router=indexed&model=regions", "dst=5,5&src=0,0&router=detour",
+		"src= 1, 2&dst=3,4", "src=1,2&dst=3,4&", "&src=1,2", "src=1,2&&dst=3,4", "src=1,2&src=3,4", "src",
+		"src=1%2C2&dst=3,4", "src=1,2&dst=3,4+5", "src=1,2;dst=3,4", "src=1,2&extra=1", "src=1=2&dst=3,4",
+		"router=&model=", "=1", "", "src=%zz",
+	} {
+		f.Add(q)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		got, ok := serve.ScanRouteQuery(raw)
+		if !ok {
+			return
+		}
+		q, err := url.ParseQuery(raw)
+		if err != nil {
+			t.Fatalf("%q: accepted, but url.ParseQuery fails: %v", raw, err)
+		}
+		for i, k := range []string{"src", "dst", "router", "model"} {
+			if got[i] != q.Get(k) {
+				t.Fatalf("%q: %s = %q, url.ParseQuery says %q", raw, k, got[i], q.Get(k))
+			}
+			if len(q[k]) > 1 {
+				t.Fatalf("%q: accepted a repeated %s", raw, k)
+			}
+		}
+	})
 }

@@ -105,3 +105,6 @@ func WriteRoute(w http.ResponseWriter, seq uint64, path routing.Path) {
 
 // ObserveLabelsQuery runs fn under the labels read's query metrics.
 func (s *Server) ObserveLabelsQuery(fn func()) { s.observeQuery(queryLabels, fn) }
+
+// ScanRouteQuery is the GET /route raw-query scanner.
+func ScanRouteQuery(raw string) ([4]string, bool) { return scanRouteQuery(raw) }

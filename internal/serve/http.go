@@ -868,18 +868,60 @@ func parsePoint(s string) (grid.Point, error) {
 	return grid.Pt(xi, yi), nil
 }
 
+// routeKeys are the GET /route query keys, in routeParams order.
+var routeKeys = [...]string{"src", "dst", "router", "model"}
+
+// routeParams returns the GET /route query values, each what
+// url.Values.Get returns for the request's query.
+func routeParams(r *http.Request) (src, dst, router, model string) {
+	vals, ok := scanRouteQuery(r.URL.RawQuery)
+	if !ok {
+		q := r.URL.Query()
+		for i, k := range routeKeys {
+			vals[i] = q.Get(k)
+		}
+	}
+	return vals[0], vals[1], vals[2], vals[3]
+}
+
+// scanRouteQuery reads the routeKeys values straight off a raw query
+// string, without url.ParseQuery's map and slices. It accepts only the
+// plain shape: "key=value" pairs of routeKeys joined by '&', each key at
+// most once, with no '%', '+' or ';' anywhere, so nothing needs
+// unescaping. Anything else reports false and is left to
+// url.ParseQuery. On every query it accepts it returns what
+// url.ParseQuery's Get would (FuzzRouteParams).
+func scanRouteQuery(raw string) (vals [len(routeKeys)]string, ok bool) {
+	if strings.ContainsAny(raw, "%+;") {
+		return vals, false
+	}
+	var seen uint
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		k, v, found := strings.Cut(pair, "=")
+		i := slices.Index(routeKeys[:], k)
+		if !found || i < 0 || seen&(1<<i) != 0 {
+			return vals, false
+		}
+		seen |= 1 << i
+		vals[i] = v
+	}
+	return vals, true
+}
+
 func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.tenant(w, r)
 	if !ok {
 		return
 	}
-	q := r.URL.Query()
-	src, err := parsePoint(q.Get("src"))
+	srcArg, dstArg, router, model := routeParams(r)
+	src, err := parsePoint(srcArg)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	dst, err := parsePoint(q.Get("dst"))
+	dst, err := parsePoint(dstArg)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -887,7 +929,7 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 	s.observeQuery(queryRoute, func() {
 		rb := getRespBuf()
 		defer rb.release()
-		path, snap, rerr := t.RouteAppend(src, dst, q.Get("model"), q.Get("router"), rb.path)
+		path, snap, rerr := t.RouteAppend(src, dst, model, router, rb.path)
 		rb.path = path // keep the grown scratch
 		if rerr != nil {
 			if errors.Is(rerr, ErrBadDelta) || errors.Is(rerr, routing.ErrUnroutable) {

@@ -23,6 +23,11 @@ import (
 // wave's word worklist, so every word the caller touched since the last
 // run is scanned even when the corresponding seed lanes were deduped or
 // dropped.
+//
+// A second word set records every word written since the last
+// ClearWritten: SetLabel, SetLive and each wave's label flips mark it
+// where they write, so a publisher that copies only those words'
+// chunks (core.Session.Frame) cannot miss a change.
 type BitField struct {
 	w, h, wpr int
 	lastLane  uint // lane of column width-1 in a row's last word
@@ -32,6 +37,8 @@ type BitField struct {
 	cur    []uint64 // labels' backing words
 	live   []uint64 // valid (non-padding) AND nonfaulty lanes
 	dirty  *grid.WordSet
+	// written holds the words written since the last ClearWritten.
+	written *grid.WordSet
 
 	// Per-run scratch, reused across RunBitsetFrontier calls so a
 	// steady-state delta allocates O(changed words), not O(mesh words).
@@ -62,8 +69,9 @@ func NewBitField(env *Env, g *grid.BitGrid) (*BitField, error) {
 		labels:   g,
 		cur:      g.Words(),
 		dirty:    grid.NewWordSet(g.WordsPerRow() * topo.Height()),
+		written:  grid.NewWordSet(g.WordsPerRow() * topo.Height()),
 	}
-	g.Track(f.dirty)
+	g.Track(f.dirty, f.written)
 	// One allocation backs the four word planes, one the two flag sets.
 	n := len(f.cur)
 	planes, flags := make([]uint64, 4*n), make([]bool, 2*n)
@@ -86,15 +94,15 @@ func (f *BitField) Label(i int) bool {
 	return f.cur[f.wordOf(i)]&f.bitOf(i) != 0
 }
 
-// SetLabel assigns node i's packed label, marking its word dirty when
-// the bit actually flips.
+// SetLabel assigns node i's packed label, marking its word dirty and
+// written when the bit actually flips.
 func (f *BitField) SetLabel(i int, v bool) {
 	f.labels.Set(i%f.w, i/f.w, v)
 }
 
 // SetLive marks node i faulty (live false: its lane is pinned at
 // whatever label it holds) or restores it (live true). The word joins
-// the dirty set either way.
+// the dirty and written sets either way.
 func (f *BitField) SetLive(i int, live bool) {
 	wi := f.wordOf(i)
 	if live {
@@ -103,7 +111,19 @@ func (f *BitField) SetLive(i int, live bool) {
 		f.live[wi] &^= f.bitOf(i)
 	}
 	f.dirty.Add(wi)
+	f.written.Add(wi)
 }
+
+// Written returns the label words written by SetLabel, SetLive and
+// runs since the last ClearWritten (or since the field was built), in
+// no particular order. Words written and then restored stay listed; the
+// plane the field was built with is not. The slice is the field's own
+// storage, valid until its next mutation.
+func (f *BitField) Written() []int { return f.written.Members() }
+
+// ClearWritten empties the written set, once a publisher has copied
+// the words it names.
+func (f *BitField) ClearWritten() { f.written.Clear() }
 
 // Labels returns the packed label plane itself. The caller must not
 // mutate it, and must copy what it keeps across later runs.
@@ -383,6 +403,7 @@ func (f *BitField) run(env *Env, rule GenericRule[bool], seed []int, all bool, o
 				continue
 			}
 			f.cur[wi] ^= a
+			f.written.Add(wi)
 			r, k := wi/f.wpr, wi%f.wpr
 			nodeBase := r*f.w + k*64
 			if tr != nil {
