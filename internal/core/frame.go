@@ -10,23 +10,26 @@ import (
 	"ocpmesh/internal/region"
 )
 
-// Frame is one published formation state in packed form: the fault set,
-// the region structures, and frozen copies of both label planes as
-// 64-lane words (the grid.BitGrid layout). Label tests are bit tests and
-// counts are popcounts, so publishing and reading a frame never touches
-// a []bool plane; the walk-based routers and disjoint paths read it
-// directly through the same IsFaulty/IsUnsafe/IsEnabled tests a Result
-// offers. A Frame is immutable and safe for concurrent use.
+// Frame is one published formation state in packed form: the region
+// structures and frozen copies of the fault plane and both label planes
+// as 64-lane words (the grid.BitGrid layout). Fault and label tests are
+// bit tests and counts are popcounts, so publishing and reading a frame
+// never touches a []bool plane or a point list; the walk-based routers
+// and disjoint paths read it directly through the same
+// IsFaulty/IsUnsafe/IsEnabled tests a Result offers. A Frame is
+// immutable and safe for concurrent use.
 //
-// The planes are stored in fixed-size word chunks, and a session's
-// consecutive frames share every chunk no delta between them wrote, so a
-// small delta publishes O(written chunks) of new plane memory.
+// The three planes are stored in fixed-size word chunks, and a
+// session's consecutive frames share every chunk no delta between them
+// wrote, so a small delta publishes O(written chunks) of new plane
+// memory.
 type Frame struct {
 	// Topo is the machine.
 	Topo *mesh.Topology
-	// Faults is the fault set in row-major order. Immutable: a session
-	// replaces its list on every delta instead of editing it.
-	Faults FaultList
+	// Faults is the fault set as a frozen plane. Immutable: a delta
+	// writes the session's fault plane, and the next frame copies only
+	// the chunks it wrote.
+	Faults FaultSet
 	// Blocks and Regions are shared with the session that published the
 	// frame (deltas replace them, never mutate them).
 	Blocks  []*region.Region
@@ -79,6 +82,11 @@ func (pl plane) get(topo *mesh.Topology, p grid.Point) bool {
 	if !topo.Contains(p) {
 		panic(fmt.Sprintf("core: %v outside %v", p, topo))
 	}
+	return pl.bit(topo, p)
+}
+
+// bit returns cell p, which must lie on the machine.
+func (pl plane) bit(topo *mesh.Topology, p grid.Point) bool {
 	wi := p.Y*((topo.Width()+63)/64) + p.X/64
 	return pl[wi/chunkWords][wi%chunkWords]>>(uint(p.X)%64)&1 != 0
 }
@@ -93,76 +101,50 @@ func (pl plane) count() int {
 	return n
 }
 
-// FaultList is a fault set as a row-major sorted point list: the
-// immutable form a Frame publishes, cheap to replace per delta where a
-// hash set would have to be cloned.
-type FaultList []grid.Point
+// FaultSet is a fault set as a frozen fault plane plus its count: the
+// immutable form a Frame publishes, sharing unwritten chunks with the
+// session's previous frame like the label planes, so a delta publishes
+// O(written chunks) where a point list or hash set would be copied
+// whole.
+type FaultSet struct {
+	topo *mesh.Topology
+	pl   plane
+	n    int
+}
 
 // Len returns the number of faults.
-func (l FaultList) Len() int { return len(l) }
+func (s FaultSet) Len() int { return s.n }
 
-// Has reports whether p is faulty, by binary search.
-func (l FaultList) Has(p grid.Point) bool {
-	_, ok := slices.BinarySearchFunc(l, p, comparePoints)
-	return ok
-}
+// Has reports whether p is faulty, by one bit test; false off the
+// machine.
+func (s FaultSet) Has(p grid.Point) bool { return s.topo.Contains(p) && s.pl.bit(s.topo, p) }
 
-// Points returns a copy of the faults in row-major order.
-func (l FaultList) Points() []grid.Point { return slices.Clone(l) }
-
-// Set returns the faults as a new PointSet.
-func (l FaultList) Set() *grid.PointSet { return grid.PointSetOf(l...) }
-
-// Equal reports whether l and s hold the same points.
-func (l FaultList) Equal(s *grid.PointSet) bool {
-	if len(l) != s.Len() {
-		return false
-	}
-	for _, p := range l {
-		if !s.Has(p) {
-			return false
-		}
-	}
-	return true
-}
-
-// apply returns l with ps added (add) or removed, as a new list: l
-// itself may be shared by published frames.
-func (l FaultList) apply(ps []grid.Point, add bool) FaultList {
-	ps = slices.Clone(ps)
-	slices.SortFunc(ps, comparePoints)
-	ps = slices.Compact(ps)
-	out := make(FaultList, 0, len(l)+len(ps))
-	i, j := 0, 0
-	for i < len(l) || j < len(ps) {
-		switch {
-		case j == len(ps) || i < len(l) && l[i].Less(ps[j]):
-			out = append(out, l[i])
-			i++
-		case i == len(l) || ps[j].Less(l[i]):
-			if add {
-				out = append(out, ps[j])
+// Points returns the faults in row-major order, one scan of the plane.
+func (s FaultSet) Points() []grid.Point {
+	out := make([]grid.Point, 0, s.n)
+	wpr := (s.topo.Width() + 63) / 64
+	for c, chunk := range s.pl {
+		for j, w := range chunk {
+			wi := c*chunkWords + j
+			for y, x0 := wi/wpr, 64*(wi%wpr); w != 0; w &= w - 1 {
+				out = append(out, grid.Pt(x0+bits.TrailingZeros64(w), y))
 			}
-			j++
-		default: // the same point on both sides
-			if add {
-				out = append(out, l[i])
-			}
-			i++
-			j++
 		}
 	}
 	return out
 }
 
-func comparePoints(a, b grid.Point) int {
-	switch {
-	case a.Less(b):
-		return -1
-	case b.Less(a):
-		return 1
+// Set returns the faults as a new PointSet.
+func (s FaultSet) Set() *grid.PointSet { return grid.PointSetOf(s.Points()...) }
+
+// Equal reports whether s and o hold the same points.
+func (s FaultSet) Equal(o *grid.PointSet) bool {
+	if s.n != o.Len() {
+		return false
 	}
-	return 0
+	eq := true
+	o.Each(func(p grid.Point) { eq = eq && s.Has(p) })
+	return eq
 }
 
 // Topology returns the machine.

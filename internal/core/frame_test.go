@@ -31,7 +31,7 @@ func TestFrameMatchesResult(t *testing.T) {
 			held := s.Frame()
 			heldUnsafe := slices.Concat(held.UnsafeWords()...)
 			heldEnabled := slices.Concat(held.EnabledWords()...)
-			heldFaults := slices.Clone(held.Faults)
+			heldFaults := held.Faults.Points()
 			for step := 0; step < 30; step++ {
 				p := grid.Pt(rng.Intn(shape.w), rng.Intn(shape.h))
 				switch r := rng.Intn(6); {
@@ -55,7 +55,7 @@ func TestFrameMatchesResult(t *testing.T) {
 				}
 				checkFrame(t, fmt.Sprintf("step %d", step), s.Frame(), s.Result())
 			}
-			if !slices.Equal(slices.Concat(held.UnsafeWords()...), heldUnsafe) || !slices.Equal(slices.Concat(held.EnabledWords()...), heldEnabled) || !slices.Equal(held.Faults, heldFaults) {
+			if !slices.Equal(slices.Concat(held.UnsafeWords()...), heldUnsafe) || !slices.Equal(slices.Concat(held.EnabledWords()...), heldEnabled) || !slices.Equal(held.Faults.Points(), heldFaults) || held.Faults.Len() != len(heldFaults) {
 				t.Fatal("a held frame changed under later deltas")
 			}
 		})
@@ -64,8 +64,16 @@ func TestFrameMatchesResult(t *testing.T) {
 
 func checkFrame(t *testing.T, tag string, fr *Frame, want *Result) {
 	t.Helper()
-	if !fr.Faults.Equal(want.Faults) || !slices.IsSortedFunc(fr.Faults, comparePoints) || len(slices.Compact(slices.Clone(fr.Faults))) != len(fr.Faults) {
-		t.Fatalf("%s: fault list %v is not the sorted fault set %v", tag, fr.Faults, want.Faults.Points())
+	if !fr.Faults.Equal(want.Faults) || fr.Faults.Len() != want.Faults.Len() || !slices.Equal(fr.Faults.Points(), want.Faults.Points()) {
+		t.Fatalf("%s: frame faults %v are not the fault set %v", tag, fr.Faults.Points(), want.Faults.Points())
+	}
+	if !fr.Faults.Set().Equal(want.Faults) {
+		t.Fatalf("%s: frame fault PointSet differs from the fault set", tag)
+	}
+	for _, p := range []grid.Point{grid.Pt(-1, 0), grid.Pt(0, -1), grid.Pt(want.Topo.Width(), 0), grid.Pt(0, want.Topo.Height())} {
+		if fr.Faults.Has(p) {
+			t.Fatalf("%s: frame faults hold %v, off the machine", tag, p)
+		}
 	}
 	n := want.Topo.Size()
 	unsafe, enabled := 0, 0
@@ -120,6 +128,7 @@ func TestFrameSharesUnchangedChunks(t *testing.T) {
 	after := s.Frame()
 	for name, pair := range map[string][2]plane{
 		"unsafe": {before.unsafe, after.unsafe}, "enabled": {before.enabled, after.enabled},
+		"faults": {before.Faults.pl, after.Faults.pl},
 	} {
 		copied := 0
 		for c := range pair[1] {
@@ -131,7 +140,7 @@ func TestFrameSharesUnchangedChunks(t *testing.T) {
 			t.Fatalf("%s: %d of %d chunks copied for a one-fault delta, want 1 or 2", name, copied, len(pair[1]))
 		}
 	}
-	if before.IsUnsafe(grid.Pt(400, 300)) || !after.IsUnsafe(grid.Pt(400, 300)) || !after.IsFaulty(grid.Pt(400, 300)) {
+	if before.IsUnsafe(grid.Pt(400, 300)) || before.IsFaulty(grid.Pt(400, 300)) || !after.IsUnsafe(grid.Pt(400, 300)) || !after.IsFaulty(grid.Pt(400, 300)) {
 		t.Fatal("frames do not read their own states")
 	}
 	checkFrame(t, "after", after, s.Result())

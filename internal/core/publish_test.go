@@ -37,8 +37,20 @@ type publishCheck struct {
 	t        *testing.T
 	s        *Session
 	prev     *Frame
-	held     [2][]uint64 // prev's planes, concatenated when it was taken
+	held     [3][]uint64 // prev's planes, concatenated when it was taken
 	restored int
+}
+
+// planes returns a frame's unsafe, enabled and fault planes.
+func planes(fr *Frame) [3]plane { return [3]plane{fr.unsafe, fr.enabled, fr.Faults.pl} }
+
+// concat returns a frame's three planes, each concatenated.
+func concat(fr *Frame) [3][]uint64 {
+	var out [3][]uint64
+	for k, pl := range planes(fr) {
+		out[k] = slices.Concat(pl...)
+	}
+	return out
 }
 
 // frame takes the session's next frame and checks it against the
@@ -46,14 +58,14 @@ type publishCheck struct {
 // word shared with the previous frame, the previous frame unchanged.
 func (pc *publishCheck) frame(tag string) *Frame {
 	t, f := pc.t, pc.s.field
-	written := [2]map[int]bool{chunksOf(f.UnsafeWritten()), chunksOf(f.EnabledWritten())}
-	words := [2][]uint64{f.UnsafeBits().Words(), f.EnabledBits().Words()}
+	written := [3]map[int]bool{chunksOf(f.UnsafeWritten()), chunksOf(f.EnabledWritten()), chunksOf(f.FaultWritten())}
+	words := [3][]uint64{f.UnsafeBits().Words(), f.EnabledBits().Words(), f.FaultBits().Words()}
 	fr := pc.s.Frame()
-	got := [2]plane{fr.unsafe, fr.enabled}
-	for k, name := range []string{"unsafe", "enabled"} {
+	got := planes(fr)
+	for k, name := range []string{"unsafe", "enabled", "faults"} {
 		var prev plane
 		if pc.prev != nil {
-			prev = [2]plane{pc.prev.unsafe, pc.prev.enabled}[k]
+			prev = planes(pc.prev)[k]
 		}
 		want := freeze(words[k], prev)
 		if len(got[k]) != len(want) {
@@ -75,13 +87,16 @@ func (pc *publishCheck) frame(tag string) *Frame {
 			}
 		}
 	}
-	if pc.prev != nil && (!slices.Equal(slices.Concat(pc.prev.UnsafeWords()...), pc.held[0]) ||
-		!slices.Equal(slices.Concat(pc.prev.EnabledWords()...), pc.held[1])) {
-		t.Fatalf("%s: the previous frame changed under the delta", tag)
+	if pc.prev != nil {
+		for k, words := range concat(pc.prev) {
+			if !slices.Equal(words, pc.held[k]) {
+				t.Fatalf("%s: the previous frame's plane %d changed under the delta", tag, k)
+			}
+		}
 	}
 	checkFrame(t, tag, fr, pc.s.Result())
 	pc.prev = fr
-	pc.held = [2][]uint64{slices.Concat(fr.UnsafeWords()...), slices.Concat(fr.EnabledWords()...)}
+	pc.held = concat(fr)
 	return fr
 }
 
@@ -96,7 +111,8 @@ func chunksOf(words []int) map[int]bool {
 // TestFramePublishesWrittenChunks churns sessions on meshes and tori
 // whose rows are narrower than, equal to and wider than one word, up to
 // 512x512, and holds every frame chunk for chunk to the compare-based
-// freeze oracle. The histories add and remove clustered faults from a
+// freeze oracle, label and fault planes alike, and holds every earlier
+// frame unchanged. The histories add and remove clustered faults from a
 // small pool (so removals reset block footprints whose words re-derive
 // unchanged), apply batches with no applied point, fail deltas partway
 // through (MaxRounds) and restore sessions from their frames.
@@ -139,11 +155,12 @@ func TestFramePublishesWrittenChunks(t *testing.T) {
 					if err != nil || d.Points != 0 {
 						t.Fatalf("%s: re-adding a fault applied %d points (%v)", tag, d.Points, err)
 					}
-					before := pc.prev
-					fr := pc.frame(tag)
-					for c := range fr.unsafe {
-						if &fr.unsafe[c][0] != &before.unsafe[c][0] || &fr.enabled[c][0] != &before.enabled[c][0] {
-							t.Fatalf("%s: a batch with no applied point copied chunk %d", tag, c)
+					before := planes(pc.prev)
+					for k, pl := range planes(pc.frame(tag)) {
+						for c := range pl {
+							if &pl[c][0] != &before[k][c][0] {
+								t.Fatalf("%s: a batch with no applied point copied chunk %d of plane %d", tag, c, k)
+							}
 						}
 					}
 					continue
@@ -211,8 +228,9 @@ func TestFramePublishesWrittenChunks(t *testing.T) {
 }
 
 // TestFramePublishBytes pins a warmed one-point Frame at 512x512 to at
-// most two chunk copies per plane plus the chunk headers and the Frame
-// itself, in bytes: nothing O(plane) is allocated or scanned.
+// most two chunk copies per label plane and one of the fault plane,
+// plus the three planes' chunk headers and the Frame itself, in bytes:
+// nothing O(plane) or O(faults) is allocated or scanned.
 func TestFramePublishBytes(t *testing.T) {
 	const side = 512
 	rng := rand.New(rand.NewSource(5))
@@ -224,9 +242,9 @@ func TestFramePublishBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Frame()
+	prev := s.Frame()
 	chunks := (side / 64 * side) / chunkWords
-	limit := uint64(2*(2*chunkWords*8+chunks*24) + 256)
+	limit := uint64(2*(2*chunkWords*8+chunks*24) + chunkWords*8 + chunks*24 + 256)
 	var ms runtime.MemStats
 	for i := 0; i < 20; i++ {
 		p := grid.Pt(rng.Intn(side), rng.Intn(side))
@@ -235,10 +253,20 @@ func TestFramePublishBytes(t *testing.T) {
 		}
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
-		s.Frame()
+		fr := s.Frame()
 		runtime.ReadMemStats(&ms)
 		if got := ms.TotalAlloc - before; got > limit {
 			t.Fatalf("one-point Frame at %v allocated %d bytes, want <= %d", p, got, limit)
 		}
+		copied := 0
+		for c := range fr.Faults.pl {
+			if &fr.Faults.pl[c][0] != &prev.Faults.pl[c][0] {
+				copied++
+			}
+		}
+		if copied > 1 {
+			t.Fatalf("one-point Frame at %v copied %d fault chunks, want <= 1", p, copied)
+		}
+		prev = fr
 	}
 }

@@ -22,9 +22,6 @@ type Delta = incremental.Delta
 type Session struct {
 	cfg   Config
 	field *incremental.Field
-	// faults mirrors the field's fault set as the sorted list frames
-	// publish; every delta replaces it.
-	faults FaultList
 	// last is the latest Frame, whose unchanged plane chunks the next
 	// Frame shares.
 	last *Frame
@@ -70,11 +67,9 @@ func RestoreSession(cfg Config, topo *mesh.Topology, faults *grid.PointSet, unsa
 	return newSession(cfg, field), nil
 }
 
-// newSession wraps a formed field. The sorted fault list is one scan of
-// the field's fault plane, not a sort of its set.
+// newSession wraps a formed field.
 func newSession(cfg Config, field *incremental.Field) *Session {
-	faults := field.FaultBits().AppendPoints(make(FaultList, 0, field.Faults().Len()))
-	return &Session{cfg: cfg, field: field, faults: faults}
+	return &Session{cfg: cfg, field: field}
 }
 
 // AddFaults marks the given nodes faulty and restabilizes the formation
@@ -83,7 +78,6 @@ func newSession(cfg Config, field *incremental.Field) *Session {
 // behind.
 func (s *Session) AddFaults(ps ...grid.Point) (Delta, error) {
 	d, err := s.field.Add(ps...)
-	s.syncFaults(ps, true, d, err)
 	if err != nil {
 		_ = s.cfg.Recorder.Flush()
 		return d, err
@@ -96,24 +90,11 @@ func (s *Session) AddFaults(ps ...grid.Point) (Delta, error) {
 // like AddFaults.
 func (s *Session) RemoveFaults(ps ...grid.Point) (Delta, error) {
 	d, err := s.field.Remove(ps...)
-	s.syncFaults(ps, false, d, err)
 	if err != nil {
 		_ = s.cfg.Recorder.Flush()
 		return d, err
 	}
 	return d, nil
-}
-
-// syncFaults brings the sorted fault list in line with the field after
-// a delta over ps: a merge when the delta applied, a rebuild from the
-// field's set when it failed partway.
-func (s *Session) syncFaults(ps []grid.Point, add bool, d Delta, err error) {
-	switch {
-	case err != nil:
-		s.faults = s.field.Faults().Points()
-	case d.Points > 0:
-		s.faults = s.faults.apply(ps, add)
-	}
 }
 
 // Result snapshots the current formation as a Result, interchangeable
@@ -142,24 +123,28 @@ func (s *Session) Result() *Result {
 }
 
 // Frame snapshots the current formation as an immutable packed Frame:
-// frozen word chunks of both label planes and the sorted fault list,
-// with the region structures shared exactly as in Result. The field
-// records every plane word a delta writes (incremental.Field's written
-// sets), so Frame copies only the chunks holding such a word and shares
-// every other chunk with the previous Frame: it costs O(written words)
-// plus O(chunks) of header, never a scan of the planes. The first Frame
+// frozen word chunks of the fault plane and both label planes, with the
+// region structures shared exactly as in Result. The field records
+// every plane word a delta writes (incremental.Field's written sets),
+// so Frame copies only the chunks holding such a word and shares every
+// other chunk with the previous Frame: it costs O(written words) plus
+// O(chunks) of header, never a scan of the planes or the fault set. The first Frame
 // of a session, new or restored, copies every chunk. This is what a
 // server publishes per batch. Its labels, counts and region lists equal
 // Result's.
 func (s *Session) Frame() *Frame {
 	f := s.field
-	var lastUnsafe, lastEnabled plane
+	var lastFaults, lastUnsafe, lastEnabled plane
 	if s.last != nil {
-		lastUnsafe, lastEnabled = s.last.unsafe, s.last.enabled
+		lastFaults, lastUnsafe, lastEnabled = s.last.Faults.pl, s.last.unsafe, s.last.enabled
 	}
 	s.last = &Frame{
-		Topo:         f.Topo(),
-		Faults:       s.faults,
+		Topo: f.Topo(),
+		Faults: FaultSet{
+			topo: f.Topo(),
+			pl:   publish(f.FaultBits().Words(), lastFaults, f.FaultWritten()),
+			n:    f.Faults().Len(),
+		},
 		Blocks:       f.Blocks(),
 		Regions:      f.Regions(),
 		RoundsPhase1: initialRounds1(f),

@@ -101,8 +101,8 @@ func checkWordInit(t *testing.T, tag string, cfg Config, topo *mesh.Topology, fa
 		}
 	}
 	fr := s.Frame()
-	if !slices.Equal(fr.Faults, FaultList(faults.Points())) {
-		t.Fatalf("%s: fault list %v, want %v", tag, fr.Faults, faults.Points())
+	if !slices.Equal(fr.Faults.Points(), faults.Points()) || fr.Faults.Len() != faults.Len() {
+		t.Fatalf("%s: frame faults %v, want %v", tag, fr.Faults.Points(), faults.Points())
 	}
 	if fr.RoundsPhase1 != want.RoundsPhase1 || fr.RoundsPhase2 != want.RoundsPhase2 {
 		t.Fatalf("%s: session rounds %d/%d, want %d/%d", tag, fr.RoundsPhase1, fr.RoundsPhase2, want.RoundsPhase1, want.RoundsPhase2)

@@ -97,9 +97,12 @@ type Field struct {
 
 	// The packed unsafe and enabled label planes plus per-lane liveness;
 	// deltas run the word-granularity frontier over them. fbits is the
-	// fault plane, and rb floods blocks and regions over the planes.
+	// fault plane, whose written words fwritten records as the label
+	// planes' BitFields do theirs, and rb floods blocks and regions over
+	// the planes.
 	ubits, ebits *simnet.BitField
 	fbits        *grid.BitGrid
+	fwritten     *grid.WordSet
 	rb           *region.Builder
 
 	// rounds of the initial full formation (reported by Session.Result
@@ -107,13 +110,19 @@ type Field struct {
 	rounds1, rounds2 int
 
 	// Per-delta scratch reused across Add/Remove calls (a Field is
-	// single-threaded): the touched cells, the affected area, the area's
-	// node indexes and the before-labels they pair with, plus the
-	// frontier seed list.
+	// single-threaded): the points a delta applies, the touched cells,
+	// the affected area and its words, plus an add's frontier seed list.
+	applied       []grid.Point
 	touched, area []region.Run
-	areaIdx       []int
-	areaBefore    []bool
+	words         []areaWord
 	seed          []int
+}
+
+// areaWord is one word of an area run: its index in the packed planes,
+// the run's lanes in it, and the enabled word before a phase-2 reset.
+type areaWord struct {
+	wi        int
+	m, before uint64
 }
 
 // New computes a full formation on topo for the given fault set and
@@ -199,6 +208,8 @@ func (f *Field) adopt(ubits, ebits *simnet.BitField) {
 	f.ubits, f.ebits = ubits, ebits
 	f.fbits = grid.NewBitGrid(f.topo.Width(), f.topo.Height())
 	f.faults.Each(func(p grid.Point) { f.fbits.Set(p.X, p.Y, true) })
+	f.fwritten = grid.NewWordSet(len(f.fbits.Words()))
+	f.fbits.Track(f.fwritten)
 	f.rb = region.NewBuilder(f.topo, f.fbits)
 	f.blocks = f.rb.Build(ubits.Labels(), true, region.Conn4, nil)
 	f.regions = f.rb.Build(ebits.Labels(), false, f.cfg.Connectivity, nil)
@@ -258,13 +269,17 @@ func (f *Field) setFault(i int, faulty bool) {
 // cell returns p as a one-cell run.
 func cell(p grid.Point) region.Run { return region.Run{Y: p.Y, Lo: p.X, Hi: p.X} }
 
-// areaOf collects the runs of rs into the area scratch.
-func (f *Field) areaOf(rs []*region.Region) []region.Run {
-	f.area = f.area[:0]
-	for _, r := range rs {
-		f.area = append(f.area, r.Runs()...)
+// areaWords returns the words the area scratch covers, one entry per
+// run and word.
+func (f *Field) areaWords() []areaWord {
+	f.words = f.words[:0]
+	wpr := f.fbits.WordsPerRow()
+	for _, run := range f.area {
+		for k := run.Lo / 64; k <= run.Hi/64; k++ {
+			f.words = append(f.words, areaWord{wi: run.Y*wpr + k, m: run.Lanes(k)})
+		}
 	}
-	return f.area
+	return f.words
 }
 
 // Topo returns the machine.
@@ -282,18 +297,21 @@ func (f *Field) Faults() *grid.PointSet { return f.faults }
 func (f *Field) UnsafeBits() *grid.BitGrid  { return f.ubits.Labels() }
 func (f *Field) EnabledBits() *grid.BitGrid { return f.ebits.Labels() }
 
-// UnsafeWritten and EnabledWritten return the words of each label
-// plane written since the last ClearWritten (simnet.BitField.Written):
-// every word whose value differs from what the last publish copied is
-// listed. A publisher copies a new or loaded field's planes whole.
+// UnsafeWritten, EnabledWritten and FaultWritten return the words of
+// each plane written since the last ClearWritten (for the label planes
+// simnet.BitField.Written): every word whose value differs from what
+// the last publish copied is listed. A publisher copies a new or loaded
+// field's planes whole.
 func (f *Field) UnsafeWritten() []int  { return f.ubits.Written() }
 func (f *Field) EnabledWritten() []int { return f.ebits.Written() }
+func (f *Field) FaultWritten() []int   { return f.fwritten.Members() }
 
-// ClearWritten empties both planes' written sets, once a publisher has
-// copied what they name.
+// ClearWritten empties the three planes' written sets, once a publisher
+// has copied what they name.
 func (f *Field) ClearWritten() {
 	f.ubits.ClearWritten()
 	f.ebits.ClearWritten()
+	f.fwritten.Clear()
 }
 
 // FaultBits returns the packed fault plane, kept in step with Faults.
@@ -317,15 +335,16 @@ func (f *Field) InitialRounds() (phase1, phase2 int) { return f.rounds1, f.round
 // locally. Points already faulty are skipped; points outside the machine
 // are an error, reported before anything is mutated.
 func (f *Field) Add(ps ...grid.Point) (Delta, error) {
-	var added []grid.Point
+	added := f.applied[:0]
 	for _, p := range ps {
 		if !f.topo.Contains(p) {
 			return Delta{}, fmt.Errorf("incremental: fault %v outside %v", p, f.topo)
 		}
-		if !f.faults.Has(p) {
+		if !f.fbits.Get(p.X, p.Y) {
 			added = append(added, p)
 		}
 	}
+	f.applied = added
 	d := Delta{Op: "add", Points: len(added)}
 	if len(added) == 0 {
 		return d, nil
@@ -334,6 +353,7 @@ func (f *Field) Add(ps ...grid.Point) (Delta, error) {
 
 	for _, p := range added {
 		f.faults.Add(p)
+		f.setFault(f.topo.Index(p), true)
 	}
 	env := &simnet.Env{Topo: f.topo, Faulty: f.faults}
 
@@ -342,16 +362,15 @@ func (f *Field) Add(ps ...grid.Point) (Delta, error) {
 	// or below the new one (the rule is monotone in the fault set).
 	touched := f.touched[:0]
 	seed := f.seed[:0]
+	var nbrs [4]grid.Point
 	for _, p := range added {
-		i := f.topo.Index(p)
 		touched = append(touched, cell(p))
 		if !f.UnsafeBits().Get(p.X, p.Y) {
-			f.ubits.SetLabel(i, true)
+			f.ubits.SetLabel(f.topo.Index(p), true)
 			d.ChangedPhase1++
 		}
-		f.setFault(i, true)
-		for _, q := range f.topo.Neighbors(p) {
-			if !f.faults.Has(q) {
+		for _, q := range f.topo.AppendNeighbors(p, nbrs[:0]) {
+			if !f.fbits.Get(q.X, q.Y) {
 				seed = append(seed, f.topo.Index(q))
 			}
 		}
@@ -364,8 +383,14 @@ func (f *Field) Add(ps ...grid.Point) (Delta, error) {
 	}
 	d.RoundsPhase1 = fr1.Rounds
 	d.ChangedPhase1 += len(fr1.Changed)
+	// Changed is ascending, so each row's consecutive nodes join one run.
 	for _, i := range fr1.Changed {
-		touched = append(touched, cell(f.topo.PointAt(i)))
+		p := f.topo.PointAt(i)
+		if n := len(touched) - 1; touched[n].Y == p.Y && touched[n].Hi == p.X-1 {
+			touched[n].Hi = p.X
+		} else {
+			touched = append(touched, cell(p))
+		}
 	}
 	f.touched = touched
 
@@ -377,13 +402,17 @@ func (f *Field) Add(ps ...grid.Point) (Delta, error) {
 	// enabled and never change.
 	var fresh []*region.Region
 	f.blocks, fresh = f.rb.UpdateRegions(f.ubits.Labels(), true, region.Conn4, f.blocks, touched)
-	area := f.areaOf(fresh)
-	d.ChangedPhase2, d.RoundsPhase2, err = f.recomputeEnabled(area)
+	f.area = f.area[:0]
+	for _, r := range fresh {
+		f.area = append(f.area, r.Runs()...)
+	}
+	words := f.areaWords()
+	d.ChangedPhase2, d.RoundsPhase2, err = f.recomputeEnabled(words)
 	if err != nil {
 		return Delta{}, err
 	}
 
-	f.regions, _ = f.rb.UpdateRegions(f.ebits.Labels(), false, f.cfg.Connectivity, f.regions, area)
+	f.regions, _ = f.rb.UpdateRegions(f.ebits.Labels(), false, f.cfg.Connectivity, f.regions, f.area)
 	f.observe(d, start)
 	return d, nil
 }
@@ -395,15 +424,16 @@ func (f *Field) Add(ps ...grid.Point) (Delta, error) {
 // their own faults). Points not currently faulty are skipped; points
 // outside the machine are an error, reported before anything is mutated.
 func (f *Field) Remove(ps ...grid.Point) (Delta, error) {
-	var removed []grid.Point
+	removed := f.applied[:0]
 	for _, p := range ps {
 		if !f.topo.Contains(p) {
 			return Delta{}, fmt.Errorf("incremental: fault %v outside %v", p, f.topo)
 		}
-		if f.faults.Has(p) {
+		if f.fbits.Get(p.X, p.Y) {
 			removed = append(removed, p)
 		}
 	}
+	f.applied = removed
 	d := Delta{Op: "remove", Points: len(removed)}
 	if len(removed) == 0 {
 		return d, nil
@@ -417,7 +447,8 @@ func (f *Field) Remove(ps ...grid.Point) (Delta, error) {
 		seeds = append(seeds, cell(p))
 	}
 	f.touched = seeds
-	area := f.areaOf(f.rb.Build(f.ubits.Labels(), true, region.Conn4, seeds))
+	f.area = f.rb.Area(f.ubits.Labels(), true, region.Conn4, seeds, f.area[:0])
+	words := f.areaWords()
 	for _, p := range removed {
 		f.faults.Remove(p)
 		f.setFault(f.topo.Index(p), false)
@@ -425,25 +456,19 @@ func (f *Field) Remove(ps ...grid.Point) (Delta, error) {
 	env := &simnet.Env{Topo: f.topo, Faulty: f.faults}
 
 	// Phase 1: reset the footprints to their initial labels (remaining
-	// faults unsafe, everything else safe) and recompute the closure of
-	// the remaining faults inside.
-	seed := f.seed[:0]
-	for _, r := range area {
-		for x := r.Lo; x <= r.Hi; x++ {
-			i := r.Y*f.topo.Width() + x
-			now := f.fbits.Get(x, r.Y)
-			if f.UnsafeBits().Get(x, r.Y) != now {
-				f.ubits.SetLabel(i, now)
-				d.ChangedPhase1++ // provisional; corrected after the fixpoint below
-			}
-			if !now {
-				seed = append(seed, i)
-			}
-		}
+	// faults unsafe, everything else safe) a word at a time, seed every
+	// nonfaulty footprint node, and recompute the closure of the
+	// remaining faults inside. The changed count is provisional until
+	// the fixpoint below corrects it.
+	u, fw := f.UnsafeBits().Words(), f.fbits.Words()
+	for _, a := range words {
+		fault := fw[a.wi]
+		d.ChangedPhase1 += bits.OnesCount64((u[a.wi] ^ fault) & a.m)
+		d.Frontier += bits.OnesCount64(a.m &^ fault)
+		f.ubits.SetWord(a.wi, a.m, fault)
+		f.ubits.SeedLanes(a.wi, a.m&^fault)
 	}
-	f.seed = seed
-	d.Frontier = len(seed)
-	fr1, err := f.runFrontier(env, status.UnsafeRule(f.cfg.Safety), f.ubits, seed, "phase1")
+	fr1, err := f.runFrontier(env, status.UnsafeRule(f.cfg.Safety), f.ubits, nil, "phase1")
 	if err != nil {
 		return Delta{}, fmt.Errorf("incremental: phase 1: %w", err)
 	}
@@ -452,48 +477,37 @@ func (f *Field) Remove(ps ...grid.Point) (Delta, error) {
 	// they end where they started, so they are not net changes.
 	d.ChangedPhase1 -= len(fr1.Changed)
 
-	d.ChangedPhase2, d.RoundsPhase2, err = f.recomputeEnabled(area)
+	d.ChangedPhase2, d.RoundsPhase2, err = f.recomputeEnabled(words)
 	if err != nil {
 		return Delta{}, err
 	}
 
-	f.blocks, _ = f.rb.UpdateRegions(f.ubits.Labels(), true, region.Conn4, f.blocks, area)
-	f.regions, _ = f.rb.UpdateRegions(f.ebits.Labels(), false, f.cfg.Connectivity, f.regions, area)
+	f.blocks, _ = f.rb.UpdateRegions(f.ubits.Labels(), true, region.Conn4, f.blocks, f.area)
+	f.regions, _ = f.rb.UpdateRegions(f.ebits.Labels(), false, f.cfg.Connectivity, f.regions, f.area)
 	f.observe(d, start)
 	return d, nil
 }
 
-// recomputeEnabled resets the enabled labels of the given area to their
-// initial values (enabled iff safe) and re-derives the phase-2 fixpoint
-// inside it. It returns the number of labels that settled differently
-// than before the reset and the frontier rounds used.
-func (f *Field) recomputeEnabled(area []region.Run) (changed, rounds int, err error) {
-	// The frontier engines canonicalize wave order internally, so the
-	// unordered area walk is fine; idx and before pair up by position.
-	idx := f.areaIdx[:0]
-	before := f.areaBefore[:0]
-	seed := f.seed[:0]
-	for _, r := range area {
-		for x := r.Lo; x <= r.Hi; x++ {
-			i := r.Y*f.topo.Width() + x
-			idx = append(idx, i)
-			before = append(before, f.EnabledBits().Get(x, r.Y))
-			f.ebits.SetLabel(i, !f.UnsafeBits().Get(x, r.Y)) // init: safe => enabled (faulty nodes are unsafe)
-			if !f.fbits.Get(x, r.Y) {
-				seed = append(seed, i)
-			}
-		}
+// recomputeEnabled resets the enabled labels of the given area words
+// to their initial values (enabled iff safe) and re-derives the phase-2
+// fixpoint inside them, seeded with every nonfaulty area node. It
+// returns the number of labels that settled differently than before
+// the reset and the frontier rounds used.
+func (f *Field) recomputeEnabled(words []areaWord) (changed, rounds int, err error) {
+	e, u, fw := f.EnabledBits().Words(), f.UnsafeBits().Words(), f.fbits.Words()
+	for k := range words {
+		a := &words[k]
+		a.before = e[a.wi]
+		f.ebits.SetWord(a.wi, a.m, ^u[a.wi])
+		f.ebits.SeedLanes(a.wi, a.m&^fw[a.wi])
 	}
-	f.areaIdx, f.areaBefore, f.seed = idx, before, seed
 	env := &simnet.Env{Topo: f.topo, Faulty: f.faults}
-	fr, err := f.runFrontier(env, status.EnabledRule(), f.ebits, seed, "phase2")
+	fr, err := f.runFrontier(env, status.EnabledRule(), f.ebits, nil, "phase2")
 	if err != nil {
 		return 0, 0, fmt.Errorf("incremental: phase 2: %w", err)
 	}
-	for k, i := range idx {
-		if f.ebits.Label(i) != before[k] {
-			changed++
-		}
+	for _, a := range words {
+		changed += bits.OnesCount64((e[a.wi] ^ a.before) & a.m)
 	}
 	return changed, fr.Rounds, nil
 }

@@ -21,6 +21,8 @@ type Builder struct {
 	faults *grid.BitGrid
 	seen   []uint64
 	queue  []Run
+	// drop is UpdateRegions' scratch: the ranges of old regions dropped.
+	drop [][2]int
 
 	// The plane of the current call: its cells are the set bits of
 	// words, or the clear ones when flip is all ones, minus seen.
@@ -36,6 +38,15 @@ func NewBuilder(topo *mesh.Topology, faults *grid.BitGrid) *Builder {
 	return &Builder{
 		topo: topo, faults: faults, seen: make([]uint64, faults.WordsPerRow()*faults.Height()),
 		w: topo.Width(), wpr: faults.WordsPerRow(), last: faults.LastWordMask(), torus: topo.Kind() == mesh.Torus2D,
+	}
+}
+
+// plane makes labels the plane of the current call: the components of
+// its set bits (want) or clear bits (!want) under conn.
+func (b *Builder) plane(labels *grid.BitGrid, want bool, conn Connectivity) {
+	b.words, b.flip, b.conn8 = labels.Words(), 0, conn == Conn8
+	if !want {
+		b.flip = ^uint64(0)
 	}
 }
 
@@ -119,10 +130,10 @@ func (b *Builder) collect(y, lo, hi int) {
 	}
 }
 
-// region floods the component of the unflooded run seed, leaving its
-// runs marked, and returns it with its runs sorted row-major and its
-// faults read off the fault plane.
-func (b *Builder) region(seed Run) *Region {
+// flood floods the component of the unflooded run seed, leaving its
+// runs marked, and returns them in flood order: the builder's queue,
+// valid until the next flood.
+func (b *Builder) flood(seed Run) []Run {
 	d := 0
 	if b.conn8 {
 		d = 1
@@ -138,12 +149,25 @@ func (b *Builder) region(seed Run) *Region {
 			b.collect(r.Y, r.Hi+1, r.Hi+1)
 		}
 	}
-	runs := slices.Clone(b.queue)
+	return b.queue
+}
+
+// region floods the component of the unflooded run seed, leaving its
+// runs marked, and returns it with its runs sorted row-major and its
+// faults read off the fault plane.
+func (b *Builder) region(seed Run) *Region {
+	runs := slices.Clone(b.flood(seed))
 	slices.SortFunc(runs, func(p, q Run) int { return (p.Y-q.Y)*b.w + p.Lo - q.Lo })
-	var faults []grid.Point
+	fw, n := b.faults.Words(), 0
 	for _, r := range runs {
 		for k := r.Lo / 64; k <= r.Hi/64; k++ {
-			for m := b.faults.Words()[r.Y*b.wpr+k] & lanes(k, r.Lo, r.Hi); m != 0; m &= m - 1 {
+			n += bits.OnesCount64(fw[r.Y*b.wpr+k] & lanes(k, r.Lo, r.Hi))
+		}
+	}
+	faults := make([]grid.Point, 0, n)
+	for _, r := range runs {
+		for k := r.Lo / 64; k <= r.Hi/64; k++ {
+			for m := fw[r.Y*b.wpr+k] & lanes(k, r.Lo, r.Hi); m != 0; m &= m - 1 {
 				faults = append(faults, grid.Pt(k*64+bits.TrailingZeros64(m), r.Y))
 			}
 		}
@@ -165,6 +189,24 @@ func (b *Builder) Build(labels *grid.BitGrid, want bool, conn Connectivity, seed
 	return out
 }
 
+// Area appends to dst the runs of the components of the plane (as in
+// Build) that have a cell in seeds, in no particular order, and returns
+// the result: the footprint Build would return the regions of, without
+// building them.
+func (b *Builder) Area(labels *grid.BitGrid, want bool, conn Connectivity, seeds, dst []Run) []Run {
+	b.plane(labels, want, conn)
+	start := len(dst)
+	for _, t := range seeds {
+		for r, ok := b.nextRun(t.Y, t.Lo, t.Hi); ok; r, ok = b.nextRun(t.Y, r.Hi+1, t.Hi) {
+			dst = append(dst, b.flood(r)...)
+		}
+	}
+	for _, r := range dst[start:] {
+		b.toggle(r)
+	}
+	return dst
+}
+
 // UpdateRegions incrementally updates a region list after a label delta.
 // touched must cover every cell whose label changed AND, for every
 // region affected by the delta, that region's full former footprint
@@ -173,42 +215,80 @@ func (b *Builder) Build(labels *grid.BitGrid, want bool, conn Connectivity, seed
 // cells (fresh, also returned), keeps every old region the delta could
 // not have reached under the same pointer, and returns the combined
 // list in the same canonical order as a full Build, bit for bit.
+//
+// An old region is dropped exactly when its canonical node lies in a
+// touched run (it lost its label, or was flooded from there) or in a
+// fresh region's run (a fresh component swallowed it, as when an added
+// fault bridges two blocks): an affected region lies wholly in touched,
+// and an unaffected one keeps its label with no touched cell reaching
+// it. A run is one row interval, so the old regions whose canonical
+// node it holds are one contiguous range of the canonical order: a
+// binary search finds its start, and a scan as long as the range its
+// end. The survivors are copied between the dropped ranges with the
+// sorted fresh regions merged in, so no call probes every old region.
 func (b *Builder) UpdateRegions(labels *grid.BitGrid, want bool, conn Connectivity, old []*Region, touched []Run) (out, fresh []*Region) {
-	b.words, b.flip, b.conn8 = labels.Words(), 0, conn == Conn8
-	if !want {
-		b.flip = ^uint64(0)
-	}
+	b.plane(labels, want, conn)
 	for _, t := range touched {
 		for r, ok := b.nextRun(t.Y, t.Lo, t.Hi); ok; r, ok = b.nextRun(t.Y, r.Hi+1, t.Hi) {
 			fresh = append(fresh, b.region(r))
 		}
 	}
-	// old is in canonical order (this method's own postcondition) and a
-	// subsequence of a sorted list stays sorted, so only the fresh
-	// components need sorting and survivors merge in O(len(old)).
 	sort.Slice(fresh, func(i, j int) bool { return fresh[i].Canonical().Less(fresh[j].Canonical()) })
-	out = make([]*Region, 0, len(fresh)+len(old))
-	fi := 0
-	for _, r := range old {
-		// A survivor still carries the label and no fresh component
-		// reached it. An affected region lies wholly in touched, so its
-		// canonical node either lost the label or was flooded from
-		// there; an unaffected one keeps its label and no touched cell
-		// reaches it. One bit test of the canonical node decides.
-		p := r.Canonical()
-		if b.word(p.Y, p.X/64)>>(p.X%64)&1 == 0 {
-			continue
-		}
-		for fi < len(fresh) && fresh[fi].Canonical().Less(p) {
-			out = append(out, fresh[fi])
-			fi++
-		}
-		out = append(out, r)
-	}
 	for _, reg := range fresh {
 		for _, r := range reg.runs {
 			b.toggle(r)
 		}
 	}
-	return append(out, fresh[fi:]...), fresh
+
+	// search returns the index of the first old region whose canonical
+	// node is not before p.
+	search := func(p grid.Point) int {
+		return sort.Search(len(old), func(i int) bool { return !old[i].Canonical().Less(p) })
+	}
+	drop := b.drop[:0]
+	dropRun := func(r Run) {
+		lo := search(grid.Pt(r.Lo, r.Y))
+		hi := lo
+		for hi < len(old) && old[hi].runs[0].Y == r.Y && old[hi].runs[0].Lo <= r.Hi {
+			hi++
+		}
+		if lo < hi {
+			drop = append(drop, [2]int{lo, hi})
+		}
+	}
+	for _, t := range touched {
+		dropRun(t)
+	}
+	for _, reg := range fresh {
+		for _, r := range reg.runs {
+			dropRun(r)
+		}
+	}
+	slices.SortFunc(drop, func(p, q [2]int) int { return p[0] - q[0] })
+	b.drop = drop
+
+	// Copy the survivors up to each fresh region's place in the old
+	// order (and after the last), skipping the dropped ranges.
+	out = make([]*Region, 0, len(old)+len(fresh))
+	i, di := 0, 0
+	for fi := 0; fi <= len(fresh); fi++ {
+		at := len(old)
+		if fi < len(fresh) {
+			at = search(fresh[fi].Canonical())
+		}
+		for ; di < len(drop) && drop[di][0] < at; di++ {
+			if i < drop[di][0] {
+				out = append(out, old[i:drop[di][0]]...)
+			}
+			i = max(i, drop[di][1])
+		}
+		if i < at {
+			out = append(out, old[i:at]...)
+			i = at
+		}
+		if fi < len(fresh) {
+			out = append(out, fresh[fi])
+		}
+	}
+	return out, fresh
 }

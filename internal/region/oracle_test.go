@@ -3,6 +3,7 @@ package region
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ocpmesh/internal/grid"
@@ -291,7 +292,93 @@ func TestBuildSeededMatchesOracle(t *testing.T) {
 				}
 			}
 		}
-		sameRegions(t, c.name, NewBuilder(topo, fp).Build(lp, c.want, c.conn, seeds), want)
+		b := NewBuilder(topo, fp)
+		sameRegions(t, c.name, b.Build(lp, c.want, c.conn, seeds), want)
+		// Area is the same footprint as runs, and leaves the builder clear.
+		var wantRuns []Run
+		for _, r := range want {
+			wantRuns = append(wantRuns, r.Runs()...)
+		}
+		area := b.Area(lp, c.want, c.conn, seeds, []Run{{Y: -1}})
+		gotRuns := slices.Clone(area[1:])
+		for _, rs := range [][]Run{wantRuns, gotRuns} {
+			slices.SortFunc(rs, func(p, q Run) int { return (p.Y-q.Y)*c.w + p.Lo - q.Lo })
+		}
+		if area[0] != (Run{Y: -1}) || !slices.Equal(gotRuns, wantRuns) {
+			t.Fatalf("%s: Area %v, want the seeded regions' runs %v after the given prefix", c.name, area, wantRuns)
+		}
+		sameRegions(t, c.name+"/after Area", b.Build(lp, c.want, c.conn, seeds), want)
+	}
+}
+
+// TestUpdateRegionsBridge pins the merge a touched set alone does not
+// reveal: cells added between old regions bridge them, the touched set
+// holds only the new cells, and neither bridged region's canonical node
+// is touched, so only the fresh component's runs show that they are
+// gone. The update must equal a full Build, drop exactly the bridged
+// regions and keep every other region by pointer; on mesh and torus,
+// with bridges inside a row, across rows and across the x seam.
+func TestUpdateRegionsBridge(t *testing.T) {
+	rect := func(x0, y0, x1, y1 int) []grid.Point { return grid.NewRect(x0, y0, x1, y1).Points() }
+	for _, c := range []struct {
+		name          string
+		w             int
+		torus         bool
+		cells, bridge []grid.Point
+		bridged       int
+	}{
+		// Two runs of one row joined at the column between them.
+		{"row", 12, false, append(rect(2, 5, 4, 5), rect(6, 5, 8, 5)...), []grid.Point{{X: 5, Y: 5}}, 2},
+		// Two blocks whose canonical rows differ, joined in a lower row.
+		{"rows", 12, false, append(rect(2, 2, 3, 4), rect(6, 3, 7, 5)...), rect(4, 4, 5, 4), 2},
+		// Three blocks in a chain across the word boundary.
+		{"word", 140, false, append(append(rect(60, 1, 62, 3), rect(64, 2, 66, 6)...), rect(68, 5, 70, 7)...), []grid.Point{{X: 63, Y: 2}, {X: 67, Y: 5}}, 3},
+		// A block crossing the x seam (canonical at column 0) joined to
+		// one further right.
+		{"seam", 20, true, append(append(rect(0, 5, 0, 6), rect(18, 5, 19, 6)...), rect(3, 6, 4, 7)...), rect(1, 6, 2, 6), 2},
+		// A block crossing the y seam joined to one below the seam.
+		{"seam-y", 20, true, append(append(rect(5, 0, 6, 0), rect(5, 8, 6, 9)...), rect(8, 6, 9, 7)...), rect(7, 7, 7, 8), 2},
+	} {
+		for _, conn := range []Connectivity{Conn4, Conn8} {
+			name := fmt.Sprintf("%s/%v", c.name, conn)
+			kind := mesh.Mesh2D
+			if c.torus {
+				kind = mesh.Torus2D
+			}
+			topo := mesh.MustNew(c.w, 10, kind)
+			labels := make([]bool, topo.Size())
+			// Unaffected regions before, between and after the bridged
+			// ones in canonical order.
+			for _, p := range append(append(slices.Clone(c.cells), grid.Pt(c.w-2, 0), grid.Pt(c.w-2, 9)), rect(11, 1, 11, 1)...) {
+				labels[topo.Index(p)] = true
+			}
+			faults := grid.PointSetOf(c.cells[0], c.bridge[0])
+			lp, fp := planes(topo, faults, labels)
+			b := NewBuilder(topo, fp)
+			old := b.Build(lp, true, conn, nil)
+			var touched []Run
+			for _, p := range c.bridge {
+				labels[topo.Index(p)] = true
+				touched = append(touched, Run{Y: p.Y, Lo: p.X, Hi: p.X})
+				for _, r := range old {
+					if r.Canonical() == p {
+						t.Fatalf("%s: the bridge touches the canonical node of %v", name, r)
+					}
+				}
+			}
+			lp.SetBools(labels)
+			got, fresh := b.UpdateRegions(lp, true, conn, old, touched)
+			sameRegions(t, name, got, b.Build(lp, true, conn, nil))
+			kept := 0
+			for _, r := range old {
+				if slices.Contains(got, r) {
+					kept++
+				}
+			}
+			if len(fresh) != 1 || kept != len(old)-c.bridged || len(got) != kept+1 {
+				t.Fatalf("%s: %d fresh, %d of %d old regions kept, want 1 fresh and %d bridged", name, len(fresh), kept, len(old), c.bridged)
+			}
+		}
 	}
 }
 

@@ -100,6 +100,11 @@ func regionOf(nodes, faults *grid.PointSet) *Region {
 	return newRegion(runs, faults.Points())
 }
 
+// Lanes returns the lanes of word k of the run's row (64 columns per
+// word, the grid.BitGrid packing) that the run covers; k must lie in
+// [Lo/64, Hi/64].
+func (r Run) Lanes(k int) uint64 { return lanes(k, r.Lo, r.Hi) }
+
 // Runs returns the region's row runs, sorted row-major. Read-only.
 func (r *Region) Runs() []Run { return r.runs }
 

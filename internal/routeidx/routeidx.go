@@ -103,7 +103,7 @@ type formation struct {
 }
 
 // faultSet is the fault-set view the faults-only model compiles from,
-// met by *grid.PointSet (Result) and core.FaultList (Frame).
+// met by *grid.PointSet (Result) and core.FaultSet (Frame).
 type faultSet interface {
 	Points() []grid.Point
 }
@@ -165,31 +165,35 @@ func build(prev *Index, src formation, model routing.Model, opt Options) *Index 
 		prev = nil
 	}
 	var prevRegs []*regionIdx
+	var prevObs []*region.Region
+	stable := model != routing.ModelFaultsOnly
 	if prev != nil {
 		prevRegs = prev.regs
+		if stable { // the faults-only model's obstacles are never reused
+			prevObs = obstaclesOf(prev.src, model)
+		}
 	}
 
 	// Both obstacle lists are in canonical order and a delta keeps its
 	// survivors in order (region.Builder.UpdateRegions), so one merge
-	// finds every survivor by pointer: a previous obstacle passed over,
-	// or met at the same canonical node under another pointer, did not
-	// survive.
-	stable := model != routing.ModelFaultsOnly
+	// over the two region lists finds every survivor by pointer: a
+	// previous obstacle passed over, or met at the same canonical node
+	// under another pointer, did not survive. prevObs[j] is the region
+	// prevRegs[j] was compiled from, so a survivor costs one pointer
+	// compare and dereferences neither its compiled form nor its runs.
 	obstacles := obstaclesOf(src, model)
 	ix.regs = make([]*regionIdx, len(obstacles))
 	var added, dropped []*regionIdx
 	j := 0
 	for i, r := range obstacles {
-		if stable {
-			for j < len(prevRegs) && prevRegs[j].src != r && !r.Canonical().Less(prevRegs[j].src.Canonical()) {
-				dropped = append(dropped, prevRegs[j])
-				j++
-			}
-			if j < len(prevRegs) && prevRegs[j].src == r {
-				ix.regs[i] = prevRegs[j]
-				j++
-				continue
-			}
+		for j < len(prevObs) && prevObs[j] != r && !r.Canonical().Less(prevObs[j].Canonical()) {
+			dropped = append(dropped, prevRegs[j])
+			j++
+		}
+		if j < len(prevObs) && prevObs[j] == r {
+			ix.regs[i] = prevRegs[j]
+			j++
+			continue
 		}
 		ix.regs[i] = compileRegion(r)
 		added = append(added, ix.regs[i])

@@ -150,19 +150,16 @@ func routeBenchTenant(b *testing.B) (*serve.Service, *serve.Tenant) {
 }
 
 // BenchmarkWriteDelta measures writing one POST /deltas response with
-// its stage breakdown.
+// its stage breakdown, appended as the handler does.
 func BenchmarkWriteDelta(b *testing.B) {
-	benchWriteJSON(b, serve.DeltaResponse{Seq: 98765, Applied: 32, Frontier: 410, Rounds: 12, Changed: 388, Batched: 3,
-		Stages: &serve.StageBreakdown{QueueNS: 41000, BatchNS: 2000, ComputeNS: 94000, PublishNS: 63000, TotalNS: 200000}})
-}
-
-func benchWriteJSON(b *testing.B, v any) {
+	resp := &serve.DeltaResponse{Seq: 98765, Applied: 32, Frontier: 410, Rounds: 12, Changed: 388, Batched: 3,
+		Stages: &serve.StageBreakdown{QueueNS: 41000, BatchNS: 2000, ComputeNS: 94000, PublishNS: 63000, TotalNS: 200000}}
 	w := newBodyWriter()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.reset()
-		serve.WriteJSON(w, http.StatusOK, v)
+		serve.WriteDelta(w, resp)
 	}
 	b.SetBytes(int64(len(w.body)))
 }

@@ -534,3 +534,77 @@ func TestRouteHandlerAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestDeltaBodyMatchesWriteJSON pins the appended POST /deltas body to
+// writeJSON's encoding of the same DeltaResponse: the zero value, every
+// omitempty field zero and non-zero on its own, random and extreme
+// values with and without a stage breakdown, and a zero breakdown; then
+// drives the live handler and re-encodes its decoded body.
+func TestDeltaBodyMatchesWriteJSON(t *testing.T) {
+	want, got := newBodyWriter(), newBodyWriter()
+	compare := func(r serve.DeltaResponse) {
+		t.Helper()
+		want.reset()
+		got.reset()
+		serve.WriteJSON(want, http.StatusOK, r)
+		serve.WriteDelta(got, &r)
+		if !bytes.Equal(got.body, want.body) || got.code != http.StatusOK {
+			t.Fatalf("%+v: status %d, appended body differs from writeJSON:\n got %s\nwant %s", r, got.code, got.body, want.body)
+		}
+	}
+	compare(serve.DeltaResponse{})
+	compare(serve.DeltaResponse{Stages: &serve.StageBreakdown{}})
+	for i := 0; i < 5; i++ {
+		r := serve.DeltaResponse{}
+		switch i {
+		case 0:
+			r.Frontier = 1
+		case 1:
+			r.Rounds = 1
+		case 2:
+			r.Changed = 1
+		case 3:
+			r.Batched = 1
+		case 4:
+			r.Applied = 1
+		}
+		compare(r)
+	}
+	compare(serve.DeltaResponse{Seq: math.MaxUint64, Applied: math.MinInt, Frontier: math.MaxInt, Rounds: -1, Changed: math.MaxInt32, Batched: math.MinInt32,
+		Stages: &serve.StageBreakdown{QueueNS: math.MinInt64, BatchNS: math.MaxInt64, ComputeNS: -1, PublishNS: 0, TotalNS: 1}})
+	rng := rand.New(rand.NewSource(9))
+	val := func() int {
+		if rng.Intn(3) == 0 {
+			return 0
+		}
+		return rng.Intn(1<<20) - 1<<10
+	}
+	for i := 0; i < 500; i++ {
+		r := serve.DeltaResponse{Seq: rng.Uint64() >> rng.Intn(64), Applied: val(), Frontier: val(), Rounds: val(), Changed: val(), Batched: val()}
+		if rng.Intn(2) == 0 {
+			r.Stages = &serve.StageBreakdown{QueueNS: int64(val()), BatchNS: int64(val()), ComputeNS: int64(val()), PublishNS: int64(val()), TotalNS: rng.Int63()}
+		}
+		compare(r)
+	}
+
+	for _, stages := range []bool{false, true} {
+		ts, _ := newTestServer(t, serve.Options{Shards: 1, DisableStages: !stages})
+		if resp, body := doJSON(t, "POST", ts.URL+"/api/tenants", serve.CreateRequest{
+			ID: "d", Config: serve.TenantConfig{Width: 16, Height: 16}, Faults: [][2]int{{5, 5}},
+		}); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create: %d %s", resp.StatusCode, body)
+		}
+		for _, req := range []serve.DeltaRequest{
+			{Op: "add", Points: [][2]int{{6, 6}, {7, 7}}}, {Op: "add", Points: [][2]int{{6, 6}}}, {Op: "remove", Points: [][2]int{{5, 5}}},
+		} {
+			resp, body := doJSON(t, "POST", ts.URL+"/api/tenants/d/deltas", req)
+			var dr serve.DeltaResponse
+			if err := json.Unmarshal(body, &dr); err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%+v: %d %s (%v)", req, resp.StatusCode, body, err)
+			}
+			if (dr.Stages != nil) != stages || !bytes.Equal(body, indentedJSON(t, dr)) {
+				t.Fatalf("%+v, stages=%v: live body is not writeJSON's encoding of itself:\n%s", req, stages, body)
+			}
+		}
+	}
+}

@@ -103,6 +103,11 @@ func WriteRoute(w http.ResponseWriter, seq uint64, path routing.Path) {
 	writeAppended(w, func(dst []byte) []byte { return appendRoute(dst, seq, path) })
 }
 
+// WriteDelta writes a POST /deltas response the way the handler does.
+func WriteDelta(w http.ResponseWriter, resp *DeltaResponse) {
+	writeAppended(w, func(dst []byte) []byte { return appendDelta(dst, resp) })
+}
+
 // ObserveLabelsQuery runs fn under the labels read's query metrics.
 func (s *Server) ObserveLabelsQuery(fn func()) { s.observeQuery(queryLabels, fn) }
 

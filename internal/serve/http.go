@@ -735,7 +735,9 @@ func (s *Server) postDelta(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, DeltaResponse{
+	rb := getRespBuf()
+	defer rb.release()
+	rb.body = appendDelta(rb.body, &DeltaResponse{
 		Seq:      resp.Seq,
 		Applied:  resp.Delta.Points,
 		Frontier: resp.Delta.Frontier,
@@ -744,6 +746,38 @@ func (s *Server) postDelta(w http.ResponseWriter, r *http.Request) {
 		Batched:  resp.Batched,
 		Stages:   resp.Stages,
 	})
+	writeBody(w, http.StatusOK, rb.body)
+}
+
+// appendDelta appends a POST /deltas body: byte for byte what writeJSON
+// writes for r, omitempty fields included.
+func appendDelta(dst []byte, r *DeltaResponse) []byte {
+	dst = append(dst, "{\n  \"seq\": "...)
+	dst = strconv.AppendUint(dst, r.Seq, 10)
+	dst = appendField(dst, ",\n  \"applied\": ", int64(r.Applied), false)
+	dst = appendField(dst, ",\n  \"frontier\": ", int64(r.Frontier), true)
+	dst = appendField(dst, ",\n  \"rounds\": ", int64(r.Rounds), true)
+	dst = appendField(dst, ",\n  \"changed\": ", int64(r.Changed), true)
+	dst = appendField(dst, ",\n  \"batched\": ", int64(r.Batched), true)
+	if st := r.Stages; st != nil {
+		dst = appendField(dst, ",\n  \"stages\": {\n    \"queue_ns\": ", st.QueueNS, false)
+		dst = appendField(dst, ",\n    \"batch_ns\": ", st.BatchNS, false)
+		dst = appendField(dst, ",\n    \"compute_ns\": ", st.ComputeNS, false)
+		dst = appendField(dst, ",\n    \"publish_ns\": ", st.PublishNS, false)
+		dst = appendField(dst, ",\n    \"total_ns\": ", st.TotalNS, false)
+		dst = append(dst, "\n  }"...)
+	}
+	return append(dst, "\n}\n"...)
+}
+
+// appendField appends key (the separator, indentation and quoted name
+// with its colon) and v in decimal; nothing at all when omitEmpty and v
+// is zero.
+func appendField(dst []byte, key string, v int64, omitEmpty bool) []byte {
+	if omitEmpty && v == 0 {
+		return dst
+	}
+	return strconv.AppendInt(append(dst, key...), v, 10)
 }
 
 // LabelsResponse is the body of GET /api/tenants/{id}/labels: both

@@ -98,7 +98,7 @@ func TestServeConcurrentHammer(t *testing.T) {
 				}
 				lastSeq = snap.Seq
 				ok := true
-				for _, p := range snap.Frame.Faults {
+				for _, p := range snap.Frame.Faults.Points() {
 					if !snap.Frame.IsUnsafe(p) || snap.Frame.IsEnabled(p) {
 						ok = false
 					}

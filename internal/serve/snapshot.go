@@ -120,8 +120,9 @@ func (t *Tenant) TakeSnapshot() *TenantSnapshot { return t.serialize(t.Snapshot(
 // are the frame's own words, base64'd with no repacking.
 func (t *Tenant) serialize(snap *Snapshot) *TenantSnapshot {
 	fr := snap.Frame
-	faults := make([][2]int, len(fr.Faults))
-	for i, p := range fr.Faults {
+	pts := fr.Faults.Points()
+	faults := make([][2]int, len(pts))
+	for i, p := range pts {
 		faults[i] = [2]int{p.X, p.Y}
 	}
 	ts := &TenantSnapshot{

@@ -18,16 +18,17 @@ import (
 // Field keeps one per phase for the lifetime of its fault deltas,
 // updating labels and liveness in O(delta) between runs.
 //
-// Label mutations go through SetLabel, which feeds a dirty-word set
-// (grid.BitGrid.Track); RunBitsetFrontier drains it into the first
-// wave's word worklist, so every word the caller touched since the last
-// run is scanned even when the corresponding seed lanes were deduped or
-// dropped.
+// Label mutations go through SetLabel (one lane) or SetWord (the masked
+// lanes of one word), which feed a dirty-word set; RunBitsetFrontier
+// drains it into the first wave's word worklist, so every word the
+// caller touched since the last run is scanned even when the
+// corresponding seed lanes were deduped or dropped. SeedLanes seeds a
+// word's lanes directly, the word-at-a-time form of a seed list.
 //
 // A second word set records every word written since the last
-// ClearWritten: SetLabel, SetLive and each wave's label flips mark it
-// where they write, so a publisher that copies only those words'
-// chunks (core.Session.Frame) cannot miss a change.
+// ClearWritten: SetLabel, SetWord, SetLive and each wave's label flips
+// mark it where they write, so a publisher that copies only those
+// words' chunks (core.Session.Frame) cannot miss a change.
 type BitField struct {
 	w, h, wpr int
 	lastLane  uint // lane of column width-1 in a row's last word
@@ -100,6 +101,29 @@ func (f *BitField) SetLabel(i int, v bool) {
 	f.labels.Set(i%f.w, i/f.w, v)
 }
 
+// SetWord assigns the lanes of mask in word wi to those of v, marking
+// the word dirty and written when a bit actually flips. mask must hold
+// no padding lane.
+func (f *BitField) SetWord(wi int, mask, v uint64) {
+	old := f.cur[wi]
+	if f.cur[wi] = old&^mask | v&mask; f.cur[wi] != old {
+		f.dirty.Add(wi)
+		f.written.Add(wi)
+	}
+}
+
+// SeedLanes adds the live lanes of m in word wi to the frontier of the
+// next RunBitsetFrontier and marks the word dirty, so that run's first
+// wave evaluates them exactly as it would seed indexes; faulty and
+// padding lanes are never seeded. The next run consumes the seeded
+// lanes: every exit of a run leaves the frontier empty.
+func (f *BitField) SeedLanes(wi int, m uint64) {
+	if m &= f.live[wi]; m != 0 {
+		f.front[wi] |= m
+		f.dirty.Add(wi)
+	}
+}
+
 // SetLive marks node i faulty (live false: its lane is pinned at
 // whatever label it holds) or restores it (live true). The word joins
 // the dirty and written sets either way.
@@ -114,8 +138,8 @@ func (f *BitField) SetLive(i int, live bool) {
 	f.written.Add(wi)
 }
 
-// Written returns the label words written by SetLabel, SetLive and
-// runs since the last ClearWritten (or since the field was built), in
+// Written returns the label words written by SetLabel, SetWord, SetLive
+// and runs since the last ClearWritten (or since the field was built), in
 // no particular order. Words written and then restored stay listed; the
 // plane the field was built with is not. The slice is the field's own
 // storage, valid until its next mutation.
