@@ -280,7 +280,7 @@ func BenchmarkDetourRouter(b *testing.B) {
 
 // BenchmarkRoute pins the routing query layer's speedup contract: the
 // idx=off legs answer hop-count queries with the walk-based Detour, the
-// idx=on legs with the precompiled boundary index (internal/routeidx),
+// idx=on legs with the plane routing index (internal/routeidx),
 // over identical pair sets. `octrace bench speedup` gates the committed
 // BENCH_route.json on off/on >= 10x at n=512 (CI route-bench job). One
 // op is one query, so ns/op is directly comparable across legs.

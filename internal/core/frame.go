@@ -41,14 +41,15 @@ type Frame struct {
 	unsafe, enabled plane
 }
 
-// chunkWords is the number of plane words per shared chunk: 4 KB, 64
+// ChunkWords is the number of plane words per shared chunk: 4 KB, 64
 // rows of a 512-wide mesh. A small delta copies one or two chunks per
 // plane, and a few large live chunks keep a long-serving session's heap
-// from fragmenting as deltas replace them.
-const chunkWords = 512
+// from fragmenting as deltas replace them. Exported so that planes built
+// beside a frame's (internal/routeidx) chunk the same way.
+const ChunkWords = 512
 
 // plane is a frozen label plane: the grid.BitGrid words in order, cut
-// into chunks of chunkWords (the last one shorter). Chunks are never
+// into chunks of ChunkWords (the last one shorter). Chunks are never
 // mutated, so frames share them freely.
 type plane [][]uint64
 
@@ -57,9 +58,9 @@ type plane [][]uint64
 // written word indexes and copies the others, so it costs O(written
 // words) plus O(chunks) of header. With no prev every chunk is copied.
 func publish(words []uint64, prev plane, written []int) plane {
-	out := make(plane, (len(words)+chunkWords-1)/chunkWords)
+	out := make(plane, (len(words)+ChunkWords-1)/ChunkWords)
 	chunk := func(c int) []uint64 {
-		return slices.Clone(words[c*chunkWords : min((c+1)*chunkWords, len(words))])
+		return slices.Clone(words[c*ChunkWords : min((c+1)*ChunkWords, len(words))])
 	}
 	if prev == nil {
 		for c := range out {
@@ -69,7 +70,7 @@ func publish(words []uint64, prev plane, written []int) plane {
 	}
 	copy(out, prev)
 	for _, wi := range written {
-		if c := wi / chunkWords; &out[c][0] == &prev[c][0] {
+		if c := wi / ChunkWords; &out[c][0] == &prev[c][0] {
 			out[c] = chunk(c)
 		}
 	}
@@ -88,7 +89,7 @@ func (pl plane) get(topo *mesh.Topology, p grid.Point) bool {
 // bit returns cell p, which must lie on the machine.
 func (pl plane) bit(topo *mesh.Topology, p grid.Point) bool {
 	wi := p.Y*((topo.Width()+63)/64) + p.X/64
-	return pl[wi/chunkWords][wi%chunkWords]>>(uint(p.X)%64)&1 != 0
+	return pl[wi/ChunkWords][wi%ChunkWords]>>(uint(p.X)%64)&1 != 0
 }
 
 func (pl plane) count() int {
@@ -125,7 +126,7 @@ func (s FaultSet) Points() []grid.Point {
 	wpr := (s.topo.Width() + 63) / 64
 	for c, chunk := range s.pl {
 		for j, w := range chunk {
-			wi := c*chunkWords + j
+			wi := c*ChunkWords + j
 			for y, x0 := wi/wpr, 64*(wi%wpr); w != 0; w &= w - 1 {
 				out = append(out, grid.Pt(x0+bits.TrailingZeros64(w), y))
 			}
@@ -133,6 +134,10 @@ func (s FaultSet) Points() []grid.Point {
 	}
 	return out
 }
+
+// Words returns the fault plane's words in the grid.BitGrid.Words order
+// as consecutive chunks, like Frame.UnsafeWords. Read-only.
+func (s FaultSet) Words() [][]uint64 { return s.pl }
 
 // Set returns the faults as a new PointSet.
 func (s FaultSet) Set() *grid.PointSet { return grid.PointSetOf(s.Points()...) }

@@ -15,9 +15,9 @@ import (
 // plane, sharing every chunk of prev whose words are unchanged and
 // copying the rest.
 func freeze(words []uint64, prev plane) plane {
-	out := make(plane, (len(words)+chunkWords-1)/chunkWords)
+	out := make(plane, (len(words)+ChunkWords-1)/ChunkWords)
 	for c := range out {
-		src := words[c*chunkWords : min((c+1)*chunkWords, len(words))]
+		src := words[c*ChunkWords : min((c+1)*ChunkWords, len(words))]
 		if c < len(prev) && sameWords(prev[c], src) {
 			out[c] = prev[c]
 		} else {
@@ -103,7 +103,7 @@ func (pc *publishCheck) frame(tag string) *Frame {
 func chunksOf(words []int) map[int]bool {
 	m := map[int]bool{}
 	for _, wi := range words {
-		m[wi/chunkWords] = true
+		m[wi/ChunkWords] = true
 	}
 	return m
 }
@@ -243,8 +243,8 @@ func TestFramePublishBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	prev := s.Frame()
-	chunks := (side / 64 * side) / chunkWords
-	limit := uint64(2*(2*chunkWords*8+chunks*24) + chunkWords*8 + chunks*24 + 256)
+	chunks := (side / 64 * side) / ChunkWords
+	limit := uint64(2*(2*ChunkWords*8+chunks*24) + ChunkWords*8 + chunks*24 + 256)
 	var ms runtime.MemStats
 	for i := 0; i < 20; i++ {
 		p := grid.Pt(rng.Intn(side), rng.Intn(side))

@@ -104,10 +104,9 @@ func (s *Session) RemoveFaults(ps ...grid.Point) (Delta, error) {
 // structures are shared (they are replaced, never mutated, by deltas).
 // Region and block pointers are stable across deltas for components
 // whose label sets did not change — region.Builder.UpdateRegions keeps
-// survivor pointers — which is the dirty information internal/routeidx
-// uses for O(changed-regions) incremental index rebuilds. RoundsPhase1/RoundsPhase2 report the
-// initial full formation's rounds — per-delta restabilization rounds
-// are on the Delta values the mutating calls return.
+// survivor pointers. RoundsPhase1/RoundsPhase2 report the initial full
+// formation's rounds — per-delta restabilization rounds are on the
+// Delta values the mutating calls return.
 func (s *Session) Result() *Result {
 	f := s.field
 	return &Result{

@@ -158,8 +158,8 @@ func TestSessionClose(t *testing.T) {
 	}
 }
 
-// TestSessionRegionPointerStability pins the Result() sharing contract
-// routeidx builds on: a delta far away from an existing region leaves
+// TestSessionRegionPointerStability pins the Result() sharing contract:
+// a delta far away from an existing region leaves
 // that region's pointer identical across snapshots, while a delta
 // touching it replaces the pointer.
 func TestSessionRegionPointerStability(t *testing.T) {

@@ -109,11 +109,11 @@ const (
 	EServeRequest = "serve_request"
 	// ERouteIndex is one routing-index (re)build (internal/routeidx):
 	// Tenant is set when the build serves a tenant snapshot, N is the
-	// obstacle-region count, Changed the regions compiled this build,
-	// Frontier the regions reused pointer-identical from the previous
-	// index, DurNS the build wall-clock time. Changed + Frontier == N,
-	// and steady-state deltas keep Changed proportional to the
-	// perturbation — the incremental invalidation contract.
+	// number of chunks of the index's column-major twin plane, Changed
+	// the chunks this build copied (all of them on a full compile),
+	// Frontier the chunks shared with the previous index, DurNS the
+	// build wall-clock time. Changed + Frontier == N, and a small delta
+	// copies only the chunks its changed cells fall in.
 	ERouteIndex = "route_index"
 	// EInvariantViolation reports a failed paper-invariant monitor
 	// (core/monitor.go, simnet frontier): Name is the monitor

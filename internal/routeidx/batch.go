@@ -40,42 +40,34 @@ type BatchOptions struct {
 // paths. Answers are positionally aligned with qs.
 func (ix *Index) RouteMany(qs []Query, opt BatchOptions) []Answer {
 	out := make([]Answer, len(qs))
-	if len(qs) == 0 {
-		return out
-	}
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(qs) {
-		workers = len(qs)
-	}
+	workers = min(workers, len(qs))
+	var cursor atomic.Int64
 	if workers == 1 {
-		i := 0
-		ix.routeRange(qs, out, opt.Paths, func() int { i++; return i - 1 })
+		ix.routeRange(qs, out, opt.Paths, &cursor)
 		return out
 	}
-	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			ix.routeRange(qs, out, opt.Paths, func() int {
-				return int(cursor.Add(1)) - 1
-			})
+			ix.routeRange(qs, out, opt.Paths, &cursor)
 		}()
 	}
 	wg.Wait()
 	return out
 }
 
-// routeRange answers the queries handed out by next (a work-claiming
-// cursor) with one scratch path reused across all of them.
-func (ix *Index) routeRange(qs []Query, out []Answer, paths bool, next func() int) {
+// routeRange answers the queries it claims off the shared cursor with
+// one scratch path reused across all of them.
+func (ix *Index) routeRange(qs []Query, out []Answer, paths bool, cursor *atomic.Int64) {
 	var scratch routing.Path
 	for {
-		i := next()
+		i := int(cursor.Add(1)) - 1
 		if i >= len(qs) {
 			return
 		}
@@ -113,7 +105,7 @@ func (idxRouter) Name() string { return "indexed" }
 
 // Route implements routing.Router.
 func (r idxRouter) Route(g *routing.Graph, src, dst grid.Point) (routing.Path, error) {
-	if g.Labels() != r.ix.src.view || g.Model() != r.ix.model {
+	if g.Labels() != r.ix.view || g.Model() != r.ix.model {
 		return nil, fmt.Errorf("routeidx: router compiled for a different snapshot or model than the graph")
 	}
 	return r.ix.Route(src, dst)

@@ -2,7 +2,6 @@ package routeidx
 
 import (
 	"fmt"
-	"sort"
 
 	"ocpmesh/internal/grid"
 	"ocpmesh/internal/mesh"
@@ -38,12 +37,12 @@ func (ix *Index) Hops(src, dst grid.Point) (int, error) {
 }
 
 // run simulates Detour's walk exactly, in bulk: greedy dimension-order
-// runs collapse into binary-searched segment jumps against the row and
-// column interval tables, and wall-following episodes run Detour's own
-// right-hand step against the forbidden-cell plane. Decisions, hop
-// counts and failure modes therefore match Detour on every query.
+// runs collapse into segment jumps found by word scans of the row plane
+// and its twin, and wall-following episodes run Detour's own right-hand
+// step against the row plane. Decisions, hop counts and failure modes
+// therefore match Detour on every query.
 func (ix *Index) run(src, dst grid.Point, buf routing.Path, wantPath bool) (routing.Path, int, error) {
-	topo := ix.src.topo
+	topo := ix.topo
 	if !ix.allowed(src) {
 		return buf, 0, &routing.UnroutableError{Role: "source", Point: src, Model: ix.model}
 	}
@@ -54,15 +53,10 @@ func (ix *Index) run(src, dst grid.Point, buf routing.Path, wantPath bool) (rout
 	if wantPath {
 		path = append(path, src)
 	}
-	cur := src
-	hops := 0
-	maxHops := ix.maxHops
-
+	cur, hops, maxHops := src, 0, ix.maxHops
 	// Wall-following state, mirroring Detour's: heading and the distance
 	// at which the wall was hit.
-	wall := false
-	var heading mesh.Direction
-	hitDist := 0
+	wall, heading, hitDist := false, mesh.Direction(0), 0
 
 	for cur != dst && hops < maxHops {
 		if !wall {
@@ -73,9 +67,7 @@ func (ix *Index) run(src, dst grid.Point, buf routing.Path, wantPath bool) (rout
 			if bt > 0 {
 				free = bt - 1
 			}
-			if rem := maxHops - hops; free > rem {
-				free = rem
-			}
+			free = min(free, maxHops-hops)
 			if free > 0 {
 				cur, path = ix.emit(path, cur, dir, free, wantPath)
 				hops += free
@@ -97,16 +89,15 @@ func (ix *Index) run(src, dst grid.Point, buf routing.Path, wantPath bool) (rout
 		// greedy step is available — checked before each wall step, as
 		// in Detour.
 		if topo.Dist(cur, dst) < hitDist {
-			if dir, ok := routing.DirToward(topo, cur, dst); ok {
-				if next, ok := topo.NeighborIn(cur, dir); ok && ix.allowed(next) {
-					wall = false
-					if wantPath {
-						path = append(path, next)
-					}
-					cur = next
-					hops++
-					continue
+			dir, _ := routing.DirToward(topo, cur, dst) // cur != dst
+			if next, ok := topo.NeighborIn(cur, dir); ok && ix.allowed(next) {
+				wall = false
+				if wantPath {
+					path = append(path, next)
 				}
+				cur = next
+				hops++
+				continue
 			}
 		}
 
@@ -132,23 +123,23 @@ func (ix *Index) run(src, dst grid.Point, buf routing.Path, wantPath bool) (rout
 // coordinate to dst's along that axis (wrap-aware on tori). d must be
 // the direction DirToward picked, so the count is positive.
 func (ix *Index) distAlong(cur, dst grid.Point, d mesh.Direction) int {
-	switch d {
-	case mesh.East:
-		return ix.axisDist(dst.X-cur.X, ix.w)
-	case mesh.West:
-		return ix.axisDist(cur.X-dst.X, ix.w)
-	case mesh.North:
-		return ix.axisDist(dst.Y-cur.Y, ix.h)
-	default: // South
-		return ix.axisDist(cur.Y-dst.Y, ix.h)
+	dl := d.Delta()
+	dist, size := (dst.X-cur.X)*dl.X, ix.w
+	if dl.X == 0 {
+		dist, size = (dst.Y-cur.Y)*dl.Y, ix.h
 	}
+	if ix.torus {
+		dist = (dist%size + size) % size
+	}
+	return dist
 }
 
-func (ix *Index) axisDist(d, size int) int {
+// wrap maps (x, y), at most one machine side off it, back onto a torus.
+func (ix *Index) wrap(x, y int) grid.Point {
 	if ix.torus {
-		return ((d % size) + size) % size
+		x, y = (x+ix.w)%ix.w, (y+ix.h)%ix.h
 	}
-	return d
+	return grid.Pt(x, y)
 }
 
 // emit advances cur by count cells in direction d, appending the cells
@@ -156,39 +147,14 @@ func (ix *Index) axisDist(d, size int) int {
 // segment end.
 func (ix *Index) emit(path routing.Path, cur grid.Point, d mesh.Direction, count int, wantPath bool) (grid.Point, routing.Path) {
 	dl := d.Delta()
-	x, y := cur.X, cur.Y
 	if !wantPath {
-		x += dl.X * count
-		y += dl.Y * count
-		if ix.torus {
-			x = ((x % ix.w) + ix.w) % ix.w
-			y = ((y % ix.h) + ix.h) % ix.h
-		}
-		return grid.Pt(x, y), path
+		return ix.wrap(cur.X+dl.X*count, cur.Y+dl.Y*count), path
 	}
 	for i := 0; i < count; i++ {
-		x += dl.X
-		y += dl.Y
-		if ix.torus {
-			if x < 0 {
-				x += ix.w
-			} else if x >= ix.w {
-				x -= ix.w
-			}
-			if y < 0 {
-				y += ix.h
-			} else if y >= ix.h {
-				y -= ix.h
-			}
-		}
-		path = append(path, grid.Pt(x, y))
+		cur = ix.wrap(cur.X+dl.X, cur.Y+dl.Y)
+		path = append(path, cur)
 	}
-	return grid.Pt(x, y), path
-}
-
-// inside reports whether p lies on the machine.
-func (ix *Index) inside(p grid.Point) bool {
-	return p.X >= 0 && p.X < ix.w && p.Y >= 0 && p.Y < ix.h
+	return cur, path
 }
 
 // rightHand lists, per heading, the directions Detour's right-hand rule
@@ -205,14 +171,8 @@ var rightHand = func() (t [4][4]mesh.Direction) {
 // head that way. ok is false when p has no allowed neighbor.
 func (ix *Index) rightHandStep(p grid.Point, h mesh.Direction) (next grid.Point, heading mesh.Direction, ok bool) {
 	for _, d := range &rightHand[h&3] {
-		q := p.Add(d.Delta())
-		if uint(q.X) >= uint(ix.w) || uint(q.Y) >= uint(ix.h) {
-			if !ix.torus {
-				continue
-			}
-			q = grid.Pt((q.X+ix.w)%ix.w, (q.Y+ix.h)%ix.h) // back across the seam
-		}
-		if !ix.occ.has(q.X, q.Y) {
+		dl := d.Delta()
+		if q := ix.wrap(p.X+dl.X, p.Y+dl.Y); ix.allowed(q) {
 			return q, d, true
 		}
 	}
@@ -220,88 +180,41 @@ func (ix *Index) rightHandStep(p grid.Point, h mesh.Direction) (next grid.Point,
 }
 
 // allowed reports whether p may carry traffic under the index's model:
-// inside the machine and in no obstacle, read off the forbidden-cell
-// plane the row spans are mirrored into. The obstacles partition exactly
-// the cells the model forbids (disabled regions, faulty blocks or fault
-// components), so this is routing.Model.Allowed with no label plane.
+// inside the machine and not forbidden in the row plane, which holds
+// exactly the cells the model forbids (disabled, unsafe or faulty), so
+// this is routing.Model.Allowed read off one bit.
 func (ix *Index) allowed(p grid.Point) bool {
-	return ix.inside(p) && !ix.occ.has(p.X, p.Y)
+	return uint(p.X) < uint(ix.w) && uint(p.Y) < uint(ix.h) && !ix.rows.has(p.Y, p.X)
 }
 
 // firstBlocked returns the 1-based offset along d of the first forbidden
-// cell within segLen steps of cur (0 = the whole segment is clear). One
-// or two binary searches on the global interval tables; torus segments
+// cell within segLen steps of cur (0 = the whole segment is clear): a
+// word scan of cur's row, or of cur's column in the twin. Torus segments
 // that cross the seam split into two linear pieces.
 func (ix *Index) firstBlocked(cur grid.Point, d mesh.Direction, segLen int) int {
 	if segLen == 0 {
 		return 0
 	}
-	var spans []span
-	var from, size int
-	switch d {
-	case mesh.East, mesh.West:
-		spans = ix.rows.line(cur.Y)
-		from, size = cur.X, ix.w
-	default:
-		spans = ix.cols.line(cur.X)
-		from, size = cur.Y, ix.h
-	}
-	if len(spans) == 0 {
-		return 0
+	pl, line, from, size := &ix.rows, cur.Y, cur.X, ix.w
+	if d == mesh.North || d == mesh.South {
+		pl, line, from, size = &ix.cols, cur.X, cur.Y, ix.h
 	}
 	if d == mesh.East || d == mesh.North { // ascending coordinate
 		a, b := from+1, from+segLen
-		if b < size {
-			return firstAsc(spans, a, b, from, 0)
+		if c := pl.first(line, a, min(b, size-1), true); c >= 0 {
+			return c - from
 		}
-		if t := firstAsc(spans, a, size-1, from, 0); t > 0 {
-			return t
+		if c := pl.first(line, 0, b-size, true); c >= 0 { // the wrapped piece
+			return c - from + size
 		}
-		return firstAsc(spans, 0, b-size, from, size)
+		return 0
 	}
 	a, b := from-segLen, from-1 // descending coordinate
-	if a >= 0 {
-		return firstDesc(spans, a, b, from, 0)
+	if c := pl.first(line, max(a, 0), b, false); c >= 0 {
+		return from - c
 	}
-	if t := firstDesc(spans, 0, b, from, 0); t > 0 {
-		return t
+	if c := pl.first(line, size+a, size-1, false); c >= 0 { // the wrapped piece
+		return from - c + size
 	}
-	return firstDesc(spans, size+a, size-1, from, size)
-}
-
-// firstAsc finds the smallest blocked coordinate in [lo, hi] and returns
-// its offset from origin (+add for the wrapped piece of a torus
-// segment). Spans are disjoint and sorted, so both lo and hi orders
-// agree and one binary search suffices.
-func firstAsc(spans []span, lo, hi, origin, add int) int {
-	if lo > hi {
-		return 0
-	}
-	i := sort.Search(len(spans), func(i int) bool { return int(spans[i].hi) >= lo })
-	if i == len(spans) || int(spans[i].lo) > hi {
-		return 0
-	}
-	x := lo
-	if int(spans[i].lo) > x {
-		x = int(spans[i].lo)
-	}
-	return x - origin + add
-}
-
-// firstDesc finds the largest blocked coordinate in [lo, hi] — the first
-// one met traveling in the descending sense — and returns its offset
-// from origin (+sub for the wrapped piece).
-func firstDesc(spans []span, lo, hi, origin, sub int) int {
-	if lo > hi {
-		return 0
-	}
-	i := sort.Search(len(spans), func(i int) bool { return int(spans[i].lo) > hi }) - 1
-	if i < 0 || int(spans[i].hi) < lo {
-		return 0
-	}
-	x := hi
-	if int(spans[i].hi) < x {
-		x = int(spans[i].hi)
-	}
-	return origin - x + sub
+	return 0
 }

@@ -24,32 +24,23 @@ func formOn(t testing.TB, topo *mesh.Topology, safety status.SafetyDef, faults *
 	return res
 }
 
-// checkCoverage pins the index's interval tables to the model's
-// forbidden set, read off the label planes (routing.Model.Allowed):
-// every machine node is forbidden iff some row span covers it, the
-// column table agrees, and so does the index's label-free allowed
-// predicate. Everything else in the index builds on this equivalence.
+// checkCoverage pins both of the index's planes, cell for cell, to the
+// model's forbidden set read off the label planes
+// (routing.Model.Allowed): the row plane (and so the index's label-free
+// allowed predicate) and the twin both hold a cell iff the model forbids
+// it. Everything else in the index builds on this equivalence.
 func checkCoverage(t *testing.T, ix *Index) {
 	t.Helper()
-	inSpans := func(spans []span, c int) bool {
-		for _, s := range spans {
-			if int(s.lo) <= c && c <= int(s.hi) {
-				return true
-			}
-		}
-		return false
-	}
-	labels := ix.src.view
-	for _, p := range labels.Topology().Points() {
-		forbidden := !ix.model.Allowed(labels, p)
+	for _, p := range ix.topo.Points() {
+		forbidden := !ix.model.Allowed(ix.view, p)
 		if ix.allowed(p) == forbidden {
 			t.Fatalf("allowed(%v) = %t, label planes say forbidden=%t", p, ix.allowed(p), forbidden)
 		}
-		if got := inSpans(ix.rows.line(p.Y), p.X); got != forbidden {
-			t.Fatalf("row table at %v: forbidden=%t, span=%t", p, forbidden, got)
+		if got := ix.rows.has(p.Y, p.X); got != forbidden {
+			t.Fatalf("row plane at %v: forbidden=%t, bit=%t", p, forbidden, got)
 		}
-		if got := inSpans(ix.cols.line(p.X), p.Y); got != forbidden {
-			t.Fatalf("col table at %v: forbidden=%t, span=%t", p, forbidden, got)
+		if got := ix.cols.has(p.X, p.Y); got != forbidden {
+			t.Fatalf("twin at %v: forbidden=%t, bit=%t", p, forbidden, got)
 		}
 	}
 }
@@ -162,8 +153,8 @@ func TestRouteIndexEdgeCaseCorners(t *testing.T) {
 }
 
 // TestRouteIndexEdgeCaseSharedRow puts two separate OCP regions on the
-// same rows, so one row's interval table carries spans of both and a
-// greedy run can be blocked by either.
+// same rows, so one row of the plane carries runs of both and a greedy
+// run can be blocked by either.
 func TestRouteIndexEdgeCaseSharedRow(t *testing.T) {
 	topo, err := mesh.New(20, 10, mesh.Mesh2D)
 	if err != nil {
@@ -178,10 +169,14 @@ func TestRouteIndexEdgeCaseSharedRow(t *testing.T) {
 	ix := Compile(res, routing.ModelRegions, Options{})
 	sharedRow := false
 	for y := 0; y < ix.h; y++ {
-		// Each orthogonally convex region has at most one span per row.
-		if len(ix.rows.line(y)) >= 2 {
-			sharedRow = true
+		// Each orthogonally convex region has at most one run per row.
+		runs := 0
+		for x := 0; x < ix.w; x++ {
+			if ix.rows.has(y, x) && (x == 0 || !ix.rows.has(y, x-1)) {
+				runs++
+			}
 		}
+		sharedRow = sharedRow || runs >= 2
 	}
 	if !sharedRow {
 		t.Fatal("fixture expectation broken: no row shared by two regions")
@@ -343,28 +338,31 @@ func TestRouteIndexAsRouter(t *testing.T) {
 	}
 }
 
-// regionPtrSet returns the identity set of a result's region pointers.
-func regionPtrSet(res *core.Result) map[interface{}]bool {
-	out := make(map[interface{}]bool, len(res.Regions))
-	for _, r := range res.Regions {
-		out[r] = true
+// twinCopies returns how many of next's twin chunks are not prev's.
+func twinCopies(prev, next *Index) int {
+	n := 0
+	for c := range next.cols.chunks {
+		if &next.cols.chunks[c][0] != &prev.cols.chunks[c][0] {
+			n++
+		}
 	}
-	return out
+	return n
 }
 
 // TestRouteIndexIncremental drives a session through fault churn and
 // pins the incremental contract: after every delta the rebuilt index is
-// byte-identical (Fingerprint) to a from-scratch compilation, and the
-// number of regions compiled equals the number whose pointer changed —
-// O(changed regions), verified exactly rather than asymptotically. Two
-// index chains run side by side, one fed Session.Result and one fed
-// Session.Frame, and both must match the from-scratch Compile.
+// identical (Fingerprint) to a from-scratch compilation, and its stats
+// count exactly the twin chunks it copied. Two index chains run side by
+// side, one fed Session.Result (a full compile each time) and one fed
+// Session.Frame (a twin edit), and both must match the from-scratch
+// Compile.
 func TestRouteIndexIncremental(t *testing.T) {
 	topo, err := mesh.New(40, 40, mesh.Mesh2D)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two well-separated clusters: deltas near one must reuse the other.
+	// Two well-separated clusters: deltas near one must share the
+	// other's twin chunk.
 	initial := grid.PointSetOf(grid.Pt(5, 5), grid.Pt(6, 6), grid.Pt(30, 30), grid.Pt(31, 31))
 	s, err := core.NewSessionOn(core.Config{Width: 40, Height: 40, Safety: status.Def2b}, topo, initial)
 	if err != nil {
@@ -372,8 +370,9 @@ func TestRouteIndexIncremental(t *testing.T) {
 	}
 
 	ix := Compile(s.Result(), routing.ModelRegions, Options{})
-	if ix.Stats().Compiled != len(s.Result().Regions) || ix.Stats().Reused != 0 {
-		t.Fatalf("initial stats %+v", ix.Stats())
+	// 40 columns of one word each: 40 twin words, one chunk.
+	if st := ix.Stats(); st != (Stats{Regions: 1, Compiled: 1}) {
+		t.Fatalf("initial stats %+v", st)
 	}
 	fx := CompileFrame(s.Frame(), routing.ModelRegions, Options{})
 	if fx.Fingerprint() != ix.Fingerprint() {
@@ -391,8 +390,6 @@ func TestRouteIndexIncremental(t *testing.T) {
 		{false, grid.Pt(7, 5)},
 		{true, grid.Pt(32, 30)}, // grow the second cluster
 	}
-	prevRes := s.Result()
-	sawReuse := false
 	for i, st := range steps {
 		if st.add {
 			_, err = s.AddFaults(st.p)
@@ -404,6 +401,7 @@ func TestRouteIndexIncremental(t *testing.T) {
 		}
 		res := s.Result()
 		ix = ix.Rebuild(res)
+		prev := fx
 		fx = fx.RebuildFrame(s.Frame())
 
 		fresh := Compile(res, routing.ModelRegions, Options{})
@@ -413,52 +411,49 @@ func TestRouteIndexIncremental(t *testing.T) {
 		if got, want := fx.Fingerprint(), fresh.Fingerprint(); got != want {
 			t.Fatalf("step %d: frame-rebuilt index differs from from-scratch compile:\n--- rebuilt\n%s\n--- fresh\n%s", i, got, want)
 		}
-		if fx.Stats() != ix.Stats() {
-			t.Fatalf("step %d: frame chain stats %+v, result chain %+v", i, fx.Stats(), ix.Stats())
+		if st := ix.Stats(); st != (Stats{Regions: 1, Compiled: 1}) {
+			t.Fatalf("step %d: Result rebuild stats %+v, want a full compile", i, st)
 		}
-
-		prevPtrs := regionPtrSet(prevRes)
-		changed := 0
-		for _, r := range res.Regions {
-			if !prevPtrs[r] {
-				changed++
-			}
+		copied := twinCopies(prev, fx)
+		if st := fx.Stats(); st != (Stats{Regions: 1, Compiled: copied, Reused: 1 - copied}) {
+			t.Fatalf("step %d: frame rebuild stats %+v, %d chunks copied", i, st, copied)
 		}
-		if ix.Stats().Compiled != changed {
-			t.Fatalf("step %d: compiled %d regions, %d changed pointers", i, ix.Stats().Compiled, changed)
+		if copied != 1 {
+			t.Fatalf("step %d: a delta that changed the region plane copied %d twin chunks", i, copied)
 		}
-		if ix.Stats().Reused != len(res.Regions)-changed {
-			t.Fatalf("step %d: reused %d, want %d", i, ix.Stats().Reused, len(res.Regions)-changed)
-		}
-		if ix.Stats().Reused > 0 {
-			sawReuse = true
-		}
-		prevRes = res
 	}
-	if !sawReuse {
-		t.Fatal("churn sequence never reused a region compilation; the incremental path went untested")
+	// A frame no delta changed shares every chunk.
+	if next := fx.RebuildFrame(s.Frame()); next.Stats() != (Stats{Regions: 1, Reused: 1}) || twinCopies(fx, next) != 0 {
+		t.Fatalf("rebuild over the same frame: stats %+v", next.Stats())
 	}
 }
 
 // TestRouteIndexRebuildChurn runs random add/remove churn on shapes
-// around the word boundary and on a torus, under all three models, and
+// around the word boundary and on tori, under all three models, and
 // after every delta pins the frame-fed incremental index to a
-// from-scratch Compile: identical fingerprints, interval tables that
-// cover exactly the forbidden cells, and unchanged previous indexes
-// (the copy-on-write table edits must never reach a published index).
-// The 150x140 torus spans several table and plane chunks both ways.
+// from-scratch Compile: identical fingerprints, planes that hold exactly
+// the forbidden cells, and unchanged previous indexes (the copy-on-write
+// twin edits must never reach a published index). The 150x140 torus
+// spans several chunks both ways. Lines of three words straddle a
+// 512-word chunk: rows 170 of the 130x200 mesh and of the 190x190 torus
+// (words 510-512), and the twin's column 170 of the 200x130 mesh and of
+// the 190x190 torus.
 func TestRouteIndexRebuildChurn(t *testing.T) {
 	models := []routing.Model{routing.ModelRegions, routing.ModelBlocks, routing.ModelFaultsOnly}
 	for _, shape := range []struct {
 		w, h int
 		kind mesh.Kind
-	}{{65, 3, mesh.Mesh2D}, {130, 7, mesh.Mesh2D}, {24, 24, mesh.Mesh2D}, {20, 18, mesh.Torus2D}, {150, 140, mesh.Torus2D}} {
+	}{
+		{65, 3, mesh.Mesh2D}, {130, 7, mesh.Mesh2D}, {24, 24, mesh.Mesh2D}, {20, 18, mesh.Torus2D}, {150, 140, mesh.Torus2D},
+		{130, 200, mesh.Mesh2D}, {200, 130, mesh.Mesh2D}, {190, 190, mesh.Torus2D},
+	} {
 		t.Run(fmt.Sprintf("%v/%dx%d", shape.kind, shape.w, shape.h), func(t *testing.T) {
 			topo, err := mesh.New(shape.w, shape.h, shape.kind)
 			if err != nil {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(int64(shape.w*31 + shape.h)))
+			pairRng := rand.New(rand.NewSource(int64(shape.w + shape.h)))
 			faults := fault.Uniform{Count: shape.w * shape.h / 40}.Generate(topo, rng)
 			s, err := core.NewSessionOn(core.Config{Width: shape.w, Height: shape.h, Kind: shape.kind}, topo, faults)
 			if err != nil {
@@ -492,6 +487,16 @@ func TestRouteIndexRebuildChurn(t *testing.T) {
 						t.Fatalf("step %d %v: rebuilt index differs from from-scratch compile:\n--- rebuilt\n%s\n--- fresh\n%s", step, model, got, want)
 					}
 					checkCoverage(t, next)
+					g := routing.NewGraph(fr, model)
+					for _, pr := range routing.SamplePairs(fr, 4, pairRng) {
+						comparePair(t, g, next, pr[0], pr[1])
+					}
+					if shape.h > 170 { // along the straddling row
+						comparePair(t, g, next, grid.Pt(0, 170), grid.Pt(shape.w-1, 170))
+					}
+					if shape.w > 170 { // along the straddling twin column
+						comparePair(t, g, next, grid.Pt(170, shape.h-1), grid.Pt(170, 0))
+					}
 					ixs[m] = next
 				}
 			}
@@ -530,4 +535,61 @@ func TestRouteIndexLongBorderDetour(t *testing.T) {
 		t.Fatalf("fixture expectation broken: longest detour is %d extra hops (pair %d), want a border episode of over 1000", extra, longest)
 	}
 	t.Logf("pair %d %v->%v detours %d extra hops", longest, pairs[longest][0], pairs[longest][1], extra)
+}
+
+// TestRouteIndexRebuildRace answers batches on index k while RebuildFrame
+// builds index k+1 from it. The rebuild's copy-on-write twin edits must
+// never write a chunk index k reads: the race detector watches the
+// overlap, and k's answers and planes must be unchanged afterwards.
+func TestRouteIndexRebuildRace(t *testing.T) {
+	const side = 96
+	rng := rand.New(rand.NewSource(21))
+	topo := mesh.MustNew(side, side, mesh.Mesh2D)
+	s, err := core.NewSessionOn(core.Config{Width: side, Height: side}, topo, fault.Uniform{Count: 150}.Generate(topo, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := CompileFrame(s.Frame(), routing.ModelRegions, Options{})
+	qs := make([]Query, 0, 200)
+	for _, pr := range routing.SamplePairs(s.Frame(), cap(qs), rng) {
+		qs = append(qs, Query{Src: pr[0], Dst: pr[1]})
+	}
+	sameAnswers := func(step int, got, want []Answer) {
+		t.Helper()
+		for i := range want {
+			g, w := got[i], want[i]
+			if (g.Err == nil) != (w.Err == nil) || g.Hops != w.Hops || len(g.Path) != len(w.Path) {
+				t.Fatalf("step %d query %d: answer changed under a concurrent rebuild: %+v, was %+v", step, i, g, w)
+			}
+			for j := range w.Path {
+				if g.Path[j] != w.Path[j] {
+					t.Fatalf("step %d query %d: path changed at hop %d", step, i, j)
+				}
+			}
+		}
+	}
+	for step := 0; step < 12; step++ {
+		want, fp := ix.RouteMany(qs, BatchOptions{Paths: true}), ix.Fingerprint()
+		done := make(chan []Answer)
+		go func() { done <- ix.RouteMany(qs, BatchOptions{Paths: true}) }()
+		pts := make([]grid.Point, 3)
+		for i := range pts {
+			pts[i] = grid.Pt(rng.Intn(side), rng.Intn(side))
+		}
+		if step%3 == 2 {
+			_, err = s.RemoveFaults(s.Faults().Points()[:4]...)
+		} else {
+			_, err = s.AddFaults(pts...)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := ix.RebuildFrame(s.Frame())
+		sameAnswers(step, <-done, want)
+		sameAnswers(step, ix.RouteMany(qs, BatchOptions{Paths: true}), want)
+		if ix.Fingerprint() != fp {
+			t.Fatalf("step %d: RebuildFrame changed the planes of the index it rebuilt from", step)
+		}
+		ix = next
+	}
 }

@@ -154,10 +154,10 @@ type Snapshot struct {
 	// on the tenant's current fault set. The xy, detour and bfs routers
 	// and disjoint paths read its labels directly (routing.Labels).
 	Frame *core.Frame
-	// Routes is the precompiled routing index over Frame under the
-	// regions fault model (internal/routeidx). Immutable like Frame, and
-	// rebuilt incrementally at publication: only regions whose label
-	// sets changed across the batch are recompiled.
+	// Routes is the routing index over Frame under the regions fault
+	// model (internal/routeidx): Frame's enabled plane plus a
+	// column-major twin. Immutable like Frame, and rebuilt at
+	// publication by editing only the twin chunks whose cells changed.
 	Routes *routeidx.Index
 }
 
@@ -495,9 +495,9 @@ func (s *Service) Restore(id string, snap *TenantSnapshot) (*Tenant, error) {
 }
 
 // publish builds the snapshot for the session's current state: one
-// packed frame, and the routing index over it, rebuilt incrementally
-// from the previous snapshot's index when one exists (unchanged regions
-// keep their compiled form).
+// packed frame, and the routing index over it, rebuilt from the previous
+// snapshot's index when one exists (its twin chunks that no changed cell
+// falls in are shared).
 func (s *Service) publish(prev *Snapshot, seq uint64, session *core.Session, tenant string) *Snapshot {
 	fr := session.Frame()
 	var ix *routeidx.Index
@@ -647,7 +647,7 @@ func (s *Service) Features() []string {
 }
 
 // Route answers one route query off the tenant's current snapshot.
-// router is "indexed" (the precompiled boundary index), "xy", "detour"
+// router is "indexed" (the snapshot's plane routing index), "xy", "detour"
 // or "bfs" (the shortest-path oracle); model is a routing fault model
 // name ("blocks", "regions", "faults-only"). Forbidden endpoints fail
 // with routing.ErrUnroutable for every router.
@@ -704,8 +704,8 @@ func (t *Tenant) RouteAppend(src, dst grid.Point, modelName, routerName string, 
 }
 
 // RouteMany answers a batch of route queries off one consistent
-// snapshot. router is "indexed" (default: binary searches over the
-// precompiled boundary index) or "detour" (the walk-based reference,
+// snapshot. router is "indexed" (default: word scans over the
+// snapshot's plane routing index) or "detour" (the walk-based reference,
 // sharing one scratch buffer across the batch); the indexed router
 // serves the regions model only. Per-query failures land in each
 // Answer's Err, so a batch never fails halfway.
