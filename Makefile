@@ -181,15 +181,15 @@ latency-overhead:
 	$(GO) run ./cmd/octrace bench overhead -max 0.05 .bench-latency-fresh.json
 	@rm -f .bench-latency-fresh.json
 
-# converge-demo records a paper-density sweep with the counter fabric
-# and strict invariant monitors on every engine, then renders the
-# convergence observatory report (rounds vs d(B) scatter, messages vs
-# fault density, per-block tails). CI uploads the same report as a
-# workflow artifact.
+# converge-demo records a paper-density sweep of every figure with the
+# counter fabric and strict invariant monitors on every engine, then
+# renders the convergence observatory report (rounds vs d(B) scatter,
+# messages vs fault density, per-block tails). CI uploads the same
+# report as a workflow artifact.
 converge-demo: build
 	@rm -rf .converge-demo && mkdir -p .converge-demo
 	@for engine in sequential channels bitset; do \
-		$(GO) run ./cmd/ocpsim -n 20 -maxf 4 -step 2 -reps 5 -seed 7 \
+		$(GO) run ./cmd/ocpsim -figure all -n 20 -maxf 4 -step 2 -reps 5 -seed 7 \
 			-engine $$engine -strict -trace .converge-demo/$$engine.ndjson -format csv > /dev/null || exit 1; \
 	done
 	$(GO) run ./cmd/octrace converge .converge-demo/*.ndjson

@@ -65,7 +65,6 @@ func run(args []string, out io.Writer) (retErr error) {
 		seed    = fs.Int64("seed", 1, "base random seed")
 		torus   = fs.Bool("torus", false, "use a 2-D torus instead of a mesh")
 		engine  = fs.String("engine", "sequential", "fixpoint engine: sequential, channels, or bitset (all result-identical)")
-		chans   = fs.Bool("channels", false, "deprecated alias for -engine channels")
 		workers = fs.Int("workers", 0, "parallel sweep workers (0 = GOMAXPROCS)")
 		format  = fs.String("format", "ascii", "output format: ascii or csv")
 		width   = fs.Int("width", 60, "ascii plot width")
@@ -83,7 +82,7 @@ func run(args []string, out io.Writer) (retErr error) {
 	if *n < 1 {
 		return fmt.Errorf("mesh side must be >= 1, got %d", *n)
 	}
-	eng, err := parseEngine(*engine, *chans)
+	eng, err := parseEngine(*engine)
 	if err != nil {
 		return err
 	}
@@ -113,10 +112,12 @@ func run(args []string, out io.Writer) (retErr error) {
 			retErr = ferr
 		}
 	}()
-	// The convergence observatory stays on unconditionally: the sharded
-	// counter fabric is cheap enough to leave enabled (BENCH_overhead
-	// pins it under 5% on the bitset engine), and with -trace the costs /
-	// block_converge / invariant_violation events feed octrace converge.
+	// The convergence observatory stays on unconditionally: the counter
+	// fabric is cheap enough to leave enabled (each formation phase
+	// flushes its totals into shard 0 with one atomic add per counter, and
+	// BENCH_overhead pins the observatory under 5% on the bitset engine),
+	// and with -trace the costs / block_converge / invariant_violation
+	// events feed octrace converge. Every figure's cells reach it.
 	fabric := costs.NewFabric(0)
 	if *serveAddr != "" {
 		srv := serve.New(rec, live, fabric)
@@ -190,14 +191,10 @@ func servePprof(addr string, rec *obs.Recorder) {
 	}()
 }
 
-// parseEngine maps the -engine flag (and the deprecated -channels alias)
-// onto an engine kind.
-func parseEngine(name string, channelsAlias bool) (core.EngineKind, error) {
+// parseEngine maps the -engine flag onto an engine kind.
+func parseEngine(name string) (core.EngineKind, error) {
 	switch name {
 	case "", "sequential":
-		if channelsAlias {
-			return core.EngineChannels, nil
-		}
 		return core.EngineSequential, nil
 	case "channels":
 		return core.EngineChannels, nil

@@ -42,7 +42,7 @@ func TestRunCSV(t *testing.T) {
 func TestRunTorusAndChannels(t *testing.T) {
 	var b strings.Builder
 	err := run([]string{"-figure", "5b", "-n", "10", "-maxf", "5", "-step", "5", "-reps", "1",
-		"-torus", "-channels"}, &b)
+		"-torus", "-engine", "channels"}, &b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,33 +67,29 @@ func TestRunEngineFlag(t *testing.T) {
 
 func TestParseEngine(t *testing.T) {
 	cases := []struct {
-		name  string
-		alias bool
-		want  string
-		err   bool
+		name string
+		want string
+		err  bool
 	}{
-		{"sequential", false, "sequential", false},
-		{"", false, "sequential", false},
-		{"", true, "channels", false},
-		{"sequential", true, "channels", false},
-		{"channels", false, "channels", false},
-		{"bitset", false, "bitset", false},
-		{"bitset", true, "bitset", false},
-		{"parallel", false, "", true},
-		{"warp", false, "", true},
+		{"sequential", "sequential", false},
+		{"", "sequential", false},
+		{"channels", "channels", false},
+		{"bitset", "bitset", false},
+		{"parallel", "", true},
+		{"warp", "", true},
 	}
 	for _, c := range cases {
-		eng, err := parseEngine(c.name, c.alias)
+		eng, err := parseEngine(c.name)
 		if c.err {
 			if err == nil {
-				t.Errorf("parseEngine(%q, %v): want error", c.name, c.alias)
+				t.Errorf("parseEngine(%q): want error", c.name)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("parseEngine(%q, %v): %v", c.name, c.alias, err)
+			t.Errorf("parseEngine(%q): %v", c.name, err)
 		} else if eng.String() != c.want {
-			t.Errorf("parseEngine(%q, %v) = %s, want %s", c.name, c.alias, eng, c.want)
+			t.Errorf("parseEngine(%q) = %s, want %s", c.name, eng, c.want)
 		}
 	}
 }
@@ -106,6 +102,10 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err := run([]string{"-figure", "5a", "-n", "10", "-maxf", "5", "-reps", "1",
 		"-format", "xml"}, &b); err == nil {
 		t.Fatal("unknown format must fail")
+	}
+	if err := run([]string{"-figure", "5a", "-n", "10", "-maxf", "5", "-reps", "1",
+		"-channels"}, &b); err == nil {
+		t.Fatal("the removed -channels flag must be rejected")
 	}
 	if err := run([]string{"-n", "0"}, &b); err == nil {
 		t.Fatal("invalid mesh size must fail")

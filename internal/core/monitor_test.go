@@ -141,8 +141,8 @@ func TestObservatorySharedFabric(t *testing.T) {
 }
 
 // doctoredPhase builds a collector carrying a hand-written history so
-// the monitor checks can be exercised without a (hard to construct)
-// genuinely violating run.
+// every monitor check can be exercised; only rounds_bound also has a
+// genuinely violating run (TestMonitorFlagsGenuineRoundsBound).
 func doctoredPhase(t *testing.T, fabric *costs.Fabric, phase string, nodes int) *costs.Phase {
 	t.Helper()
 	pc := costs.NewPhase(fabric, phase, nodes)
@@ -268,5 +268,54 @@ func TestStrictInvariantsDefaultsFabric(t *testing.T) {
 	}
 	if res == nil || len(res.Blocks) == 0 {
 		t.Fatal("formation result missing")
+	}
+}
+
+// TestMonitorFlagsGenuineRoundsBound pins a real, undoctored formation
+// that exceeds the paper's round bound: a 100 x 100 mesh with 85 uniform
+// faults (0.85%, inside the paper's Section 5 range) under Def 2a, drawn
+// by cell (f=85, rep=14) of the X2 routing sweep at seed 1. Both phases
+// take 9 rounds against max d(B) = 7, so a strict formation must fail
+// with rounds_bound on every engine, and a lenient one must still return
+// its result and trace the violations.
+func TestMonitorFlagsGenuineRoundsBound(t *testing.T) {
+	topo, err := mesh.New(100, 100, mesh.Mesh2D)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := fault.Uniform{Count: 85}.Generate(topo, rand.New(rand.NewSource(1+85*7_368_787+14)))
+	cfg := Config{Width: 100, Height: 100, Safety: status.Def2a}
+
+	for _, eng := range []EngineKind{EngineSequential, EngineChannels, EngineBitset} {
+		strict := cfg
+		strict.Engine, strict.StrictInvariants = eng, true
+		_, err := FormOn(strict, topo, faults)
+		for _, want := range []string{
+			"rounds_bound[phase1]: 9 rounds exceed max d(B) = 7",
+			"rounds_bound[phase2]: 9 rounds exceed max d(B) = 7",
+		} {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%v: strict formation error = %v, want it to contain %q", eng, err, want)
+			}
+		}
+	}
+
+	sink := &obs.CollectSink{}
+	cfg.Recorder = obs.NewRecorder(obs.NewTracer(sink), obs.NewRegistry())
+	cfg.Costs = costs.NewFabric(1)
+	res, err := FormOn(cfg, topo, faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RoundsPhase1 != 9 || res.RoundsPhase2 != 9 || res.MaxBlockDiameter() != 7 {
+		t.Fatalf("rounds %d/%d, max d(B) %d; want 9/9 and 7",
+			res.RoundsPhase1, res.RoundsPhase2, res.MaxBlockDiameter())
+	}
+	events := sink.Filter(obs.EInvariantViolation)
+	if len(events) != 2 || events[0].Name != "rounds_bound" || events[1].Name != "rounds_bound" {
+		t.Fatalf("violation events = %+v, want rounds_bound in both phases", events)
+	}
+	if got := cfg.Costs.Snapshot().Violations; got != 2 {
+		t.Fatalf("fabric violations = %d, want 2", got)
 	}
 }

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"math/rand"
-	"time"
 
 	"ocpmesh/internal/core"
 	"ocpmesh/internal/grid"
@@ -28,41 +27,14 @@ func (r *Runner) ChurnCost(arrivalsPerRun int) ([]*stats.Series, error) {
 	if arrivalsPerRun < 1 {
 		arrivalsPerRun = 20
 	}
-	frontier := &stats.Series{Label: "dirty frontier per arrival", XLabel: "faults", YLabel: "frontier nodes"}
-	rounds := &stats.Series{Label: "rounds per arrival", XLabel: "faults", YLabel: "frontier rounds"}
-	changed := &stats.Series{Label: "labels changed per arrival", XLabel: "faults", YLabel: "labels"}
-
-	rec := r.cfg.Recorder
-	formCfg := core.Config{
-		Width: r.cfg.Width, Height: r.cfg.Height, Kind: r.cfg.Kind,
-		Safety: status.Def2b, Engine: r.cfg.Engine,
-		Recorder: rec,
-	}
-	topo, err := mesh.New(r.cfg.Width, r.cfg.Height, r.cfg.Kind)
-	if err != nil {
-		return nil, err
-	}
-
-	counts := r.faultCounts()
-	rec.Emit(obs.Event{
-		Type: obs.ESweepStart, Name: "churn",
-		N: len(counts) * r.cfg.Replications, Points: len(counts),
-	})
-	for _, f := range counts {
-		frontierSample := &stats.Sample{}
-		roundsSample := &stats.Sample{}
-		changedSample := &stats.Sample{}
-		for rep := 0; rep < r.cfg.Replications; rep++ {
-			var cellStart time.Time
-			if rec != nil {
-				cellStart = rec.Now()
-			}
-			rng := rand.New(rand.NewSource(r.cfg.Seed + int64(f)*9_999_991 + int64(rep)))
-			faults := Uniform(f).Generate(topo, rng)
-			s, err := core.NewSessionOn(formCfg, topo, faults)
+	formCfg := r.formConfig(status.Def2b)
+	counts, cells, err := eachCell(r, obs.Event{Name: "churn"}, 9_999_991,
+		func(topo *mesh.Topology, f int, rng *rand.Rand) ([]core.Delta, float64, bool, error) {
+			s, err := core.NewSessionOn(formCfg, topo, Uniform(f).Generate(topo, rng))
 			if err != nil {
-				return nil, err
+				return nil, 0, false, err
 			}
+			deltas := make([]core.Delta, 0, 2*arrivalsPerRun)
 			for a := 0; a < arrivalsPerRun; a++ {
 				var p grid.Point
 				for {
@@ -73,29 +45,34 @@ func (r *Runner) ChurnCost(arrivalsPerRun int) ([]*stats.Series, error) {
 				}
 				add, err := s.AddFaults(p)
 				if err != nil {
-					return nil, err
+					return nil, 0, false, err
 				}
 				rem, err := s.RemoveFaults(p)
 				if err != nil {
-					return nil, err
+					return nil, 0, false, err
 				}
-				for _, d := range []core.Delta{add, rem} {
-					frontierSample.Add(float64(d.Frontier))
-					roundsSample.Add(float64(d.Rounds()))
-					changedSample.Add(float64(d.ChangedPhase1 + d.ChangedPhase2))
-				}
+				deltas = append(deltas, add, rem)
 			}
-			if rec != nil {
-				rec.Emit(obs.Event{
-					Type: obs.ESweepCell, X: float64(f), Rep: rep, OK: true,
-					N: 2 * arrivalsPerRun, DurNS: rec.Now().Sub(cellStart).Nanoseconds(),
-				})
-				rec.Counter("sweep_cells").Inc()
+			return deltas, float64(len(deltas)), true, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	frontier := &stats.Series{Label: "dirty frontier per arrival", XLabel: "faults", YLabel: "frontier nodes"}
+	rounds := &stats.Series{Label: "rounds per arrival", XLabel: "faults", YLabel: "frontier rounds"}
+	changed := &stats.Series{Label: "labels changed per arrival", XLabel: "faults", YLabel: "labels"}
+	for fi, f := range counts {
+		var sFrontier, sRounds, sChanged stats.Sample
+		for _, c := range cells[fi] {
+			for _, d := range c {
+				sFrontier.Add(float64(d.Frontier))
+				sRounds.Add(float64(d.Rounds()))
+				sChanged.Add(float64(d.ChangedPhase1 + d.ChangedPhase2))
 			}
 		}
-		frontier.Add(float64(f), frontierSample)
-		rounds.Add(float64(f), roundsSample)
-		changed.Add(float64(f), changedSample)
+		addPoint(frontier, f, &sFrontier)
+		addPoint(rounds, f, &sRounds)
+		addPoint(changed, f, &sChanged)
 	}
 	return []*stats.Series{frontier, rounds, changed}, nil
 }

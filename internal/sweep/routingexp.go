@@ -3,12 +3,10 @@ package sweep
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"ocpmesh/internal/core"
 	"ocpmesh/internal/mesh"
 	"ocpmesh/internal/obs"
-	"ocpmesh/internal/region"
 	"ocpmesh/internal/routing"
 	"ocpmesh/internal/stats"
 	"ocpmesh/internal/status"
@@ -25,87 +23,46 @@ func (r *Runner) RoutingComparison(pairsPerRun int) ([]*stats.Series, error) {
 	if pairsPerRun < 1 {
 		pairsPerRun = 50
 	}
-	models := []routing.Model{routing.ModelBlocks, routing.ModelRegions, routing.ModelFaultsOnly}
-	delivery := make(map[routing.Model]*stats.Series, len(models))
-	stretch := make(map[routing.Model]*stats.Series, len(models))
-	for _, m := range models {
-		delivery[m] = &stats.Series{
-			Label: fmt.Sprintf("delivery rate (%v)", m), XLabel: "faults", YLabel: "delivery rate",
-		}
-		stretch[m] = &stats.Series{
-			Label: fmt.Sprintf("path stretch (%v)", m), XLabel: "faults", YLabel: "hops/manhattan",
-		}
-	}
-
-	rec := r.cfg.Recorder
-	formCfg := core.Config{
-		Width: r.cfg.Width, Height: r.cfg.Height, Kind: r.cfg.Kind,
-		Safety:       status.Def2a, // the block model the paper improves on
-		Connectivity: region.Conn8, Engine: r.cfg.Engine,
-		Recorder: rec,
-	}
-	topo, err := mesh.New(r.cfg.Width, r.cfg.Height, r.cfg.Kind)
+	formCfg := r.formConfig(status.Def2a) // the block model the paper improves on
+	counts, cells, err := eachCell(r, obs.Event{Name: "routing"}, 7_368_787,
+		func(topo *mesh.Topology, f int, rng *rand.Rand) (map[routing.Model]routing.ModelStats, float64, bool, error) {
+			res, err := core.FormOn(formCfg, topo, Uniform(f).Generate(topo, rng))
+			if err != nil {
+				return nil, 0, false, err
+			}
+			pairs := routing.SamplePairs(res, pairsPerRun, rng)
+			if pairs == nil {
+				return nil, 0, false, nil
+			}
+			st := routing.CompareModels(res, pairs)
+			return st, st[routing.ModelRegions].DeliveryRate(), true, nil
+		})
 	if err != nil {
 		return nil, err
 	}
 
-	counts := r.faultCounts()
-	rec.Emit(obs.Event{
-		Type: obs.ESweepStart, Name: "routing",
-		N: len(counts) * r.cfg.Replications, Points: len(counts),
-	})
-	for _, f := range counts {
-		deliverySamples := make(map[routing.Model]*stats.Sample, len(models))
-		stretchSamples := make(map[routing.Model]*stats.Sample, len(models))
-		for _, m := range models {
-			deliverySamples[m] = &stats.Sample{}
-			stretchSamples[m] = &stats.Sample{}
+	models := []routing.Model{routing.ModelBlocks, routing.ModelRegions, routing.ModelFaultsOnly}
+	out := make([]*stats.Series, 2*len(models))
+	for i, m := range models {
+		out[i] = &stats.Series{
+			Label: fmt.Sprintf("delivery rate (%v)", m), XLabel: "faults", YLabel: "delivery rate",
 		}
-		for rep := 0; rep < r.cfg.Replications; rep++ {
-			var cellStart time.Time
-			if rec != nil {
-				cellStart = rec.Now()
-			}
-			rng := rand.New(rand.NewSource(r.cfg.Seed + int64(f)*7_368_787 + int64(rep)))
-			faults := Uniform(f).Generate(topo, rng)
-			res, err := core.FormOn(formCfg, topo, faults)
-			if err != nil {
-				return nil, err
-			}
-			pairs := routing.SamplePairs(res, pairsPerRun, rng)
-			if pairs == nil {
-				continue
-			}
-			for m, st := range routing.CompareModels(res, pairs) {
-				deliverySamples[m].Add(st.DeliveryRate())
-				if st.Delivered > 0 {
-					stretchSamples[m].Add(st.AvgStretch())
+		out[len(models)+i] = &stats.Series{
+			Label: fmt.Sprintf("path stretch (%v)", m), XLabel: "faults", YLabel: "hops/manhattan",
+		}
+	}
+	for fi, f := range counts {
+		for i, m := range models {
+			var delivery, stretch stats.Sample
+			for _, c := range cells[fi] {
+				delivery.Add(c[m].DeliveryRate())
+				if c[m].Delivered > 0 {
+					stretch.Add(c[m].AvgStretch())
 				}
 			}
-			if rec != nil {
-				rec.Emit(obs.Event{
-					Type: obs.ESweepCell, X: float64(f), Rep: rep, OK: true,
-					DurNS: rec.Now().Sub(cellStart).Nanoseconds(),
-				})
-				rec.Counter("sweep_cells").Inc()
-			}
+			addPoint(out[i], f, &delivery)
+			addPoint(out[len(models)+i], f, &stretch)
 		}
-		for _, m := range models {
-			if deliverySamples[m].N() > 0 {
-				delivery[m].Add(float64(f), deliverySamples[m])
-			}
-			if stretchSamples[m].N() > 0 {
-				stretch[m].Add(float64(f), stretchSamples[m])
-			}
-		}
-	}
-
-	out := make([]*stats.Series, 0, 2*len(models))
-	for _, m := range models {
-		out = append(out, delivery[m])
-	}
-	for _, m := range models {
-		out = append(out, stretch[m])
 	}
 	return out, nil
 }

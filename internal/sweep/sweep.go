@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ocpmesh/internal/core"
@@ -53,18 +54,19 @@ type Config struct {
 	// cell owns a seed-derived RNG, so results are identical at any
 	// worker count.
 	Workers int
-	// Recorder, when non-nil, traces the sweep — sweep_start, one
-	// sweep_cell per evaluated (f, replication) cell, one sweep_point per
-	// aggregated point — and is forwarded to the formation core and the
+	// Recorder, when non-nil, traces the sweep — sweep_start, exactly one
+	// sweep_cell per (f, replication) cell, one sweep_point per point of
+	// a Sweep — and is forwarded to the formation core and the
 	// experiment simulators, so phase, round, route and wormhole events
 	// land in the same stream. Nil disables observability at no cost, and
 	// never affects results.
 	Recorder *obs.Recorder
 	// Costs, when non-nil, is forwarded to every formation the sweep
 	// runs: the cells' distributed costs accumulate into the one fabric
-	// (it is sharded and atomic, so concurrent sweep workers need no
-	// coordination) and the paper-invariant monitors run on every cell.
-	// Nil disables the observatory at no cost.
+	// (its counters are atomic, so concurrent sweep workers need no
+	// coordination; every phase flushes into shard 0 once, off the hot
+	// path) and the paper-invariant monitors run on every cell. Nil
+	// disables the observatory at no cost.
 	Costs *costs.Fabric
 	// StrictInvariants makes any cell with an invariant-monitor
 	// violation fail the sweep (the CI mode; see core.Config).
@@ -132,117 +134,129 @@ func (r *Runner) faultCounts() []int {
 	return out
 }
 
-// Sweep runs the metric over every (f, replication) cell using the given
-// safety definition and fault generator factory, and aggregates one
-// series point per f. Cells are evaluated by a pool of Workers
-// goroutines; the per-cell seeded RNG keeps the output independent of
-// the worker count and of scheduling.
-func (r *Runner) Sweep(def status.SafetyDef, gen func(f int) fault.Generator, metric Metric) (*stats.Series, error) {
-	series := &stats.Series{XLabel: "faults", YLabel: "value"}
-	rec := r.cfg.Recorder
-	formCfg := core.Config{
+// formConfig is the formation configuration every cell of the runner
+// uses under safety definition def: the runner's machine and engine,
+// plus its recorder, cost fabric and strict-invariant mode.
+func (r *Runner) formConfig(def status.SafetyDef) core.Config {
+	return core.Config{
 		Width: r.cfg.Width, Height: r.cfg.Height, Kind: r.cfg.Kind,
 		Safety: def, Connectivity: region.Conn8, Engine: r.cfg.Engine,
-		Recorder: rec, Costs: r.cfg.Costs, StrictInvariants: r.cfg.StrictInvariants,
+		Recorder: r.cfg.Recorder, Costs: r.cfg.Costs, StrictInvariants: r.cfg.StrictInvariants,
 	}
+}
+
+// cellFunc evaluates one (f, replication) cell on the runner's machine
+// with the cell's own RNG. It returns the cell's result, the headline
+// value its sweep_cell event carries, and ok=false when the cell has
+// nothing to contribute (an undefined metric, no sampled pairs).
+type cellFunc[T any] func(topo *mesh.Topology, f int, rng *rand.Rand) (res T, v float64, ok bool, err error)
+
+// eachCell is the one (f, replication) loop every experiment runs on. It
+// evaluates every cell on a pool of Workers goroutines, seeding cell
+// (f, rep)'s RNG with Seed + f*prime + rep — each experiment keeps its
+// own prime, so experiments draw independent patterns. It emits the
+// start event (completed into sweep_start), the "sweep" span and one
+// sweep_cell per cell. Any failed cell fails the sweep with a count and
+// the first error in (f, rep) order. Otherwise it returns, for each f of
+// faultCounts, the ok cells' results in replication order, so the
+// aggregation never depends on scheduling or on the worker count.
+func eachCell[T any](r *Runner, start obs.Event, prime int64, cell cellFunc[T]) ([]int, [][]T, error) {
 	topo, err := mesh.New(r.cfg.Width, r.cfg.Height, r.cfg.Kind)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-
-	type cell struct{ f, rep int }
-	type outcome struct {
-		f      int
-		v      float64
-		ok     bool
-		failed bool
-	}
-	counts := r.faultCounts()
+	rec := r.cfg.Recorder
+	counts, reps := r.faultCounts(), r.cfg.Replications
+	n := len(counts) * reps
 	span := rec.StartSpan("sweep")
-	rec.Emit(obs.Event{
-		Type: obs.ESweepStart, Rule: def.String(),
-		N: len(counts) * r.cfg.Replications, Points: len(counts),
-	})
-	cells := make(chan cell)
-	outcomes := make(chan outcome)
-	errs := make(chan error, 1)
+	defer span.End()
+	start.Type, start.N, start.Points = obs.ESweepStart, n, len(counts)
+	rec.Emit(start)
 
+	type outcome struct {
+		res T
+		ok  bool
+		err error
+	}
+	outs := make([]outcome, n)
+	var next atomic.Int64
 	workers := r.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for c := range cells {
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				f, rep := counts[i/reps], i%reps
 				var cellStart time.Time
 				if rec != nil {
 					cellStart = rec.Now()
 				}
-				rng := rand.New(rand.NewSource(r.cfg.Seed + int64(c.f)*1_000_003 + int64(c.rep)))
-				faults := gen(c.f).Generate(topo, rng)
-				res, err := core.FormOn(formCfg, topo, faults)
+				rng := rand.New(rand.NewSource(r.cfg.Seed + int64(f)*prime + int64(rep)))
+				res, v, ok, err := cell(topo, f, rng)
 				if err != nil {
-					if rec != nil {
-						rec.Emit(obs.Event{
-							Type: obs.ESweepCell, X: float64(c.f), Rep: c.rep,
-							Err: err.Error(), DurNS: rec.Now().Sub(cellStart).Nanoseconds(),
-						})
-					}
-					select {
-					case errs <- fmt.Errorf("f=%d rep=%d: %w", c.f, c.rep, err):
-					default:
-					}
-					outcomes <- outcome{f: c.f, failed: true}
-					continue
+					ok, err = false, fmt.Errorf("f=%d rep=%d: %w", f, rep, err)
 				}
-				v, ok := metric(res)
+				outs[i] = outcome{res: res, ok: ok, err: err}
 				if rec != nil {
-					rec.Emit(obs.Event{
-						Type: obs.ESweepCell, X: float64(c.f), Rep: c.rep,
-						Value: v, OK: ok, DurNS: rec.Now().Sub(cellStart).Nanoseconds(),
-					})
-					rec.Counter("sweep_cells").Inc()
+					ev := obs.Event{
+						Type: obs.ESweepCell, X: float64(f), Rep: rep, Value: v, OK: ok,
+						DurNS: rec.Now().Sub(cellStart).Nanoseconds(),
+					}
+					if err != nil {
+						ev.Err = err.Error()
+					} else {
+						rec.Counter("sweep_cells").Inc()
+					}
+					rec.Emit(ev)
 				}
-				outcomes <- outcome{f: c.f, v: v, ok: ok}
 			}
 		}()
 	}
-	go func() {
-		for _, f := range counts {
-			for rep := 0; rep < r.cfg.Replications; rep++ {
-				cells <- cell{f: f, rep: rep}
-			}
-		}
-		close(cells)
-		wg.Wait()
-		close(outcomes)
-	}()
+	wg.Wait()
 
-	values := make(map[int][]float64, len(counts))
-	received, failed := 0, 0
-	for o := range outcomes {
-		received++
-		if o.failed {
-			failed++
-			continue
-		}
-		if o.ok {
-			values[o.f] = append(values[o.f], o.v)
+	failed, results := 0, make([][]T, len(counts))
+	var first error
+	for i, o := range outs {
+		switch {
+		case o.err != nil:
+			if failed++; first == nil {
+				first = o.err
+			}
+		case o.ok:
+			results[i/reps] = append(results[i/reps], o.res)
 		}
 	}
 	if failed > 0 {
-		err := <-errs // at least one worker reported before sending its failed outcome
-		return nil, fmt.Errorf("sweep: %d of %d cells failed: first error: %w",
-			failed, len(counts)*r.cfg.Replications, err)
+		return nil, nil, fmt.Errorf("sweep: %d of %d cells failed: first error: %w", failed, n, first)
 	}
-	if want := len(counts) * r.cfg.Replications; received != want {
-		return nil, fmt.Errorf("sweep: internal error: %d of %d cell outcomes received", received, want)
+	return counts, results, nil
+}
+
+// Sweep runs the metric over every (f, replication) cell using the given
+// safety definition and fault generator factory, and aggregates one
+// series point per f, each announced by a sweep_point event.
+func (r *Runner) Sweep(def status.SafetyDef, gen func(f int) fault.Generator, metric Metric) (*stats.Series, error) {
+	formCfg := r.formConfig(def)
+	counts, values, err := eachCell(r, obs.Event{Rule: def.String()}, 1_000_003,
+		func(topo *mesh.Topology, f int, rng *rand.Rand) (float64, float64, bool, error) {
+			res, err := core.FormOn(formCfg, topo, gen(f).Generate(topo, rng))
+			if err != nil {
+				return 0, 0, false, err
+			}
+			v, ok := metric(res)
+			return v, v, ok, nil
+		})
+	if err != nil {
+		return nil, err
 	}
-	for _, f := range counts {
-		vs := values[f]
+	rec := r.cfg.Recorder
+	series := &stats.Series{XLabel: "faults", YLabel: "value"}
+	for i, f := range counts {
+		vs := values[i]
 		if len(vs) == 0 {
 			// Every replication returned ok=false: the metric is undefined
 			// at this f. The point is deliberately absent from the series,
@@ -251,8 +265,8 @@ func (r *Runner) Sweep(def status.SafetyDef, gen func(f int) fault.Generator, me
 			rec.Emit(obs.Event{Type: obs.ESweepPoint, X: float64(f), N: 0})
 			continue
 		}
-		// Accumulate in sorted order so floating-point sums (hence means
-		// and CIs) do not depend on goroutine scheduling.
+		// Accumulate in sorted order, so the floating-point sums (hence
+		// means and CIs) are those of the multiset of cell values.
 		sort.Float64s(vs)
 		var sample stats.Sample
 		for _, v := range vs {
@@ -263,8 +277,14 @@ func (r *Runner) Sweep(def status.SafetyDef, gen func(f int) fault.Generator, me
 			Type: obs.ESweepPoint, X: float64(f), N: sample.N(), Value: sample.Mean(),
 		})
 	}
-	span.End()
 	return series, nil
+}
+
+// addPoint adds the sample as the series point at f unless it is empty.
+func addPoint(s *stats.Series, f int, sample *stats.Sample) {
+	if sample.N() > 0 {
+		s.Add(float64(f), sample)
+	}
 }
 
 // Uniform is the default generator factory: f uniform random faults.

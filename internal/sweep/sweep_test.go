@@ -9,7 +9,8 @@ import (
 	"ocpmesh/internal/fault"
 	"ocpmesh/internal/grid"
 	"ocpmesh/internal/mesh"
-	"ocpmesh/internal/stats"
+	"ocpmesh/internal/obs"
+	"ocpmesh/internal/obs/costs"
 	"ocpmesh/internal/status"
 )
 
@@ -200,34 +201,56 @@ func TestRunnerConfigAccessor(t *testing.T) {
 	}
 }
 
-// Results are bit-identical at any worker count: each cell owns a
-// seed-derived RNG and aggregation sorts before summing.
+// Every figure's results are bit-identical at any worker count: each
+// cell owns a seed-derived RNG and the cell driver hands results back in
+// replication order.
 func TestSweepWorkerCountInvariant(t *testing.T) {
-	base := Config{Width: 25, Height: 25, MaxFaults: 20, Step: 10, Replications: 6, Seed: 5}
-	var prev *stats.Series
-	for _, workers := range []int{1, 2, 8} {
-		cfg := base
-		cfg.Workers = workers
-		r, err := NewRunner(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := r.Sweep(status.Def2a, Uniform, EnabledRatio)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if prev != nil {
-			if len(s.Points) != len(prev.Points) {
-				t.Fatalf("workers=%d: point count differs", workers)
+	base := Config{Width: 16, Height: 16, MaxFaults: 8, Step: 4, Replications: 5, Seed: 5}
+	for _, id := range FigureIDs() {
+		var want string
+		for _, workers := range []int{1, 4} {
+			cfg := base
+			cfg.Workers = workers
+			r, err := NewRunner(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range s.Points {
-				if s.Points[i] != prev.Points[i] {
-					t.Fatalf("workers=%d: point %d differs: %+v vs %+v",
-						workers, i, s.Points[i], prev.Points[i])
-				}
+			series, err := r.Figure(id)
+			if err != nil {
+				t.Fatalf("figure %s, workers=%d: %v", id, workers, err)
+			}
+			var got strings.Builder
+			for _, s := range series {
+				got.WriteString(s.Label + "\n" + s.CSV())
+			}
+			if workers == 1 {
+				want = got.String()
+			} else if got.String() != want {
+				t.Fatalf("figure %s: workers=%d output differs from workers=1:\n%s\nvs\n%s",
+					id, workers, got.String(), want)
 			}
 		}
-		prev = s
+	}
+}
+
+// TestFiguresReachFabric checks that every figure forwards the runner's
+// cost fabric and strict-invariant mode to its cells: each cell runs at
+// least one formation, and each formation flushes two phases into the
+// fabric.
+func TestFiguresReachFabric(t *testing.T) {
+	for _, id := range FigureIDs() {
+		fabric := costs.NewFabric(1)
+		r, sink, _ := tracedRunner(t, Config{
+			Width: 20, Height: 20, MaxFaults: 4, Step: 2, Replications: 3, Seed: 7,
+			Costs: fabric, StrictInvariants: true,
+		})
+		if _, err := r.Figure(id); err != nil {
+			t.Fatalf("figure %s: %v", id, err)
+		}
+		cells := len(sink.Filter(obs.ESweepCell))
+		if phases := fabric.Total(costs.KindPhases); cells == 0 || phases < int64(2*cells) {
+			t.Fatalf("figure %s: %d phases in the fabric from %d cells", id, phases, cells)
+		}
 	}
 }
 

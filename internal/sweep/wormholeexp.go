@@ -3,12 +3,10 @@ package sweep
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"ocpmesh/internal/core"
 	"ocpmesh/internal/mesh"
 	"ocpmesh/internal/obs"
-	"ocpmesh/internal/region"
 	"ocpmesh/internal/routing"
 	"ocpmesh/internal/stats"
 	"ocpmesh/internal/status"
@@ -30,98 +28,60 @@ func (r *Runner) WormholeComparison(flowsPerRun, packetLen int) ([]*stats.Series
 		packetLen = 4
 	}
 	models := []routing.Model{routing.ModelBlocks, routing.ModelRegions}
-	latency := make(map[routing.Model]*stats.Series, len(models))
-	delivered := make(map[routing.Model]*stats.Series, len(models))
-	for _, m := range models {
-		latency[m] = &stats.Series{
-			Label: fmt.Sprintf("wormhole latency (%v)", m), XLabel: "faults", YLabel: "cycles",
-		}
-		delivered[m] = &stats.Series{
-			Label: fmt.Sprintf("wormhole delivered fraction (%v)", m), XLabel: "faults", YLabel: "fraction",
-		}
-	}
-
 	rec := r.cfg.Recorder
-	formCfg := core.Config{
-		Width: r.cfg.Width, Height: r.cfg.Height, Kind: r.cfg.Kind,
-		Safety: status.Def2a, Connectivity: region.Conn8, Engine: r.cfg.Engine,
-		Recorder: rec,
-	}
-	topo, err := mesh.New(r.cfg.Width, r.cfg.Height, r.cfg.Kind)
-	if err != nil {
-		return nil, err
-	}
-
-	counts := r.faultCounts()
-	rec.Emit(obs.Event{
-		Type: obs.ESweepStart, Name: "wormhole",
-		N: len(counts) * r.cfg.Replications, Points: len(counts),
-	})
-	for _, f := range counts {
-		latSamples := map[routing.Model]*stats.Sample{}
-		delSamples := map[routing.Model]*stats.Sample{}
-		for _, m := range models {
-			latSamples[m] = &stats.Sample{}
-			delSamples[m] = &stats.Sample{}
-		}
-		for rep := 0; rep < r.cfg.Replications; rep++ {
-			var cellStart time.Time
-			if rec != nil {
-				cellStart = rec.Now()
-			}
-			rng := rand.New(rand.NewSource(r.cfg.Seed + int64(f)*15_485_863 + int64(rep)))
-			faults := Uniform(f).Generate(topo, rng)
-			res, err := core.FormOn(formCfg, topo, faults)
+	formCfg := r.formConfig(status.Def2a)
+	counts, cells, err := eachCell(r, obs.Event{Name: "wormhole"}, 15_485_863,
+		func(topo *mesh.Topology, f int, rng *rand.Rand) ([]*wormhole.Stats, float64, bool, error) {
+			res, err := core.FormOn(formCfg, topo, Uniform(f).Generate(topo, rng))
 			if err != nil {
-				return nil, err
+				return nil, 0, false, err
 			}
 			pairs := routing.SamplePairs(res, flowsPerRun, rng)
 			if pairs == nil {
-				continue
+				return nil, 0, false, nil
 			}
 			flows := make([]wormhole.Flow, len(pairs))
 			for i, pr := range pairs {
 				flows[i] = wormhole.Flow{Src: pr[0], Dst: pr[1], InjectCycle: rng.Intn(2 * flowsPerRun)}
 			}
-			for _, m := range models {
-				g := routing.NewGraph(res, m)
-				st, err := wormhole.Simulate(g, routing.Instrument(routing.Oracle{}, rec), flows,
-					wormhole.Config{PacketLen: packetLen, Recorder: rec})
-				if err != nil {
-					return nil, fmt.Errorf("sweep: wormhole f=%d rep=%d: %w", f, rep, err)
-				}
+			out := make([]*wormhole.Stats, len(models))
+			for i, m := range models {
 				// Oracle paths are not dimension-ordered, so single-VC
 				// deadlock is possible in principle; a deadlocked run
 				// simply contributes its partial delivery fraction.
-				if st.Delivered > 0 {
-					latSamples[m].Add(st.AvgLatency())
+				out[i], err = wormhole.Simulate(routing.NewGraph(res, m), routing.Instrument(routing.Oracle{}, rec),
+					flows, wormhole.Config{PacketLen: packetLen, Recorder: rec})
+				if err != nil {
+					return nil, 0, false, fmt.Errorf("wormhole: %w", err)
 				}
-				delSamples[m].Add(float64(st.Delivered) / float64(len(flows)))
 			}
-			if rec != nil {
-				rec.Emit(obs.Event{
-					Type: obs.ESweepCell, X: float64(f), Rep: rep, OK: true,
-					DurNS: rec.Now().Sub(cellStart).Nanoseconds(),
-				})
-				rec.Counter("sweep_cells").Inc()
-			}
-		}
-		for _, m := range models {
-			if latSamples[m].N() > 0 {
-				latency[m].Add(float64(f), latSamples[m])
-			}
-			if delSamples[m].N() > 0 {
-				delivered[m].Add(float64(f), delSamples[m])
-			}
-		}
+			return out, out[len(out)-1].AvgLatency(), true, nil
+		})
+	if err != nil {
+		return nil, err
 	}
 
-	out := make([]*stats.Series, 0, 2*len(models))
-	for _, m := range models {
-		out = append(out, latency[m])
+	out := make([]*stats.Series, 2*len(models))
+	for i, m := range models {
+		out[i] = &stats.Series{
+			Label: fmt.Sprintf("wormhole latency (%v)", m), XLabel: "faults", YLabel: "cycles",
+		}
+		out[len(models)+i] = &stats.Series{
+			Label: fmt.Sprintf("wormhole delivered fraction (%v)", m), XLabel: "faults", YLabel: "fraction",
+		}
 	}
-	for _, m := range models {
-		out = append(out, delivered[m])
+	for fi, f := range counts {
+		for i := range models {
+			var latency, delivered stats.Sample
+			for _, c := range cells[fi] {
+				if c[i].Delivered > 0 {
+					latency.Add(c[i].AvgLatency())
+				}
+				delivered.Add(float64(c[i].Delivered) / float64(flowsPerRun))
+			}
+			addPoint(out[i], f, &latency)
+			addPoint(out[len(models)+i], f, &delivered)
+		}
 	}
 	return out, nil
 }
