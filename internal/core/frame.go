@@ -19,10 +19,10 @@ import (
 // IsFaulty/IsUnsafe/IsEnabled tests a Result offers. A Frame is
 // immutable and safe for concurrent use.
 //
-// The three planes are stored in fixed-size word chunks, and a
-// session's consecutive frames share every chunk no delta between them
-// wrote, so a small delta publishes O(written chunks) of new plane
-// memory.
+// The three planes are stored in word chunks sized to the plane
+// (ChunkShift), and a session's consecutive frames share every chunk no
+// delta between them wrote, so a small delta publishes O(written
+// chunks) of new plane memory.
 type Frame struct {
 	// Topo is the machine.
 	Topo *mesh.Topology
@@ -41,37 +41,45 @@ type Frame struct {
 	unsafe, enabled plane
 }
 
-// ChunkWords is the number of plane words per shared chunk: 4 KB, 64
-// rows of a 512-wide mesh. A small delta copies one or two chunks per
-// plane, and a few large live chunks keep a long-serving session's heap
-// from fragmenting as deltas replace them. Exported so that planes built
-// beside a frame's (internal/routeidx) chunk the same way.
-const ChunkWords = 512
+// ChunkShift returns log2 of the chunk length of a plane of n words:
+// the power of two nearest 2√n on a log scale (the upper one on a tie),
+// and at least 64 words. A delta's publish copies each chunk it wrote,
+// 8 bytes a word, and makes a new chunk header per plane, 24 bytes a
+// chunk, so chunks that grow as √n balance the two terms: 64x64 and
+// 256x256 planes are published in 64-word chunks, 512x512 in 128,
+// 1024x1024 in 256 and 2048x2048 in 512. The factor 2 and the floor are
+// measured choices (CHANGES.md records the sweep). Exported so that
+// planes built beside a frame's (internal/routeidx) chunk the same way.
+func ChunkShift(n int) uint { return uint(max(6, bits.Len(uint(n))/2+1)) }
 
-// plane is a frozen label plane: the grid.BitGrid words in order, cut
-// into chunks of ChunkWords (the last one shorter). Chunks are never
-// mutated, so frames share them freely.
-type plane [][]uint64
+// plane is a frozen bit plane: the grid.BitGrid words in order, cut
+// into chunks of 1<<shift words (the last one shorter). Chunks are
+// never mutated, so frames share them freely.
+type plane struct {
+	chunks [][]uint64
+	shift  uint
+}
 
 // publish returns words as a plane that shares every chunk of prev (the
 // previous frame's plane of the same session) holding none of the
 // written word indexes and copies the others, so it costs O(written
 // words) plus O(chunks) of header. With no prev every chunk is copied.
 func publish(words []uint64, prev plane, written []int) plane {
-	out := make(plane, (len(words)+ChunkWords-1)/ChunkWords)
+	shift := ChunkShift(len(words))
+	out := plane{chunks: make([][]uint64, (len(words)+1<<shift-1)>>shift), shift: shift}
 	chunk := func(c int) []uint64 {
-		return slices.Clone(words[c*ChunkWords : min((c+1)*ChunkWords, len(words))])
+		return slices.Clone(words[c<<shift : min((c+1)<<shift, len(words))])
 	}
-	if prev == nil {
-		for c := range out {
-			out[c] = chunk(c)
+	if prev.chunks == nil {
+		for c := range out.chunks {
+			out.chunks[c] = chunk(c)
 		}
 		return out
 	}
-	copy(out, prev)
+	copy(out.chunks, prev.chunks)
 	for _, wi := range written {
-		if c := wi / ChunkWords; &out[c][0] == &prev[c][0] {
-			out[c] = chunk(c)
+		if c := wi >> shift; &out.chunks[c][0] == &prev.chunks[c][0] {
+			out.chunks[c] = chunk(c)
 		}
 	}
 	return out
@@ -88,13 +96,13 @@ func (pl plane) get(topo *mesh.Topology, p grid.Point) bool {
 
 // bit returns cell p, which must lie on the machine.
 func (pl plane) bit(topo *mesh.Topology, p grid.Point) bool {
-	wi := p.Y*((topo.Width()+63)/64) + p.X/64
-	return pl[wi/ChunkWords][wi%ChunkWords]>>(uint(p.X)%64)&1 != 0
+	wi := uint(p.Y*((topo.Width()+63)/64) + p.X/64)
+	return pl.chunks[wi>>pl.shift][wi&(1<<pl.shift-1)]>>(uint(p.X)%64)&1 != 0
 }
 
 func (pl plane) count() int {
 	n := 0
-	for _, chunk := range pl {
+	for _, chunk := range pl.chunks {
 		for _, w := range chunk {
 			n += bits.OnesCount64(w)
 		}
@@ -124,9 +132,9 @@ func (s FaultSet) Has(p grid.Point) bool { return s.topo.Contains(p) && s.pl.bit
 func (s FaultSet) Points() []grid.Point {
 	out := make([]grid.Point, 0, s.n)
 	wpr := (s.topo.Width() + 63) / 64
-	for c, chunk := range s.pl {
+	for c, chunk := range s.pl.chunks {
 		for j, w := range chunk {
-			wi := c*ChunkWords + j
+			wi := c<<s.pl.shift + j
 			for y, x0 := wi/wpr, 64*(wi%wpr); w != 0; w &= w - 1 {
 				out = append(out, grid.Pt(x0+bits.TrailingZeros64(w), y))
 			}
@@ -137,7 +145,7 @@ func (s FaultSet) Points() []grid.Point {
 
 // Words returns the fault plane's words in the grid.BitGrid.Words order
 // as consecutive chunks, like Frame.UnsafeWords. Read-only.
-func (s FaultSet) Words() [][]uint64 { return s.pl }
+func (s FaultSet) Words() [][]uint64 { return s.pl.chunks }
 
 // Set returns the faults as a new PointSet.
 func (s FaultSet) Set() *grid.PointSet { return grid.PointSetOf(s.Points()...) }
@@ -179,6 +187,7 @@ func (f *Frame) DisabledNonfaultyCount() int {
 
 // UnsafeWords and EnabledWords return the packed planes' words in the
 // grid.BitGrid.Words order (row-major, zero padding bits), as
-// consecutive chunks: concatenated, they are the plane. Read-only.
-func (f *Frame) UnsafeWords() [][]uint64  { return f.unsafe }
-func (f *Frame) EnabledWords() [][]uint64 { return f.enabled }
+// consecutive chunks of 1<<ChunkShift(words) words, the last one
+// shorter: concatenated, they are the plane. Read-only.
+func (f *Frame) UnsafeWords() [][]uint64  { return f.unsafe.chunks }
+func (f *Frame) EnabledWords() [][]uint64 { return f.enabled.chunks }

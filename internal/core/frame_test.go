@@ -115,33 +115,60 @@ func checkFrame(t *testing.T, tag string, fr *Frame, want *Result) {
 // TestFrameSharesUnchangedChunks pins the copy-on-write publication: a
 // one-fault delta far from the rest leaves all but a few plane chunks
 // shared with the previous frame, and the previous frame still reads
-// its own state.
+// its own state. On 320x320 the planes' 5-word rows straddle their
+// 64-word chunks, and the new fault sits in the first word of a chunk
+// whose row began in the chunk before.
 func TestFrameSharesUnchangedChunks(t *testing.T) {
-	s, err := NewSession(Config{Width: 512, Height: 512}, []grid.Point{grid.Pt(10, 10), grid.Pt(11, 11)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := s.Frame()
-	if _, err := s.AddFaults(grid.Pt(400, 300)); err != nil {
-		t.Fatal(err)
-	}
-	after := s.Frame()
-	for name, pair := range map[string][2]plane{
-		"unsafe": {before.unsafe, after.unsafe}, "enabled": {before.enabled, after.enabled},
-		"faults": {before.Faults.pl, after.Faults.pl},
-	} {
-		copied := 0
-		for c := range pair[1] {
-			if &pair[0][c][0] != &pair[1][c][0] {
-				copied++
+	for _, c := range []struct {
+		side int
+		p    grid.Point
+	}{{512, grid.Pt(400, 300)}, {320, grid.Pt(300, 12)}} {
+		s, err := NewSession(Config{Width: c.side, Height: c.side}, []grid.Point{grid.Pt(10, 10), grid.Pt(11, 11)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := s.Frame()
+		if _, err := s.AddFaults(c.p); err != nil {
+			t.Fatal(err)
+		}
+		after := s.Frame()
+		if c.side == 320 {
+			shift, wpr := after.unsafe.shift, c.side/64
+			if row, wi := c.p.Y*wpr, c.p.Y*wpr+c.p.X/64; row>>shift == wi>>shift || wi&(1<<shift-1) != 0 {
+				t.Fatalf("fixture expectation broken: row %d does not straddle into the chunk %v starts", c.p.Y, c.p)
 			}
 		}
-		if copied == 0 || copied > 2 {
-			t.Fatalf("%s: %d of %d chunks copied for a one-fault delta, want 1 or 2", name, copied, len(pair[1]))
+		for name, pair := range map[string][2]plane{
+			"unsafe": {before.unsafe, after.unsafe}, "enabled": {before.enabled, after.enabled},
+			"faults": {before.Faults.pl, after.Faults.pl},
+		} {
+			copied := 0
+			for k := range pair[1].chunks {
+				if &pair[0].chunks[k][0] != &pair[1].chunks[k][0] {
+					copied++
+				}
+			}
+			if copied == 0 || copied > 2 {
+				t.Fatalf("%d: %s: %d of %d chunks copied for a one-fault delta, want 1 or 2", c.side, name, copied, len(pair[1].chunks))
+			}
+		}
+		if before.IsUnsafe(c.p) || before.IsFaulty(c.p) || !after.IsUnsafe(c.p) || !after.IsFaulty(c.p) {
+			t.Fatalf("%d: frames do not read their own states", c.side)
+		}
+		checkFrame(t, fmt.Sprint(c.side), after, s.Result())
+	}
+}
+
+// TestChunkShift pins the chunk-size rule at the machine sizes the
+// serving benchmarks measure: the power of two nearest 2√W for a plane
+// of W words, at least 64 words.
+func TestChunkShift(t *testing.T) {
+	for _, c := range []struct {
+		side  int
+		words int
+	}{{8, 64}, {64, 64}, {256, 64}, {512, 128}, {1024, 256}, {2048, 512}} {
+		if got := 1 << ChunkShift(c.side*((c.side+63)/64)); got != c.words {
+			t.Errorf("%dx%d: %d-word chunks, want %d", c.side, c.side, got, c.words)
 		}
 	}
-	if before.IsUnsafe(grid.Pt(400, 300)) || before.IsFaulty(grid.Pt(400, 300)) || !after.IsUnsafe(grid.Pt(400, 300)) || !after.IsFaulty(grid.Pt(400, 300)) {
-		t.Fatal("frames do not read their own states")
-	}
-	checkFrame(t, "after", after, s.Result())
 }

@@ -14,10 +14,11 @@ import (
 // freeze is the compare-based oracle of publish: it returns words as a
 // plane, sharing every chunk of prev whose words are unchanged and
 // copying the rest.
-func freeze(words []uint64, prev plane) plane {
-	out := make(plane, (len(words)+ChunkWords-1)/ChunkWords)
+func freeze(words []uint64, prev [][]uint64) [][]uint64 {
+	n := 1 << ChunkShift(len(words))
+	out := make([][]uint64, (len(words)+n-1)/n)
 	for c := range out {
-		src := words[c*ChunkWords : min((c+1)*ChunkWords, len(words))]
+		src := words[c*n : min((c+1)*n, len(words))]
 		if c < len(prev) && sameWords(prev[c], src) {
 			out[c] = prev[c]
 		} else {
@@ -41,8 +42,11 @@ type publishCheck struct {
 	restored int
 }
 
-// planes returns a frame's unsafe, enabled and fault planes.
-func planes(fr *Frame) [3]plane { return [3]plane{fr.unsafe, fr.enabled, fr.Faults.pl} }
+// planes returns the chunks of a frame's unsafe, enabled and fault
+// planes.
+func planes(fr *Frame) [3][][]uint64 {
+	return [3][][]uint64{fr.unsafe.chunks, fr.enabled.chunks, fr.Faults.pl.chunks}
+}
 
 // concat returns a frame's three planes, each concatenated.
 func concat(fr *Frame) [3][]uint64 {
@@ -58,12 +62,13 @@ func concat(fr *Frame) [3][]uint64 {
 // word shared with the previous frame, the previous frame unchanged.
 func (pc *publishCheck) frame(tag string) *Frame {
 	t, f := pc.t, pc.s.field
-	written := [3]map[int]bool{chunksOf(f.UnsafeWritten()), chunksOf(f.EnabledWritten()), chunksOf(f.FaultWritten())}
 	words := [3][]uint64{f.UnsafeBits().Words(), f.EnabledBits().Words(), f.FaultBits().Words()}
+	shift := ChunkShift(len(words[0]))
+	written := [3]map[int]bool{chunksOf(f.UnsafeWritten(), shift), chunksOf(f.EnabledWritten(), shift), chunksOf(f.FaultWritten(), shift)}
 	fr := pc.s.Frame()
 	got := planes(fr)
 	for k, name := range []string{"unsafe", "enabled", "faults"} {
-		var prev plane
+		var prev [][]uint64
 		if pc.prev != nil {
 			prev = planes(pc.prev)[k]
 		}
@@ -100,10 +105,10 @@ func (pc *publishCheck) frame(tag string) *Frame {
 	return fr
 }
 
-func chunksOf(words []int) map[int]bool {
+func chunksOf(words []int, shift uint) map[int]bool {
 	m := map[int]bool{}
 	for _, wi := range words {
-		m[wi/ChunkWords] = true
+		m[wi>>shift] = true
 	}
 	return m
 }
@@ -227,46 +232,60 @@ func TestFramePublishesWrittenChunks(t *testing.T) {
 	}
 }
 
-// TestFramePublishBytes pins a warmed one-point Frame at 512x512 to at
-// most two chunk copies per label plane and one of the fault plane,
-// plus the three planes' chunk headers and the Frame itself, in bytes:
-// nothing O(plane) or O(faults) is allocated or scanned.
+// TestFramePublishBytes pins a warmed one-point Frame, on meshes from
+// 64x64 to 2048x2048 and on a 130x70 torus, to at most two chunk copies
+// per label plane and one of the fault plane, plus the three planes'
+// chunk headers and the Frame itself, in bytes, each term taken from
+// the plane's own chunk length: nothing O(plane) or O(faults) is
+// allocated or scanned, and the O(words/chunk) header is what the
+// chunk size makes it.
 func TestFramePublishBytes(t *testing.T) {
-	const side = 512
-	rng := rand.New(rand.NewSource(5))
-	faults := make([]grid.Point, 256)
-	for i := range faults {
-		faults[i] = grid.Pt(rng.Intn(side), rng.Intn(side))
-	}
-	s, err := NewSession(Config{Width: side, Height: side}, faults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := s.Frame()
-	chunks := (side / 64 * side) / ChunkWords
-	limit := uint64(2*(2*ChunkWords*8+chunks*24) + ChunkWords*8 + chunks*24 + 256)
-	var ms runtime.MemStats
-	for i := 0; i < 20; i++ {
-		p := grid.Pt(rng.Intn(side), rng.Intn(side))
-		if _, err := s.AddFaults(p); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&ms)
-		before := ms.TotalAlloc
-		fr := s.Frame()
-		runtime.ReadMemStats(&ms)
-		if got := ms.TotalAlloc - before; got > limit {
-			t.Fatalf("one-point Frame at %v allocated %d bytes, want <= %d", p, got, limit)
-		}
-		copied := 0
-		for c := range fr.Faults.pl {
-			if &fr.Faults.pl[c][0] != &prev.Faults.pl[c][0] {
-				copied++
+	for _, m := range []struct {
+		w, h int
+		kind mesh.Kind
+	}{{64, 64, mesh.Mesh2D}, {256, 256, mesh.Mesh2D}, {512, 512, mesh.Mesh2D}, {2048, 2048, mesh.Mesh2D}, {130, 70, mesh.Torus2D}} {
+		t.Run(fmt.Sprintf("%v/%dx%d", m.kind, m.w, m.h), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			faults := make([]grid.Point, m.w/2)
+			for i := range faults {
+				faults[i] = grid.Pt(rng.Intn(m.w), rng.Intn(m.h))
 			}
-		}
-		if copied > 1 {
-			t.Fatalf("one-point Frame at %v copied %d fault chunks, want <= 1", p, copied)
-		}
-		prev = fr
+			s, err := NewSession(Config{Width: m.w, Height: m.h, Kind: m.kind}, faults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev := s.Frame()
+			words := m.h * ((m.w + 63) / 64)
+			chunkBytes := uint64(8) << ChunkShift(words)
+			headers := uint64(len(prev.Faults.pl.chunks) * 24)
+			if chunkBytes*uint64(len(prev.Faults.pl.chunks)) < 8*uint64(words) {
+				t.Fatalf("%d chunks of %d bytes hold fewer than %d words", len(prev.Faults.pl.chunks), chunkBytes, words)
+			}
+			limit := 5*chunkBytes + 3*headers + 256
+			var ms runtime.MemStats
+			for i := 0; i < 20; i++ {
+				p := grid.Pt(rng.Intn(m.w), rng.Intn(m.h))
+				if _, err := s.AddFaults(p); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&ms)
+				before := ms.TotalAlloc
+				fr := s.Frame()
+				runtime.ReadMemStats(&ms)
+				if got := ms.TotalAlloc - before; got > limit {
+					t.Fatalf("one-point Frame at %v allocated %d bytes, want <= %d", p, got, limit)
+				}
+				copied := 0
+				for c, chunk := range fr.Faults.pl.chunks {
+					if &chunk[0] != &prev.Faults.pl.chunks[c][0] {
+						copied++
+					}
+				}
+				if copied > 1 {
+					t.Fatalf("one-point Frame at %v copied %d fault chunks, want <= 1", p, copied)
+				}
+				prev = fr
+			}
+		})
 	}
 }

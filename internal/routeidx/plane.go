@@ -7,35 +7,41 @@ import (
 )
 
 // plane is a bit plane of equal lines in the grid.BitGrid word layout:
-// bit c%64 of word line*wpl+c/64, cut into chunks of core.ChunkWords
-// (the last one shorter), so that a line may straddle two chunks. A cell
-// is forbidden when its bit, xor flip, is set; flip is all ones for the
-// enabled plane, whose set bits are the cells a message may enter. Lanes
-// past a line's end are never read as cells.
+// bit c%64 of word line*wpl+c/64, cut into chunks of 1<<shift words
+// (core.ChunkShift of the plane's word count; the last chunk shorter),
+// so that a line may straddle two chunks. A cell is forbidden when its
+// bit, xor flip, is set; flip is all ones for the enabled plane, whose
+// set bits are the cells a message may enter. Lanes past a line's end
+// are never read as cells.
 type plane struct {
 	chunks [][]uint64
+	shift  uint
 	wpl    int // words per line
 	flip   uint64
 }
 
-// newChunks returns n zero words cut into chunks of core.ChunkWords.
-func newChunks(n int) [][]uint64 {
-	out := make([][]uint64, (n+core.ChunkWords-1)/core.ChunkWords)
-	for c := range out {
-		out[c] = make([]uint64, min(core.ChunkWords, n-c*core.ChunkWords))
+// newPlane returns a zero plane of lines lines of wpl words, chunked
+// like a frame's plane of as many words.
+func newPlane(lines, wpl int) plane {
+	n := lines * wpl
+	pl := plane{shift: core.ChunkShift(n), wpl: wpl}
+	size := 1 << pl.shift
+	pl.chunks = make([][]uint64, (n+size-1)/size)
+	for c := range pl.chunks {
+		pl.chunks[c] = make([]uint64, min(size, n-c*size))
 	}
-	return out
+	return pl
 }
 
 // set sets the bit of cell c of line (in the stored polarity).
 func (pl plane) set(line, c int) {
 	wi := uint(line*pl.wpl + c/64)
-	pl.chunks[wi/core.ChunkWords][wi%core.ChunkWords] |= 1 << (uint(c) % 64)
+	pl.chunks[wi>>pl.shift][wi&(1<<pl.shift-1)] |= 1 << (uint(c) % 64)
 }
 
 // word returns word wi of the plane in the forbidden polarity.
 func (pl *plane) word(wi int) uint64 {
-	return pl.chunks[uint(wi)/core.ChunkWords][uint(wi)%core.ChunkWords] ^ pl.flip
+	return pl.chunks[uint(wi)>>pl.shift][uint(wi)&(1<<pl.shift-1)] ^ pl.flip
 }
 
 // has reports whether cell c of line is forbidden.

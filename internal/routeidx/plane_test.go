@@ -1,27 +1,32 @@
 package routeidx
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"ocpmesh/internal/core"
 	"ocpmesh/internal/grid"
+	"ocpmesh/internal/mesh"
 	"ocpmesh/internal/routing"
 )
 
 // TestPlaneFirstStraddlingLine checks the line scan exhaustively on a
-// line of three words that straddles a chunk: line 170 of 130-cell lines
-// covers words 510-512. Every [lo, hi], in both directions and in both
-// polarities, must name the same cell as a bit-by-bit oracle; the
-// inverted polarity reads the padding lanes past cell 129 as forbidden,
-// so a scan that strayed into them would fail here.
+// line of three words that straddles a chunk: 200 lines of 130 cells
+// (the twin of a 130-wide machine, or the rows of a 130-wide one) cut
+// into 64-word chunks, whose line 42 covers words 126-128. Every
+// [lo, hi], in both directions and in both polarities, must name the
+// same cell as a bit-by-bit oracle; the inverted polarity reads the
+// padding lanes past cell 129 as forbidden, so a scan that strayed into
+// them would fail here.
 func TestPlaneFirstStraddlingLine(t *testing.T) {
-	const size, lines, line = 130, 200, 170
+	const size, lines, line = 130, 200, 42
 	rng := rand.New(rand.NewSource(3))
 	for _, flip := range []uint64{0, ^uint64(0)} {
-		pl := plane{chunks: newChunks(lines * 3), wpl: 3, flip: flip}
-		if c := line * 3 / core.ChunkWords; c == (line*3+2)/core.ChunkWords {
+		pl := newPlane(lines, 3)
+		pl.flip = flip
+		if c := line * 3 >> pl.shift; c == (line*3+2)>>pl.shift {
 			t.Fatalf("fixture expectation broken: line %d lies in chunk %d alone", line, c)
 		}
 		var forbidden [size]bool // the oracle
@@ -54,15 +59,14 @@ func TestPlaneFirstStraddlingLine(t *testing.T) {
 	}
 }
 
-// session512 returns a 512x512 session on 256 uniform faults and the
-// index compiled over its first frame.
-func session512(t *testing.T, rng *rand.Rand) (*core.Session, *Index) {
-	const side = 512
-	faults := make([]grid.Point, 256)
+// sessionOf returns a w x h session on w/2 uniform faults and the index
+// compiled over its first frame.
+func sessionOf(t *testing.T, rng *rand.Rand, w, h int, kind mesh.Kind) (*core.Session, *Index) {
+	faults := make([]grid.Point, w/2)
 	for i := range faults {
-		faults[i] = grid.Pt(rng.Intn(side), rng.Intn(side))
+		faults[i] = grid.Pt(rng.Intn(w), rng.Intn(h))
 	}
-	s, err := core.NewSession(core.Config{Width: side, Height: side}, faults)
+	s, err := core.NewSession(core.Config{Width: w, Height: h, Kind: kind}, faults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,75 +74,93 @@ func session512(t *testing.T, rng *rand.Rand) (*core.Session, *Index) {
 }
 
 // TestRebuildSharesUntouchedChunks adds one isolated fault at a time to
-// a 512x512 index and pins the copy-on-write twin: exactly the twin
-// chunks holding a cell whose verdict changed are copied, the stats
-// count them, and every other chunk is the previous index's.
+// an index and pins the copy-on-write twin: exactly the twin chunks
+// holding a cell whose verdict changed are copied, the stats count them,
+// and every other chunk is the previous index's. On 320x320 the twin's
+// 5-word columns straddle its 64-word chunks.
 func TestRebuildSharesUntouchedChunks(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	s, ix := session512(t, rng)
-	for step := 0; step < 10; step++ {
-		var p grid.Point
-		for { // a point whose 5x5 neighborhood is fault-free
-			p = grid.Pt(2+rng.Intn(508), 2+rng.Intn(508))
-			clear := true
-			for dy := -2; dy <= 2; dy++ {
-				for dx := -2; dx <= 2; dx++ {
-					clear = clear && !s.Faults().Has(grid.Pt(p.X+dx, p.Y+dy))
+	for _, side := range []int{512, 320} {
+		t.Run(fmt.Sprint(side), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(9))
+			s, ix := sessionOf(t, rng, side, side, mesh.Mesh2D)
+			for step := 0; step < 10; step++ {
+				var p grid.Point
+				for { // a point whose 5x5 neighborhood is fault-free
+					p = grid.Pt(2+rng.Intn(side-4), 2+rng.Intn(side-4))
+					clear := true
+					for dy := -2; dy <= 2; dy++ {
+						for dx := -2; dx <= 2; dx++ {
+							clear = clear && !s.Faults().Has(grid.Pt(p.X+dx, p.Y+dy))
+						}
+					}
+					if clear {
+						break
+					}
 				}
+				if _, err := s.AddFaults(p); err != nil {
+					t.Fatal(err)
+				}
+				next := ix.RebuildFrame(s.Frame())
+				twinChunk := func(q grid.Point) int { return (q.X*next.cols.wpl + q.Y/64) >> next.cols.shift }
+				touched := map[int]bool{}
+				for _, q := range next.topo.Points() {
+					if ix.allowed(q) != next.allowed(q) {
+						touched[twinChunk(q)] = true
+					}
+				}
+				if !touched[twinChunk(p)] {
+					t.Fatalf("step %d: the fault at %v changed no verdict", step, p)
+				}
+				for c := range next.cols.chunks {
+					if copied := &ix.cols.chunks[c][0] != &next.cols.chunks[c][0]; copied != touched[c] {
+						t.Fatalf("step %d: twin chunk %d copied=%t after a fault at %v, want %t", step, c, copied, p, touched[c])
+					}
+				}
+				n := len(next.cols.chunks)
+				if st := next.Stats(); st != (Stats{Regions: n, Compiled: len(touched), Reused: n - len(touched)}) {
+					t.Fatalf("step %d: stats %+v, want %d of %d chunks copied", step, st, len(touched), n)
+				}
+				ix = next
 			}
-			if clear {
-				break
-			}
-		}
-		if _, err := s.AddFaults(p); err != nil {
-			t.Fatal(err)
-		}
-		next := ix.RebuildFrame(s.Frame())
-		touched := map[int]bool{}
-		for _, q := range next.topo.Points() {
-			if ix.allowed(q) != next.allowed(q) {
-				touched[(q.X*next.cols.wpl+q.Y/64)/core.ChunkWords] = true
-			}
-		}
-		if !touched[(p.X*next.cols.wpl+p.Y/64)/core.ChunkWords] {
-			t.Fatalf("step %d: the fault at %v changed no verdict", step, p)
-		}
-		for c := range next.cols.chunks {
-			if copied := &ix.cols.chunks[c][0] != &next.cols.chunks[c][0]; copied != touched[c] {
-				t.Fatalf("step %d: twin chunk %d copied=%t after a fault at %v, want %t", step, c, copied, p, touched[c])
-			}
-		}
-		n := len(next.cols.chunks)
-		if st := next.Stats(); st != (Stats{Regions: n, Compiled: len(touched), Reused: n - len(touched)}) {
-			t.Fatalf("step %d: stats %+v, want %d of %d chunks copied", step, st, len(touched), n)
-		}
-		ix = next
+		})
 	}
 }
 
-// TestRebuildFrameAllocBytes pins a warmed 512x512 one-point RebuildFrame
-// to the chunks it edits: at most two twin chunks, the twin's chunk
-// headers and a fixed remainder (the Index itself). Copying the twin
-// whole would add 32 KB, the O(area) term this excludes.
+// TestRebuildFrameAllocBytes pins a warmed one-point RebuildFrame, on
+// meshes from 64x64 to 2048x2048 and on a 130x70 torus, to the chunks it
+// edits: at most two twin chunks, the twin's chunk headers and a fixed
+// remainder (the Index itself), each term taken from the twin's own
+// chunk length. Copying the twin whole would add 8 bytes per twin word,
+// the O(area) term this excludes.
 func TestRebuildFrameAllocBytes(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	s, ix := session512(t, rng)
-	const twinChunk = core.ChunkWords * 8
-	headers := uint64(len(ix.cols.chunks) * 24)
-	var ms runtime.MemStats
-	for i := 0; i < 20; i++ {
-		p := grid.Pt(rng.Intn(512), rng.Intn(512))
-		if _, err := s.AddFaults(p); err != nil {
-			t.Fatal(err)
-		}
-		fr := s.Frame()
-		limit := 2*twinChunk + headers + 512
-		runtime.ReadMemStats(&ms)
-		before := ms.TotalAlloc
-		ix = ix.RebuildFrame(fr)
-		runtime.ReadMemStats(&ms)
-		if got := ms.TotalAlloc - before; got > limit {
-			t.Fatalf("%v: RebuildFrame allocated %d bytes, want <= %d", p, got, limit)
-		}
+	for _, m := range []struct {
+		w, h int
+		kind mesh.Kind
+	}{{64, 64, mesh.Mesh2D}, {256, 256, mesh.Mesh2D}, {512, 512, mesh.Mesh2D}, {2048, 2048, mesh.Mesh2D}, {130, 70, mesh.Torus2D}} {
+		t.Run(fmt.Sprintf("%v/%dx%d", m.kind, m.w, m.h), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			s, ix := sessionOf(t, rng, m.w, m.h, m.kind)
+			twinWords := m.w * ((m.h + 63) / 64)
+			if ix.cols.shift != core.ChunkShift(twinWords) {
+				t.Fatalf("twin chunks of %d words, want %d", 1<<ix.cols.shift, 1<<core.ChunkShift(twinWords))
+			}
+			twinChunk := uint64(8) << ix.cols.shift
+			limit := 2*twinChunk + uint64(len(ix.cols.chunks)*24) + 512
+			var ms runtime.MemStats
+			for i := 0; i < 20; i++ {
+				p := grid.Pt(rng.Intn(m.w), rng.Intn(m.h))
+				if _, err := s.AddFaults(p); err != nil {
+					t.Fatal(err)
+				}
+				fr := s.Frame()
+				runtime.ReadMemStats(&ms)
+				before := ms.TotalAlloc
+				ix = ix.RebuildFrame(fr)
+				runtime.ReadMemStats(&ms)
+				if got := ms.TotalAlloc - before; got > limit {
+					t.Fatalf("%v: RebuildFrame allocated %d bytes, want <= %d", p, got, limit)
+				}
+			}
+		})
 	}
 }

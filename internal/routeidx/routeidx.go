@@ -5,12 +5,13 @@
 //
 // An index is a formation state, a fault model and one extra plane. The
 // row plane is the model's own plane in the grid.BitGrid word layout
-// (bit x%64 of word y*wpr+x/64) cut into core.ChunkWords chunks; over a
-// core.Frame it is the frame's plane itself: the enabled plane read
-// inverted (ModelRegions), the unsafe plane (ModelBlocks) or the fault
-// plane (ModelFaultsOnly). The twin is the forbidden plane of the
-// transposed machine in the same layout and chunking, so that a column
-// is a run of words just as a row is.
+// (bit x%64 of word y*wpr+x/64) cut into chunks of 1<<core.ChunkShift
+// words; over a core.Frame it is the frame's plane itself: the enabled
+// plane read inverted (ModelRegions), the unsafe plane (ModelBlocks) or
+// the fault plane (ModelFaultsOnly). The twin is the forbidden plane of
+// the transposed machine in the same layout, so that a column is a run
+// of words just as a row is, chunked by the same rule applied to its
+// own word count.
 //
 // "May a message enter this cell" is one bit test of the row plane, and
 // "the first forbidden cell along this row (column) segment" is a
@@ -113,7 +114,8 @@ func (ix *Index) Stats() Stats { return ix.stats }
 // framePlane returns the frame's plane the model reads, in the polarity
 // it is read in.
 func framePlane(f *core.Frame, model routing.Model) plane {
-	pl := plane{wpl: (f.Topo.Width() + 63) / 64}
+	wpl := (f.Topo.Width() + 63) / 64
+	pl := plane{shift: core.ChunkShift(f.Topo.Height() * wpl), wpl: wpl}
 	switch model {
 	case routing.ModelRegions:
 		pl.chunks, pl.flip = f.EnabledWords(), ^uint64(0)
@@ -129,7 +131,7 @@ func framePlane(f *core.Frame, model routing.Model) plane {
 // reading the label slices directly where the model has one.
 func resultPlane(res *core.Result, model routing.Model) plane {
 	w, h := res.Topo.Width(), res.Topo.Height()
-	pl := plane{chunks: newChunks(h * ((w + 63) / 64)), wpl: (w + 63) / 64}
+	pl := newPlane(h, (w+63)/64)
 	forbidden := func(i int) bool { return res.Faults.Has(grid.Pt(i%w, i/w)) }
 	switch model {
 	case routing.ModelRegions:
@@ -161,7 +163,7 @@ func build(prev *Index, view routing.Labels, rows plane, model routing.Model, op
 	ix := &Index{
 		view: view, topo: topo, model: model, opt: opt, maxHops: maxHops,
 		w: w, h: h, torus: topo.Kind() == mesh.Torus2D,
-		rows: rows, cols: plane{wpl: hpr},
+		rows: rows,
 	}
 	if prev != nil && (prev.w != w || prev.h != h || prev.rows.flip != rows.flip) {
 		prev = nil // another shape or polarity: build in full
@@ -174,12 +176,14 @@ func build(prev *Index, view routing.Labels, rows plane, model routing.Model, op
 	var prevRows [][]uint64
 	copied := 0
 	if prev != nil {
+		ix.cols = prev.cols
 		ix.cols.chunks = slices.Clone(prev.cols.chunks)
 		prevRows = prev.rows.chunks
 	} else {
-		ix.cols.chunks = newChunks(w * hpr)
+		ix.cols = newPlane(w, hpr)
 		copied = len(ix.cols.chunks)
 	}
+	cols, shift := ix.cols.chunks, ix.cols.shift
 	lastLanes := ^uint64(0) >> (63 - uint(w-1)%64) // the real cells of a row's last word
 	for c, chunk := range rows.chunks {
 		if prevRows != nil && &chunk[0] == &prevRows[c][0] {
@@ -190,7 +194,7 @@ func build(prev *Index, view routing.Labels, rows plane, model routing.Model, op
 			if prevRows != nil {
 				base = prevRows[c][j]
 			}
-			wi := c*core.ChunkWords + j
+			wi := c<<rows.shift + j
 			y, k := wi/wpr, wi%wpr
 			diff := word ^ base
 			if k == wpr-1 {
@@ -199,12 +203,12 @@ func build(prev *Index, view routing.Labels, rows plane, model routing.Model, op
 			for ; diff != 0; diff &= diff - 1 {
 				x := 64*k + bits.TrailingZeros64(diff)
 				ti := x*hpr + y/64
-				tc := ti / core.ChunkWords
-				if prev != nil && &ix.cols.chunks[tc][0] == &prev.cols.chunks[tc][0] {
-					ix.cols.chunks[tc] = slices.Clone(ix.cols.chunks[tc])
+				tc := ti >> shift
+				if prev != nil && &cols[tc][0] == &prev.cols.chunks[tc][0] {
+					cols[tc] = slices.Clone(cols[tc])
 					copied++
 				}
-				ix.cols.chunks[tc][ti%core.ChunkWords] ^= 1 << (uint(y) % 64)
+				cols[tc][ti&(1<<shift-1)] ^= 1 << (uint(y) % 64)
 			}
 		}
 	}

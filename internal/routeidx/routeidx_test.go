@@ -434,10 +434,12 @@ func TestRouteIndexIncremental(t *testing.T) {
 // from-scratch Compile: identical fingerprints, planes that hold exactly
 // the forbidden cells, and unchanged previous indexes (the copy-on-write
 // twin edits must never reach a published index). The 150x140 torus
-// spans several chunks both ways. Lines of three words straddle a
-// 512-word chunk: rows 170 of the 130x200 mesh and of the 190x190 torus
-// (words 510-512), and the twin's column 170 of the 200x130 mesh and of
-// the 190x190 torus.
+// spans several chunks both ways. Lines of three words straddle the
+// 64-word chunks: rows 21, 42, ... of the 130x200 mesh and of the
+// 190x190 torus (row 21 covers words 63-65), and the same twin columns
+// of the 200x130 mesh and of the 190x190 torus. The 2050x3 mesh's
+// planes differ in chunk length: 64 words for its 33-word rows, 128 for
+// its one-word twin columns.
 func TestRouteIndexRebuildChurn(t *testing.T) {
 	models := []routing.Model{routing.ModelRegions, routing.ModelBlocks, routing.ModelFaultsOnly}
 	for _, shape := range []struct {
@@ -445,7 +447,7 @@ func TestRouteIndexRebuildChurn(t *testing.T) {
 		kind mesh.Kind
 	}{
 		{65, 3, mesh.Mesh2D}, {130, 7, mesh.Mesh2D}, {24, 24, mesh.Mesh2D}, {20, 18, mesh.Torus2D}, {150, 140, mesh.Torus2D},
-		{130, 200, mesh.Mesh2D}, {200, 130, mesh.Mesh2D}, {190, 190, mesh.Torus2D},
+		{130, 200, mesh.Mesh2D}, {200, 130, mesh.Mesh2D}, {190, 190, mesh.Torus2D}, {2050, 3, mesh.Mesh2D},
 	} {
 		t.Run(fmt.Sprintf("%v/%dx%d", shape.kind, shape.w, shape.h), func(t *testing.T) {
 			topo, err := mesh.New(shape.w, shape.h, shape.kind)
@@ -462,6 +464,9 @@ func TestRouteIndexRebuildChurn(t *testing.T) {
 			ixs := make([]*Index, len(models))
 			for m, model := range models {
 				ixs[m] = CompileFrame(s.Frame(), model, Options{})
+			}
+			if shape.w == 2050 && ixs[0].rows.shift == ixs[0].cols.shift {
+				t.Fatalf("fixture expectation broken: rows and twin share %d-word chunks", 1<<ixs[0].cols.shift)
 			}
 			for step := 0; step < 40; step++ {
 				pts := make([]grid.Point, 1+rng.Intn(3))

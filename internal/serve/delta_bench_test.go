@@ -14,15 +14,15 @@ import (
 // frontier passes, region maintenance, the frame publish and the
 // routing-index rebuild.
 //
-// The sized legs are the bench/ churn workloads' shape: the tenant
-// starts on side/2 uniform faults and every 3-point delta draws its
-// points from one 128-site uniform pool, so adds and removes keep the
-// fault count near its start. The storm leg is the storm workload's: a
+// The sized legs, up to the 4M-node cap, are the bench/ churn
+// workloads' shape: the tenant starts on side/2 uniform faults and every
+// 3-point delta draws its points from one 128-site uniform pool, so adds
+// and removes keep the fault count near its start. The storm leg is the storm workload's: a
 // 256x256 tenant on 128 uniform faults, and 32-point deltas drawn from
 // one of 4 squares of side 13 at uniform positions, so deltas grow,
 // merge and split clustered blocks.
 func BenchmarkServeDelta(b *testing.B) {
-	for _, side := range []int{64, 256, 512} {
+	for _, side := range []int{64, 256, 512, 1024, 2048} {
 		rng := rand.New(rand.NewSource(int64(side)))
 		topo := mustTopo(b, side)
 		faults, pool := randomPoints(rng, topo, side/2), randomPoints(rng, topo, 128)
@@ -57,6 +57,7 @@ func benchServeDelta(b *testing.B, side int, faults []grid.Point, pools [][]grid
 	ops := []string{"add", "remove"}
 	pts := make([]grid.Point, n)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pool := pools[rng.Intn(len(pools))]
 		for j := range pts {

@@ -26,10 +26,10 @@ import (
 
 // TestServePublishAllocs pins the steady-state allocation of one
 // applied delta on a 512x512 tenant with 256 faults below n/2 bytes:
-// the published frame copies only the plane chunks the delta changed
-// (a full word copy of both planes would be n/32 bytes) and the index
-// rebuild touches only changed regions, where copying both planes as
-// []bool alone costs 2n bytes.
+// the published frame copies only the plane chunks the delta wrote (a
+// full word copy of both planes would be n/32 bytes) and the index
+// rebuild copies only the twin chunks holding a changed cell, where
+// copying both planes as []bool alone costs 2n bytes.
 func TestServePublishAllocs(t *testing.T) {
 	const side, nFaults, deltas = 512, 256, 200
 	topo, err := mesh.New(side, side, mesh.Mesh2D)

@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -841,18 +842,23 @@ func (s *Service) collect(sh *shard) []request {
 // apply executes one batch: requests are grouped by tenant in arrival
 // order, consecutive same-op delta runs per tenant collapse into one
 // engine pass, and each tenant publishes exactly one new snapshot per
-// batch. Every request is answered.
+// batch. Every request is answered. A batch of one tenant's requests,
+// the common case, is applied as it stands, with no regrouping copy.
 func (s *Service) apply(sh *shard, batch []request) {
-	byTenant := make(map[*Tenant][]request, 1)
-	order := make([]*Tenant, 0, 1)
-	for _, r := range batch {
-		if _, ok := byTenant[r.t]; !ok {
-			order = append(order, r.t)
+	if t := batch[0].t; !slices.ContainsFunc(batch, func(r request) bool { return r.t != t }) {
+		s.applyTenant(sh, t, batch)
+	} else {
+		byTenant := make(map[*Tenant][]request, 1)
+		order := make([]*Tenant, 0, 1)
+		for _, r := range batch {
+			if _, ok := byTenant[r.t]; !ok {
+				order = append(order, r.t)
+			}
+			byTenant[r.t] = append(byTenant[r.t], r)
 		}
-		byTenant[r.t] = append(byTenant[r.t], r)
-	}
-	for _, t := range order {
-		s.applyTenant(sh, t, byTenant[t])
+		for _, t := range order {
+			s.applyTenant(sh, t, byTenant[t])
+		}
 	}
 	s.batchRequests.Observe(float64(len(batch)))
 	if s.stages != nil {

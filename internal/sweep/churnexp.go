@@ -22,7 +22,8 @@ import (
 // form everything from scratch; this experiment measures what churn
 // costs once the formation already exists — the frontier curves stay
 // near-constant in the mesh size, which is the point of the
-// incremental engine.
+// incremental engine. A cell whose f faults fill the machine has no
+// arrival to drive and contributes nothing.
 func (r *Runner) ChurnCost(arrivalsPerRun int) ([]*stats.Series, error) {
 	if arrivalsPerRun < 1 {
 		arrivalsPerRun = 20
@@ -30,6 +31,9 @@ func (r *Runner) ChurnCost(arrivalsPerRun int) ([]*stats.Series, error) {
 	formCfg := r.formConfig(status.Def2b)
 	counts, cells, err := eachCell(r, obs.Event{Name: "churn"}, 9_999_991,
 		func(topo *mesh.Topology, f int, rng *rand.Rand) ([]core.Delta, float64, bool, error) {
+			if f >= topo.Size() {
+				return nil, 0, false, nil // no node is left to fail and repair
+			}
 			s, err := core.NewSessionOn(formCfg, topo, Uniform(f).Generate(topo, rng))
 			if err != nil {
 				return nil, 0, false, err

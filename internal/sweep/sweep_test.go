@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"ocpmesh/internal/core"
 	"ocpmesh/internal/fault"
@@ -11,6 +12,7 @@ import (
 	"ocpmesh/internal/mesh"
 	"ocpmesh/internal/obs"
 	"ocpmesh/internal/obs/costs"
+	"ocpmesh/internal/stats"
 	"ocpmesh/internal/status"
 )
 
@@ -286,5 +288,38 @@ func TestSweepReportsFailedCells(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "outside") {
 		t.Fatalf("error does not carry the first cell error: %v", err)
+	}
+}
+
+// TestChurnCostFullMachine runs figure X8 with f up to the machine size
+// under a deadline: a cell whose faults fill the machine has no node to
+// fail, so it must contribute nothing rather than draw arrival sites
+// forever, while the f=0 cells still yield every series' point.
+func TestChurnCostFullMachine(t *testing.T) {
+	r, err := NewRunner(Config{Width: 2, Height: 2, MaxFaults: 4, Step: 4, Replications: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		series []*stats.Series
+		err    error
+	}
+	done := make(chan result, 1)
+	go func() {
+		series, err := r.Figure("x8")
+		done <- result{series, err}
+	}()
+	select {
+	case res := <-done:
+		if res.err != nil {
+			t.Fatal(res.err)
+		}
+		for _, s := range res.series {
+			if len(s.Points) != 1 || s.Points[0].X != 0 {
+				t.Fatalf("%s: points %+v, want f=0 alone", s.Label, s.Points)
+			}
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("figure x8 with every node faulty did not return in 10 s")
 	}
 }
